@@ -50,9 +50,11 @@ from .prompt_filter import (
 )
 from .coverage import CoverageError, causal_trace, coverage_report, coverage_to_tsv
 from .triples import (
+    _PREFIX_RE,
     Iri,
     NamespaceError,
     Store,
+    Triple,
     TripleParseError,
     export_triples,
     import_triples,
@@ -85,19 +87,31 @@ def _extra_namespaces() -> dict[str, str]:
         isinstance(k, str) and isinstance(v, str) for k, v in data.items()
     ):
         raise NamespaceError(f"{NAMESPACES_ENV} must point to a JSON object of prefix -> IRI")
+    for prefix in data:
+        if not _PREFIX_RE.match(prefix):
+            raise NamespaceError(f"invalid namespace prefix {prefix!r}")
     return data
 
 
-def _read_store(paths: list[str]) -> Store:
-    namespaces = _extra_namespaces()
-    store = Store(frozenset(), namespaces)
+def _read_triples(paths: list[str]) -> tuple[dict[str, str], list[Triple]]:
+    """The files' triples and one namespace map for them all.
+
+    Each file is imported against the environment's prefixes plus its own
+    ``@prefix`` lines; across files the last file wins for each prefix.
+    """
+    extra = _extra_namespaces()
+    namespaces = dict(extra)
+    triples: list[Triple] = []
     for path in paths:
-        text = Path(path).read_text(encoding="utf-8")
-        imported = import_triples(text, namespaces=namespaces)
-        store = store.assert_all(imported.triples)
-        for prefix, expansion in imported.namespaces.items():
-            store = store.with_namespace(prefix, expansion)
-    return store
+        imported = import_triples(Path(path).read_text(encoding="utf-8"), namespaces=extra)
+        namespaces.update(imported.namespaces)
+        triples.extend(imported.triples)
+    return namespaces, triples
+
+
+def _read_store(paths: list[str]) -> Store:
+    namespaces, triples = _read_triples(paths)
+    return Store(frozenset(triples), namespaces)
 
 
 def _read_prompts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> list[str]:
@@ -155,7 +169,7 @@ def _cmd_gsn_dot(args: argparse.Namespace) -> int:
 
 def _cmd_gsn_triples(args: argparse.Namespace) -> int:
     argument = _parse_gsn_file(args.file)
-    store = Store(frozenset(), _extra_namespaces()).assert_all(argument_to_triples(argument))
+    store = Store(frozenset(argument_to_triples(argument)), _extra_namespaces())
     sys.stdout.write(export_triples(store))
     return 0
 
@@ -166,10 +180,10 @@ def _cmd_gsn_format(args: argparse.Namespace) -> int:
 
 
 def _cmd_triples_import(args: argparse.Namespace) -> int:
-    store = _read_store(args.files)
+    namespaces, triples = _read_triples(args.files)
     if args.with_registry:
-        store = store.assert_all(registry_to_triples(load_registry()))
-    text = export_triples(store)
+        triples.extend(registry_to_triples(load_registry()))
+    text = export_triples(Store(frozenset(triples), namespaces))
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -270,11 +284,11 @@ def _cmd_coverage_trace(args: argparse.Namespace) -> int:
 
 def _cmd_factsheet_render(args: argparse.Namespace) -> int:
     registry = load_registry()
-    store = _read_store(args.store) if args.store else Store(frozenset(), _extra_namespaces())
-    store = store.assert_all(registry_to_triples(registry))
+    namespaces, triples = _read_triples(args.store)
+    triples.extend(registry_to_triples(registry))
     argument = _parse_gsn_file(args.gsn) if args.gsn else GsnArgument()
     if argument.nodes:
-        store = store.assert_all(argument_to_triples(argument))
+        triples.extend(argument_to_triples(argument))
     metrics = None
     if args.model:
         if not args.eval_corpus:
@@ -282,7 +296,8 @@ def _cmd_factsheet_render(args: argparse.Namespace) -> int:
         model = load_model(Path(args.model).read_text(encoding="utf-8"))
         labeled = parse_labeled_corpus(Path(args.eval_corpus).read_text(encoding="utf-8"))
         metrics = evaluate(model, labeled)
-        store = store.assert_all(filter_to_triples(model, metrics))
+        triples.extend(filter_to_triples(model, metrics))
+    store = Store(frozenset(triples), namespaces)
     markdown = render_factsheet(registry, argument, store, metrics, system_name=args.system)
     text = render_html(markdown) if args.format == "html" else markdown
     if args.output:

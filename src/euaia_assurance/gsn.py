@@ -6,7 +6,8 @@ claim decomposition (parent node first), InContextOf attaches contexts and
 justifications, and Challenges lets a counterclaim dispute a claim.
 
 Arguments are immutable values: ``add_node`` and ``add_edge`` return new
-arguments and enforce the structural rules at insert time.
+arguments and enforce the structural rules at insert time. ``parse_gsn``
+checks the same rules over a whole document and builds the argument once.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import graphlib
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
+from typing import Iterable
 
 from . import vocab
 from .triples import Iri, Literal, Triple
@@ -144,57 +147,47 @@ class GsnArgument:
     edges: tuple[GsnEdge, ...] = ()
     duty_link: str | None = None
 
+    @cached_property
+    def _by_id(self) -> dict[str, GsnNode]:
+        # reversed, so a repeated id in a raw argument maps to its first node
+        return {node.id: node for node in reversed(self.nodes)}
+
+    @cached_property
+    def _children(self) -> dict[str, list[str]]:
+        children: dict[str, list[str]] = {}
+        for edge in self.edges:
+            if edge.relation is GsnRelation.SUPPORTED_BY:
+                children.setdefault(edge.source, []).append(edge.target)
+        return children
+
     def node(self, node_id: str) -> GsnNode:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise KeyError(f"no node {node_id!r}")
+        try:
+            return self._by_id[node_id]
+        except KeyError:
+            raise KeyError(f"no node {node_id!r}") from None
 
     def has_node(self, node_id: str) -> bool:
-        return any(node.id == node_id for node in self.nodes)
+        return node_id in self._by_id
 
     def add_node(self, node: GsnNode) -> "GsnArgument":
-        if self.has_node(node.id):
-            raise GsnError(f"duplicate node id {node.id!r}")
-        return replace(self, nodes=tuple(sorted(self.nodes + (node,), key=_node_key)))
+        """Insert a node, rejecting a duplicate id."""
+        return _assemble(
+            [(None, n) for n in (*self.nodes, node)], [(None, e) for e in self.edges], self.duty_link
+        )
 
     def add_edge(self, edge: GsnEdge) -> "GsnArgument":
         """Insert an edge, enforcing endpoint existence, legality and acyclicity."""
         if edge in self.edges:
             return self
-        for endpoint in (edge.source, edge.target):
-            if not self.has_node(endpoint):
-                raise GsnError(f"edge endpoint {endpoint!r} is not a declared node")
-        pair = (self.node(edge.source).kind, self.node(edge.target).kind)
-        if pair not in LEGAL_EDGES[edge.relation]:
-            raise GsnError(
-                f"{edge.relation.value} may not connect {pair[0].value} to {pair[1].value}"
-            )
-        if edge.relation is GsnRelation.SUPPORTED_BY and self._would_cycle(edge):
-            raise GsnError(f"edge {edge.source} -> {edge.target} would create a supportedBy cycle")
-        return replace(self, edges=tuple(sorted(self.edges + (edge,), key=_edge_key)))
-
-    def _would_cycle(self, edge: GsnEdge) -> bool:
-        children: dict[str, list[str]] = {}
-        for existing in self.edges:
-            if existing.relation is GsnRelation.SUPPORTED_BY:
-                children.setdefault(existing.source, []).append(existing.target)
-        stack, seen = [edge.target], set()
-        while stack:
-            current = stack.pop()
-            if current == edge.source:
-                return True
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(children.get(current, ()))
-        return False
+        return _assemble(
+            [(None, n) for n in self.nodes], [(None, e) for e in (*self.edges, edge)], self.duty_link
+        )
 
     def with_duty_link(self, duty_iri: str) -> "GsnArgument":
         return replace(self, duty_link=duty_iri)
 
     def supported_children(self, node_id: str) -> list[str]:
-        return [e.target for e in self.edges if e.source == node_id and e.relation is GsnRelation.SUPPORTED_BY]
+        return list(self._children.get(node_id, ()))
 
     def root_goals(self) -> list[GsnNode]:
         """Goals with no incoming supportedBy edge, in canonical order."""
@@ -202,6 +195,117 @@ class GsnArgument:
             e.target for e in self.edges if e.relation is GsnRelation.SUPPORTED_BY
         }
         return [n for n in self.nodes if n.kind is GsnNodeKind.GOAL and n.id not in supported]
+
+
+# ----------------------------------------------------------------------
+# structural rules, shared by the builder and by validate
+
+
+def _missing_endpoint(edge: GsnEdge, by_id: dict[str, GsnNode]) -> str | None:
+    """The first endpoint of the edge that is not a node, source first."""
+    for endpoint in (edge.source, edge.target):
+        if endpoint not in by_id:
+            return endpoint
+    return None
+
+
+def _illegal_pair(edge: GsnEdge, by_id: dict[str, GsnNode]) -> str | None:
+    pair = (by_id[edge.source].kind, by_id[edge.target].kind)
+    if pair in LEGAL_EDGES[edge.relation]:
+        return None
+    return f"{edge.relation.value} may not connect {pair[0].value} to {pair[1].value}"
+
+
+def _find_cycle(pairs: Iterable[tuple[str, str]], nodes: Iterable[str] = ()) -> list[str] | None:
+    """One supportedBy cycle of the (source, target) pairs, or None if acyclic."""
+    graph: dict[str, set[str]] = {node_id: set() for node_id in nodes}
+    for source, target in pairs:
+        graph.setdefault(source, set()).add(target)
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        return exc.args[1]
+    return None
+
+
+def _first_cycle_closing(supports: list[tuple[int | None, GsnEdge]]) -> tuple[int | None, GsnEdge] | None:
+    """The first supportedBy edge, in order, that closes a cycle.
+
+    Adding edges never removes a cycle, so the prefixes of ``supports`` turn
+    cyclic at one length and stay so; a binary search over the prefix
+    length finds it with O(log E) topological passes, and one pass when
+    there is no cycle at all.
+    """
+
+    def cyclic(count: int) -> bool:
+        return _find_cycle((e.source, e.target) for _, e in supports[:count]) is not None
+
+    acyclic_len, cyclic_len = 0, len(supports)
+    if not cyclic(cyclic_len):
+        return None
+    while cyclic_len - acyclic_len > 1:
+        middle = (acyclic_len + cyclic_len) // 2
+        if cyclic(middle):
+            cyclic_len = middle
+        else:
+            acyclic_len = middle
+    return supports[cyclic_len - 1]
+
+
+def _rejection(message: str, line: int | None) -> GsnError:
+    return GsnError(message) if line is None else GsnParseError(message, line)
+
+
+def _assemble(
+    node_lines: Iterable[tuple[int | None, GsnNode]],
+    edge_lines: Iterable[tuple[int | None, GsnEdge]],
+    duty_link: str | None = None,
+) -> GsnArgument:
+    """Check the insert rules in order and build the argument in one step.
+
+    The result is what inserting the nodes, then the edges, one at a time
+    would give: the first repeated node id is rejected; then, in order, a
+    repeat of an accepted edge is ignored and the first edge with an
+    undeclared endpoint, an illegal kind pair or that closes a supportedBy
+    cycle is rejected. A rejection carries the item's line, when it has one.
+    Runs in O(V + E) plus the final sort when the edges are acyclic.
+    """
+    by_id: dict[str, GsnNode] = {}
+    for line, node in node_lines:
+        if node.id in by_id:
+            raise _rejection(f"duplicate node id {node.id!r}", line)
+        by_id[node.id] = node
+
+    accepted: dict[GsnEdge, int | None] = {}
+    failure: tuple[str, int | None] | None = None
+    for line, edge in edge_lines:
+        if edge in accepted:
+            continue
+        missing = _missing_endpoint(edge, by_id)
+        problem = (
+            f"edge endpoint {missing!r} is not a declared node" if missing is not None
+            else _illegal_pair(edge, by_id)
+        )
+        if problem is not None:
+            failure = (problem, line)
+            break
+        accepted[edge] = line
+
+    # Every accepted edge precedes the failing one, so a cycle among them
+    # is met first.
+    closing = _first_cycle_closing(
+        [(line, e) for e, line in accepted.items() if e.relation is GsnRelation.SUPPORTED_BY]
+    )
+    if closing is not None:
+        line, edge = closing
+        raise _rejection(f"edge {edge.source} -> {edge.target} would create a supportedBy cycle", line)
+    if failure is not None:
+        raise _rejection(*failure)
+    return GsnArgument(
+        tuple(sorted(by_id.values(), key=_node_key)),
+        tuple(sorted(accepted, key=_edge_key)),
+        duty_link,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -218,46 +322,39 @@ def validate(argument: GsnArgument) -> list[Diagnostic]:
     """
     errors: list[Diagnostic] = []
     warnings: list[Diagnostic] = []
-    ids = {node.id: node for node in argument.nodes}
+    ids = argument._by_id
 
     for edge in argument.edges:
-        missing = [p for p in (edge.source, edge.target) if p not in ids]
-        if missing:
+        missing = _missing_endpoint(edge, ids)
+        if missing is not None:
             errors.append(
-                Diagnostic(Severity.ERROR, _edge_key(edge), f"undeclared endpoint {missing[0]!r}")
+                Diagnostic(Severity.ERROR, _edge_key(edge), f"undeclared endpoint {missing!r}")
             )
             continue
-        pair = (ids[edge.source].kind, ids[edge.target].kind)
-        if pair not in LEGAL_EDGES[edge.relation]:
-            errors.append(
-                Diagnostic(
-                    Severity.ERROR,
-                    _edge_key(edge),
-                    f"{edge.relation.value} may not connect {pair[0].value} to {pair[1].value}",
-                )
-            )
+        problem = _illegal_pair(edge, ids)
+        if problem is not None:
+            errors.append(Diagnostic(Severity.ERROR, _edge_key(edge), problem))
 
-    graph: dict[str, set[str]] = {node.id: set() for node in argument.nodes}
-    for edge in argument.edges:
-        if edge.relation is GsnRelation.SUPPORTED_BY and edge.source in ids and edge.target in ids:
-            graph[edge.source].add(edge.target)
-    try:
-        graphlib.TopologicalSorter(graph).prepare()
-    except graphlib.CycleError as exc:
-        cycle = " -> ".join(exc.args[1])
-        errors.append(Diagnostic(Severity.ERROR, exc.args[1][0], f"supportedBy cycle: {cycle}"))
-
-    has_cycle_error = any("cycle" in d.message for d in errors)
-    if argument.nodes and not has_cycle_error and not argument.root_goals():
+    cycle = _find_cycle(
+        (
+            (edge.source, edge.target)
+            for edge in argument.edges
+            if edge.relation is GsnRelation.SUPPORTED_BY and edge.source in ids and edge.target in ids
+        ),
+        (node.id for node in argument.nodes),
+    )
+    if cycle is not None:
+        errors.append(Diagnostic(Severity.ERROR, cycle[0], f"supportedBy cycle: {' -> '.join(cycle)}"))
+    elif argument.nodes and not argument.root_goals():
         errors.append(
             Diagnostic(Severity.ERROR, "argument", "non-empty argument has no root goal")
         )
 
+    challengers = {e.source for e in argument.edges if e.relation is GsnRelation.CHALLENGES}
     for node in argument.nodes:
-        children = argument.supported_children(node.id)
+        children = argument._children.get(node.id, ())
         if node.kind is GsnNodeKind.STRATEGY:
-            goal_children = [c for c in children if c in ids and ids[c].kind is GsnNodeKind.GOAL]
-            if not goal_children:
+            if not any(c in ids and ids[c].kind is GsnNodeKind.GOAL for c in children):
                 errors.append(
                     Diagnostic(Severity.ERROR, node.id, "strategy has no supporting goal")
                 )
@@ -268,15 +365,10 @@ def validate(argument: GsnArgument) -> list[Diagnostic]:
                         Severity.WARNING, node.id, "goal has no support and is not marked undeveloped"
                     )
                 )
-        elif node.kind is GsnNodeKind.COUNTERCLAIM:
-            challenges = [
-                e for e in argument.edges
-                if e.source == node.id and e.relation is GsnRelation.CHALLENGES
-            ]
-            if not challenges:
-                warnings.append(
-                    Diagnostic(Severity.WARNING, node.id, "counterclaim challenges nothing")
-                )
+        elif node.kind is GsnNodeKind.COUNTERCLAIM and node.id not in challengers:
+            warnings.append(
+                Diagnostic(Severity.WARNING, node.id, "counterclaim challenges nothing")
+            )
 
     errors.sort(key=lambda d: (d.subject, d.message))
     warnings.sort(key=lambda d: (d.subject, d.message))
@@ -346,11 +438,10 @@ def _scan_statement_text(line: str, start: int, lineno: int) -> tuple[str, int]:
     raise GsnParseError("unterminated statement", lineno, start + 1)
 
 
-def parse_gsn(text: str) -> GsnArgument:
-    """Parse the DSL: node lines, ``edge A -> B relation`` lines, one optional
-    ``duty <iri>`` line, ``#`` comments. Nodes may be declared in any order
-    relative to the edges that use them.
-    """
+def _scan_gsn(
+    text: str,
+) -> tuple[list[tuple[int, GsnNode]], list[tuple[int, GsnEdge]], tuple[int, str] | None]:
+    """The node lines, edge lines and duty line of a DSL text, in file order."""
     node_lines: list[tuple[int, GsnNode]] = []
     edge_lines: list[tuple[int, GsnEdge]] = []
     duty_line: tuple[int, str] | None = None
@@ -397,17 +488,16 @@ def parse_gsn(text: str) -> GsnArgument:
         else:
             raise GsnParseError(f"unknown keyword {keyword!r}", lineno)
 
-    argument = GsnArgument()
-    for lineno, node in node_lines:
-        try:
-            argument = argument.add_node(node)
-        except GsnError as exc:
-            raise GsnParseError(str(exc), lineno) from None
-    for lineno, edge in edge_lines:
-        try:
-            argument = argument.add_edge(edge)
-        except GsnError as exc:
-            raise GsnParseError(str(exc), lineno) from None
+    return node_lines, edge_lines, duty_line
+
+
+def parse_gsn(text: str) -> GsnArgument:
+    """Parse the DSL: node lines, ``edge A -> B relation`` lines, one optional
+    ``duty <iri>`` line, ``#`` comments. Nodes may be declared in any order
+    relative to the edges that use them.
+    """
+    node_lines, edge_lines, duty_line = _scan_gsn(text)
+    argument = _assemble(node_lines, edge_lines)
     if duty_line is not None:
         try:
             Iri.parse(duty_line[1])

@@ -303,18 +303,27 @@ class Store:
         """Conjunctive query: the natural join of the patterns' matches.
 
         Shared variable names join; patterns with disjoint variables produce
-        a cartesian product. Planning is left-to-right after reordering the
-        patterns most-selective-first, which never changes the result set.
+        a cartesian product. Planning is left-to-right in a greedy order,
+        which never changes the result set: next comes a pattern that shares
+        a variable already bound, if any, and the most selective one among
+        those, so a join is a cross product only when the query is one.
         """
-        plan = list(patterns)
-        if not plan:
+        remaining = list(patterns)
+        if not remaining:
             raise ValueError("query requires at least one pattern")
 
         def estimate(pattern: TriplePattern) -> int:
             bound = self._candidates(pattern)
             return len(self.triples) if bound is self.triples else len(tuple(bound))
 
-        plan.sort(key=estimate)
+        remaining.sort(key=estimate)
+        plan: list[TriplePattern] = []
+        bound_names: set[str] = set()
+        while remaining:
+            pick = next((p for p in remaining if p.variables() & bound_names), remaining[0])
+            remaining.remove(pick)
+            plan.append(pick)
+            bound_names |= pick.variables()
         solutions: list[Binding] = [{}]
         for pattern in plan:
             step: list[Binding] = []

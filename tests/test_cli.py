@@ -409,3 +409,50 @@ def test_namespace_env_var(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "triples", "export", str(data))
     assert code == 0
     assert "@prefix lab: <https://example.org/ns/lab#>" in out
+
+
+def test_triple_files_declare_their_own_prefixes(capsys, tmp_path, store_ttl):
+    first = tmp_path / "first.ttl"
+    first.write_text(
+        "@prefix ex: <https://example.org/ns/ex#>\n<ex:x> <rdf:type> <assures:Attack> .\n",
+        encoding="utf-8",
+    )
+    second = tmp_path / "second.ttl"
+    second.write_text(
+        "@prefix ex: <https://example.org/ns/other#>\n<ex:y> <rdf:type> <assures:Attack> .\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "triples", "export", str(first))
+    assert code == 0, err
+    assert "@prefix ex: <https://example.org/ns/ex#>" in out
+    assert "<ex:x> <rdf:type> <assures:Attack> ." in out
+    code, out, err = run(capsys, "triples", "query", str(first), "?a rdf:type assures:Attack")
+    assert (code, out) == (0, "?a=<ex:x>\n"), err
+    # the last file wins for each prefix
+    code, out, err = run(capsys, "triples", "import", str(first), str(second))
+    assert code == 0, err
+    assert "@prefix ex: <https://example.org/ns/other#>" in out
+    assert "<ex:x> <rdf:type> <assures:Attack> ." in out and "<ex:y> <rdf:type> <assures:Attack> ." in out
+    for argv in (
+        ("coverage", "report", store_ttl, str(first)),
+        ("coverage", "trace", store_ttl, str(first), "--attack", "atk:charCombo"),
+        ("factsheet", "render", "--store", store_ttl, "--store", str(first)),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+    # a file may not lean on a prefix that only an earlier file declares
+    third = tmp_path / "third.ttl"
+    third.write_text("<ex:z> <rdf:type> <assures:Attack> .\n", encoding="utf-8")
+    code, _, err = run(capsys, "triples", "import", str(first), str(third))
+    assert code == 1
+    assert err == "error: line 1: undeclared namespace prefix 'ex'\n"
+
+
+def test_namespace_env_var_rejects_invalid_prefixes(capsys, tmp_path, monkeypatch):
+    namespaces = tmp_path / "ns.json"
+    namespaces.write_text('{"1lab": "https://example.org/ns/lab#"}', encoding="utf-8")
+    monkeypatch.setenv("EUAIA_ASSURE_NAMESPACES", str(namespaces))
+    for argv in (("triples", "export", LINKS), ("gsn", "triples", GSN)):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err == "error: invalid namespace prefix '1lab'\n"

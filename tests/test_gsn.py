@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from euaia_assurance.gsn import (
     ID_PREFIXES,
@@ -23,6 +25,7 @@ from euaia_assurance.gsn import (
     validate,
 )
 from euaia_assurance.triples import Iri, Literal
+from incremental_gsn import parse_gsn_incrementally
 
 K = GsnNodeKind
 R = GsnRelation
@@ -252,6 +255,26 @@ def test_validate_warns_on_idle_counterclaim():
     assert any(d.subject == "CC1" and d.severity is Severity.WARNING for d in diagnostics)
 
 
+def test_validate_reports_missing_root_whatever_the_endpoint_names():
+    # an undeclared endpoint whose name contains "cycle" is not a cycle
+    raw = build([node(K.STRATEGY)], [GsnEdge("S1", "Gcycle", R.SUPPORTED_BY)])
+    messages = {d.message for d in validate(raw) if d.severity is Severity.ERROR}
+    assert messages == {
+        "undeclared endpoint 'Gcycle'",
+        "non-empty argument has no root goal",
+        "strategy has no supporting goal",
+    }
+
+
+def test_validate_skips_the_root_check_when_there_is_a_cycle():
+    raw = build(
+        [node(K.GOAL, 1), node(K.GOAL, 2)],
+        [GsnEdge("G1", "G2", R.SUPPORTED_BY), GsnEdge("G2", "G1", R.SUPPORTED_BY)],
+    )
+    messages = [d.message for d in validate(raw) if d.severity is Severity.ERROR]
+    assert len(messages) == 1 and messages[0].startswith("supportedBy cycle: ")
+
+
 def test_validate_orders_errors_before_warnings():
     raw = build(
         [node(K.GOAL), GsnNode("CC1", K.COUNTERCLAIM, "y")],
@@ -316,12 +339,119 @@ def test_parse_duty_line():
         ('goal G1 "g" undeveloped\nedge G1 -> G1 butts\n', 2),
         ('goal G1 "g" undeveloped\nduty euaia:d9\nduty euaia:d8\n', 3),
         ("duty not-a-curie\n", 1),
+        # duplicate id: the second declaration
+        ('goal G1 "a" undeveloped\nsolution Sn1 "s"\ngoal G1 "b"\n', 3),
+        # duplicate ids are checked before any edge
+        ('edge G1 -> G9 supportedBy\ngoal G1 "a"\ngoal G1 "b"\n', 3),
+        # undeclared endpoint
+        ('goal G1 "g"\n\nedge G1 -> G2 supportedBy\n', 3),
+        # illegal pair, after a legal edge
+        ('goal G1 "g"\nsolution Sn1 "s"\nedge G1 -> Sn1 supportedBy\nedge Sn1 -> G1 supportedBy\n', 4),
+        # the edge that closes the cycle, not the first edge on it
+        (
+            'goal G1 "a"\ngoal G2 "b"\ngoal G3 "c"\n'
+            "edge G1 -> G2 supportedBy\nedge G3 -> G1 supportedBy\nedge G2 -> G3 supportedBy\n",
+            6,
+        ),
+        # a cycle and an illegal pair: the earlier line wins
+        (
+            'goal G1 "a"\ngoal G2 "b"\nsolution Sn1 "s"\n'
+            "edge G1 -> G2 supportedBy\nedge G2 -> G1 supportedBy\nedge Sn1 -> G1 supportedBy\n",
+            5,
+        ),
+        (
+            'goal G1 "a"\ngoal G2 "b"\nsolution Sn1 "s"\n'
+            "edge G1 -> G2 supportedBy\nedge Sn1 -> G1 supportedBy\nedge G2 -> G1 supportedBy\n",
+            5,
+        ),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno):
     with pytest.raises(GsnParseError) as exc:
         parse_gsn(text)
     assert exc.value.line == lineno
+
+
+def test_long_chain_listed_bottom_up_reports_the_cycle_closing_line():
+    size = 3000
+    lines = [f'goal G{i} "goal {i}"' for i in range(1, size + 1)]
+    lines += [f"edge G{i} -> G{i + 1} supportedBy" for i in range(size - 1, 0, -1)]
+    chain = parse_gsn("\n".join(lines) + "\n")
+    assert len(chain.edges) == size - 1
+    assert [g.id for g in chain.root_goals()] == ["G1"]
+    lines.append(f"edge G{size} -> G1 supportedBy")
+    with pytest.raises(GsnParseError) as exc:
+        parse_gsn("\n".join(lines) + "\n")
+    assert exc.value.line == len(lines)
+    assert str(exc.value).endswith(f"edge G{size} -> G1 would create a supportedBy cycle")
+
+
+# ids drawn from a small pool, goal-heavy so that supportedBy cycles are
+# common; G9 and Sn9 are never declared
+_GOALS = ("G1", "G2", "G3", "G4")
+_OTHERS = ("S1", "S2", "Sn1", "Sn2", "C1", "J1", "CC1")
+_DECLARABLE = _GOALS + _OTHERS
+_KEYWORD_BY_PREFIX = (
+    ("CC", "counterclaim"), ("Sn", "solution"), ("G", "goal"), ("S", "strategy"),
+    ("C", "context"), ("J", "justification"),
+)
+
+
+def _node_line(node_id: str, undeveloped: bool) -> str:
+    keyword = next(k for prefix, k in _KEYWORD_BY_PREFIX if node_id.startswith(prefix))
+    tail = " undeveloped" if undeveloped and keyword == "goal" else ""
+    return f'{keyword} {node_id} "about {node_id}"{tail}'
+
+
+_any_edge = st.builds(
+    "edge {} -> {} {}".format,
+    st.sampled_from(_DECLARABLE + ("G9", "Sn9")),
+    st.sampled_from(_DECLARABLE + ("G9",)),
+    st.sampled_from(["supportedBy", "inContextOf", "challenges"]),
+)
+_goal_edge = st.builds("edge {} -> {} supportedBy".format, st.sampled_from(_GOALS), st.sampled_from(_GOALS))
+
+
+@st.composite
+def _documents(draw) -> list[str]:
+    """Node, edge and duty lines in random order: mostly distinct ids, goal
+    to goal edges that often close cycles, and now and then a duplicate id,
+    an undeclared endpoint, an illegal pair or a malformed duty line."""
+    declared = [goal for goal in _GOALS if draw(st.integers(0, 9))]
+    declared += draw(st.lists(st.sampled_from(_OTHERS), unique=True))
+    lines = [_node_line(node_id, draw(st.booleans())) for node_id in declared]
+    if declared and draw(st.integers(0, 7)) == 0:
+        lines.append(_node_line(draw(st.sampled_from(declared)), False))
+    lines += draw(st.lists(st.one_of(_goal_edge, _goal_edge, _goal_edge, _any_edge), max_size=12))
+    lines += draw(st.lists(st.sampled_from(["duty euaia:d9", "duty nocurie", "# comment"]), max_size=1))
+    return draw(st.permutations(lines))
+
+
+_OUTCOMES = (
+    ("duplicate node id", "duplicate id"),
+    ("is not a declared node", "undeclared endpoint"),
+    ("may not connect", "illegal pair"),
+    ("would create a supportedBy cycle", "cycle"),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents())
+def test_parse_matches_the_incremental_builder(lines):
+    text = "\n".join(lines) + "\n"
+
+    def outcome(parse):
+        try:
+            return parse(text)
+        except GsnParseError as exc:
+            return str(exc), exc.line
+
+    expected = outcome(parse_gsn_incrementally)
+    if isinstance(expected, GsnArgument):
+        event("accepted")
+    else:
+        event(next((name for text, name in _OUTCOMES if text in expected[0]), "other"))
+    assert outcome(parse_gsn) == expected
 
 
 def test_parse_rejects_semantic_errors_with_location():

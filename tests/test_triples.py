@@ -218,6 +218,15 @@ def test_match_and_query_equal_full_scan():
             assert store.match(pattern) == _oracle_match(store, pattern)
         patterns = [_random_pattern(rng) for _ in range(rng.randint(1, 3))]
         assert store.query(patterns) == _oracle_query(store, patterns)
+        # the first and last pattern share no variable; only the middle one
+        # links them (?s evidencedBy ?e, ?g supportedBy ?s, ?g rdf:type Goal)
+        evidenced, supported, typed = (_random_term(rng, literal_ok=False) for _ in range(3))
+        chain = [
+            TriplePattern(Variable("s"), evidenced, Variable("e")),
+            TriplePattern(Variable("g"), supported, Variable("s")),
+            TriplePattern(Variable("g"), typed, _random_term(rng, literal_ok=True)),
+        ]
+        assert store.query(chain) == _oracle_query(store, chain)
 
 
 def test_query_requires_patterns():

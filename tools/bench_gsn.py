@@ -1,0 +1,130 @@
+"""Time ``parse_gsn`` and ``validate`` on generated arguments of 1,500,
+3,000 and 6,000 nodes, for one or more source trees, and write the records
+as JSON.
+
+    python3 tools/bench_gsn.py --tree before=../old-checkout --tree after=. -o BENCH_2.json
+
+Each tree is measured in its own subprocess with ``PYTHONPATH=<tree>/src``,
+so no two trees share imported modules. The arguments come from
+``bench/generate.make_argument`` of this checkout, with a fixed seed, so
+every tree parses the same texts. A record holds the stage, the size in
+nodes, the median and minimum seconds over ``--repeats`` runs, the Python
+version, the tree's git commit (or null) and a digest of its
+``src/euaia_assurance``, which identifies uncommitted trees too.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = (1500, 3000, 6000)
+SEED = 2
+
+
+def _argument_text(size: int) -> str:
+    sys.dont_write_bytecode = True  # leave bench/ as checked out
+    sys.path.insert(0, str(ROOT / "bench"))
+    import generate
+
+    rng = random.Random(f"bench-gsn/{SEED}/{size}")
+    return generate.make_argument(rng, f"n{size}", 0, size, duty=1, developed=True).text()
+
+
+def _measure(repeats: int) -> list[dict]:
+    """Worker side: time the stages with the ``euaia_assurance`` on sys.path."""
+    from euaia_assurance.gsn import parse_gsn, validate
+
+    records = []
+    for size in SIZES:
+        text = _argument_text(size)
+        times: dict[str, list[float]] = {"parse_gsn": [], "validate": []}
+        for _ in range(repeats):
+            start = time.perf_counter()
+            argument = parse_gsn(text)
+            parsed = time.perf_counter()
+            diagnostics = validate(argument)
+            done = time.perf_counter()
+            if len(argument.nodes) != size or diagnostics:
+                raise SystemExit(f"{size}-node argument: {len(argument.nodes)} nodes, {diagnostics[:3]}")
+            times["parse_gsn"].append(parsed - start)
+            times["validate"].append(done - parsed)
+        for stage, samples in times.items():
+            records.append({
+                "stage": stage,
+                "size": size,
+                "unit": "nodes",
+                "repeats": repeats,
+                "median_s": round(statistics.median(samples), 6),
+                "min_s": round(min(samples), 6),
+            })
+    return records
+
+
+def _tree_digest(src: Path) -> str:
+    digest = hashlib.sha256()
+    for file in sorted(src.rglob("*.py")):
+        digest.update(file.relative_to(src).as_posix().encode())
+        digest.update(file.read_bytes())
+    return digest.hexdigest()
+
+
+def _commit(tree: Path) -> str | None:
+    done = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"], capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", action="append", default=[], metavar="LABEL=PATH",
+                        help="a source checkout to measure; repeat for each")
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("-o", "--output", help="write the JSON here instead of standard output")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        json.dump(_measure(args.repeats), sys.stdout)
+        return 0
+    if not args.tree:
+        parser.error("give at least one --tree LABEL=PATH")
+
+    records = []
+    for spec in args.tree:
+        label, sep, path = spec.partition("=")
+        if not sep:
+            parser.error(f"--tree wants LABEL=PATH, got {spec!r}")
+        tree = Path(path).resolve()
+        done = subprocess.run(
+            [sys.executable, __file__, "--worker", "--repeats", str(args.repeats)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+        )
+        if done.returncode != 0:
+            raise SystemExit(f"{label}: worker failed:\n{done.stderr}")
+        identity = {
+            "label": label,
+            "python": platform.python_version(),
+            "commit": _commit(tree),
+            "src_sha256": _tree_digest(tree / "src" / "euaia_assurance"),
+        }
+        records.extend({**identity, **record} for record in json.loads(done.stdout))
+        print(f"{label}: measured {tree}", file=sys.stderr)
+    text = json.dumps(records, indent=1) + "\n"
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
