@@ -170,7 +170,11 @@ class GsnArgument:
         return node_id in self._by_id
 
     def add_node(self, node: GsnNode) -> "GsnArgument":
-        """Insert a node, rejecting a duplicate id."""
+        """Insert a node, rejecting a duplicate id.
+
+        Both inserts check the whole result, so they also reject an argument
+        from the raw constructor that already breaks a rule.
+        """
         return _assemble(
             [(None, n) for n in (*self.nodes, node)], [(None, e) for e in self.edges], self.duty_link
         )

@@ -206,6 +206,14 @@ def build(nodes, edges, duty=None) -> GsnArgument:
     return GsnArgument(nodes=tuple(nodes), edges=tuple(edges), duty_link=duty)
 
 
+def test_inserts_check_the_whole_result():
+    raw = build([node(K.GOAL, 1), node(K.SOLUTION, 1)], [GsnEdge("Sn1", "G1", R.SUPPORTED_BY)])
+    with pytest.raises(GsnError, match="supportedBy may not connect solution to goal"):
+        raw.add_node(node(K.GOAL, 2))
+    with pytest.raises(GsnError, match="supportedBy may not connect solution to goal"):
+        raw.add_edge(GsnEdge("G1", "Sn1", R.SUPPORTED_BY))
+
+
 def test_validate_clean_exemplar(argument):
     assert validate(argument) == []
 
