@@ -93,7 +93,7 @@ def _extra_namespaces() -> dict[str, str]:
     return data
 
 
-def _read_triples(paths: list[str]) -> tuple[dict[str, str], list[Triple]]:
+def _read_triples(paths: list[str]) -> tuple[dict[str, str], set[Triple]]:
     """The files' triples and one namespace map for them all.
 
     Each file is imported against the environment's prefixes plus its own
@@ -101,11 +101,11 @@ def _read_triples(paths: list[str]) -> tuple[dict[str, str], list[Triple]]:
     """
     extra = _extra_namespaces()
     namespaces = dict(extra)
-    triples: list[Triple] = []
+    triples: set[Triple] = set()
     for path in paths:
         imported = import_triples(Path(path).read_text(encoding="utf-8"), namespaces=extra)
         namespaces.update(imported.namespaces)
-        triples.extend(imported.triples)
+        triples.update(imported.triples)
     return namespaces, triples
 
 
@@ -182,7 +182,7 @@ def _cmd_gsn_format(args: argparse.Namespace) -> int:
 def _cmd_triples_import(args: argparse.Namespace) -> int:
     namespaces, triples = _read_triples(args.files)
     if args.with_registry:
-        triples.extend(registry_to_triples(load_registry()))
+        triples.update(registry_to_triples(load_registry()))
     text = export_triples(Store(frozenset(triples), namespaces))
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -285,10 +285,10 @@ def _cmd_coverage_trace(args: argparse.Namespace) -> int:
 def _cmd_factsheet_render(args: argparse.Namespace) -> int:
     registry = load_registry()
     namespaces, triples = _read_triples(args.store)
-    triples.extend(registry_to_triples(registry))
+    triples.update(registry_to_triples(registry))
     argument = _parse_gsn_file(args.gsn) if args.gsn else GsnArgument()
     if argument.nodes:
-        triples.extend(argument_to_triples(argument))
+        triples.update(argument_to_triples(argument))
     metrics = None
     if args.model:
         if not args.eval_corpus:
@@ -296,7 +296,7 @@ def _cmd_factsheet_render(args: argparse.Namespace) -> int:
         model = load_model(Path(args.model).read_text(encoding="utf-8"))
         labeled = parse_labeled_corpus(Path(args.eval_corpus).read_text(encoding="utf-8"))
         metrics = evaluate(model, labeled)
-        triples.extend(filter_to_triples(model, metrics))
+        triples.update(filter_to_triples(model, metrics))
     store = Store(frozenset(triples), namespaces)
     markdown = render_factsheet(registry, argument, store, metrics, system_name=args.system)
     text = render_html(markdown) if args.format == "html" else markdown

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Iterable
 
 from . import vocab
-from .triples import Iri, Literal, Triple
+from .triples import Iri, Literal, Triple, escape_quoted, scan_quoted
 
 
 class GsnError(ValueError):
@@ -389,13 +389,8 @@ def _require_valid(argument: GsnArgument) -> None:
 # ----------------------------------------------------------------------
 # textual DSL
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n"}
 _KEYWORDS = {kind.value: kind for kind in GsnNodeKind}
 _RELATIONS = {rel.value: rel for rel in GsnRelation}
-
-
-def _escape_statement(text: str) -> str:
-    return "".join(_ESCAPES.get(c, c) for c in text)
 
 
 def _strip_comment(line: str) -> str:
@@ -412,34 +407,6 @@ def _strip_comment(line: str) -> str:
             return line[:i]
         i += 1
     return line
-
-
-def _scan_statement_text(line: str, start: int, lineno: int) -> tuple[str, int]:
-    if start >= len(line) or line[start] != '"':
-        raise GsnParseError("expected quoted statement", lineno, start + 1)
-    out: list[str] = []
-    i = start + 1
-    while i < len(line):
-        c = line[i]
-        if c == '"':
-            return "".join(out), i + 1
-        if c == "\\":
-            if i + 1 >= len(line):
-                raise GsnParseError("dangling escape in statement", lineno, i + 1)
-            nxt = line[i + 1]
-            if nxt == '"':
-                out.append('"')
-            elif nxt == "\\":
-                out.append("\\")
-            elif nxt == "n":
-                out.append("\n")
-            else:
-                raise GsnParseError(f"unknown escape \\{nxt}", lineno, i + 1)
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    raise GsnParseError("unterminated statement", lineno, start + 1)
 
 
 def _scan_gsn(
@@ -461,7 +428,9 @@ def _scan_gsn(
             if not match:
                 raise GsnParseError("expected node id and statement", lineno)
             node_id = match.group(1)
-            statement, end = _scan_statement_text(rest, match.end(), lineno)
+            if not rest.startswith('"', match.end()):
+                raise GsnParseError("expected quoted statement", lineno, match.end() + 1)
+            statement, end = scan_quoted(rest, match.end(), lineno, "statement", GsnParseError)
             tail = rest[end:].strip()
             undeveloped = False
             if tail == "undeveloped":
@@ -518,7 +487,7 @@ def serialize_gsn(argument: GsnArgument) -> str:
     _require_valid(argument)
     lines = []
     for node in argument.nodes:
-        line = f'{node.kind.value} {node.id} "{_escape_statement(node.statement)}"'
+        line = f'{node.kind.value} {node.id} "{escape_quoted(node.statement)}"'
         if node.undeveloped:
             line += " undeveloped"
         lines.append(line)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -383,40 +384,75 @@ def save_model(model: FilterModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_code_point(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= sys.maxunicode
+
+
 def load_model(text: str) -> FilterModel:
-    lines = [line for line in text.split("\n") if line.strip()]
-    if not lines:
+    """Read a model written by :func:`save_model`. A file that breaks its
+    schema raises :class:`CorpusFormatError` with the offending line.
+    """
+    numbered = [(lineno, line) for lineno, line in enumerate(text.split("\n"), 1) if line.strip()]
+    if not numbered:
         raise CorpusFormatError("empty model file")
+    (head_line, head), records = numbered[0], numbered[1:]
     try:
-        header = json.loads(lines[0])
+        header = json.loads(head)
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(f"model header is not valid JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise CorpusFormatError(f"line {head_line}: model header is not a JSON object")
     if header.get("format") != MODEL_FORMAT:
         raise CorpusFormatError(f"unsupported model format {header.get('format')!r}")
+    has_bigrams = "bigram_vocab_size" in header
+    numbers = ["alpha", "vocab_size", "oov_score", "threshold"]
+    numbers += ["bigram_vocab_size", "bigram_oov_score"] if has_bigrams else []
+    for key in numbers:
+        value = header.get(key)
+        integer = key.endswith("vocab_size")
+        if not _is_number(value) or (integer and not isinstance(value, int)):
+            kind = "an integer" if integer else "a number"
+            raise CorpusFormatError(f"line {head_line}: header field {key!r} must be {kind}")
+    provenance = header.get("provenance", {})
+    corpora = provenance.get("corpora", ()) if isinstance(provenance, dict) else None
+    trained_at = provenance.get("trained_at") if isinstance(provenance, dict) else None
+    if not (
+        isinstance(corpora, (list, tuple))
+        and all(isinstance(corpus, str) for corpus in corpora)
+        and (trained_at is None or isinstance(trained_at, str))
+    ):
+        raise CorpusFormatError(f"line {head_line}: malformed provenance")
     llr: dict[str, float] = {}
     bigram_llr: dict[str, float] = {}
-    for lineno, line in enumerate(lines[1:], 2):
+    for lineno, line in records:
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from None
-        if "char" in record:
-            llr[chr(record["char"])] = float(record["llr"])
-        elif "chars" in record:
-            bigram_llr[chr(record["chars"][0]) + chr(record["chars"][1])] = float(record["llr"])
-        else:
+        if not isinstance(record, dict) or ("char" not in record and "chars" not in record):
             raise CorpusFormatError(f"line {lineno}: expected a char or chars record")
-    provenance = header.get("provenance", {})
-    has_bigrams = "bigram_vocab_size" in header
+        if not _is_number(record.get("llr")):
+            raise CorpusFormatError(f"line {lineno}: llr must be a number")
+        if "char" in record:
+            if not _is_code_point(record["char"]):
+                raise CorpusFormatError(f"line {lineno}: char must be a code point")
+            llr[chr(record["char"])] = float(record["llr"])
+        else:
+            pair = record["chars"]
+            if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_code_point, pair))):
+                raise CorpusFormatError(f"line {lineno}: chars must be a list of two code points")
+            bigram_llr[chr(pair[0]) + chr(pair[1])] = float(record["llr"])
     return FilterModel(
         llr=llr,
         alpha=float(header["alpha"]),
-        vocab_size=int(header["vocab_size"]),
+        vocab_size=header["vocab_size"],
         oov_score=float(header["oov_score"]),
         threshold=float(header["threshold"]),
-        provenance=ModelProvenance(
-            tuple(provenance.get("corpora", ())), provenance.get("trained_at")
-        ),
+        provenance=ModelProvenance(tuple(corpora), trained_at),
         bigram_llr=bigram_llr if has_bigrams else None,
         bigram_vocab_size=header.get("bigram_vocab_size"),
         bigram_oov_score=header.get("bigram_oov_score"),

@@ -46,7 +46,7 @@ class TripleParseError(ValueError):
         super().__init__(f"{where}: {message}" if where else message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iri:
     """A CURIE-form IRI, e.g. ``Iri("euaia", "d9")`` for ``euaia:d9``."""
 
@@ -79,7 +79,7 @@ class Iri:
         return self.curie
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """A UTF-8 literal value with an optional datatype tag."""
 
@@ -104,7 +104,7 @@ class Variable:
 PatternTerm = Iri | Literal | Variable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: Iri
     predicate: Iri
@@ -124,7 +124,8 @@ class TriplePattern:
 Binding = dict[str, Term]
 
 
-def _escape_literal(text: str) -> str:
+def escape_quoted(text: str) -> str:
+    """The body of a quoted string (a literal or a GSN statement) that reads back as ``text``."""
     return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
@@ -133,7 +134,7 @@ def serialize_term(term: PatternTerm) -> str:
     if isinstance(term, Iri):
         return f"<{term.curie}>"
     if isinstance(term, Literal):
-        out = f'"{_escape_literal(term.text)}"'
+        out = f'"{escape_quoted(term.text)}"'
         if term.datatype is not None:
             out += f"^^<{term.datatype.curie}>"
         return out
@@ -196,21 +197,18 @@ class Store:
             merged.update(self.namespaces)
         object.__setattr__(self, "namespaces", merged)
         object.__setattr__(self, "triples", frozenset(self.triples))
-        for t in self.triples:
-            self._check_declared(t)
-
-    def _check_declared(self, triple: Triple) -> None:
-        for term in (triple.subject, triple.predicate, triple.object):
-            prefixes = []
-            if isinstance(term, Iri):
-                prefixes.append(term.prefix)
-            elif term.datatype is not None:
-                prefixes.append(term.datatype.prefix)
-            for prefix in prefixes:
-                if prefix not in self.namespaces:
-                    raise NamespaceError(
-                        f"undeclared namespace prefix {prefix!r} in {serialize_triple(triple)}"
-                    )
+        iris = [
+            term if isinstance(term, Iri) else term.datatype
+            for t in self.triples
+            for term in (t.subject, t.predicate, t.object)
+        ]
+        undeclared = {iri.prefix for iri in iris if iri is not None}.difference(merged)
+        if undeclared:  # name the first offending triple
+            for t in self.triples:
+                for term in (t.subject, t.predicate, t.object):
+                    iri = term if isinstance(term, Iri) else term.datatype
+                    if iri is not None and iri.prefix in undeclared:
+                        raise NamespaceError(f"undeclared namespace prefix {iri.prefix!r} in {serialize_triple(t)}")
 
     # ------------------------------------------------------------------
     # container conveniences
@@ -236,7 +234,6 @@ class Store:
 
     def assert_triple(self, triple: Triple) -> "Store":
         """Add one triple. Set semantics: re-asserting is a no-op."""
-        self._check_declared(triple)
         if triple in self.triples:
             return self
         return Store(self.triples | {triple}, self.namespaces)
@@ -348,97 +345,113 @@ def _position_index(triples: frozenset[Triple], position: str) -> dict:
 # ----------------------------------------------------------------------
 # file format
 
-def _scan_quoted(line: str, start: int, lineno: int | None) -> tuple[str, int]:
-    out: list[str] = []
-    i = start + 1
-    while i < len(line):
-        c = line[i]
-        if c == '"':
-            return "".join(out), i + 1
-        if c == "\\":
-            if i + 1 >= len(line):
-                raise TripleParseError("dangling escape in literal", lineno, i + 1)
-            nxt = line[i + 1]
-            if nxt == '"':
-                out.append('"')
-            elif nxt == "\\":
-                out.append("\\")
-            elif nxt == "n":
-                out.append("\n")
-            else:
-                raise TripleParseError(f"unknown escape \\{nxt}", lineno, i + 1)
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    raise TripleParseError("unterminated literal", lineno, start + 1)
+# A quoted string: `"`, then characters other than `"` and `\`, or the
+# escapes `\"`, `\\` and `\n`, then `"`. GSN statements share the grammar.
+_QUOTED_BODY = r'"([^"\\]*(?:\\["\\n][^"\\]*)*)'
+_QUOTED_BODY_RE = re.compile(_QUOTED_BODY)
+_ESCAPE_RE = re.compile(r"\\(.)")
+_UNESCAPED = {'"': '"', "\\": "\\", "n": "\n"}
 
 
-def _scan_terms(
-    line: str,
-    lineno: int | None = None,
-    *,
-    allow_variables: bool = False,
-    allow_bare: bool = False,
-    require_dot: bool = True,
-) -> list[PatternTerm]:
+def _unescape(body: str) -> str:
+    return _ESCAPE_RE.sub(lambda m: _UNESCAPED[m.group(1)], body) if "\\" in body else body
+
+
+def scan_quoted(
+    line: str, start: int, lineno: int | None, noun: str = "literal", error: type = TripleParseError
+) -> tuple[str, int]:
+    """The unescaped text of the quoted string at ``line[start]`` and the index
+    after its closing quote. Errors name the string as ``noun`` and are raised
+    as ``error(message, lineno, column)``.
+    """
+    body = _QUOTED_BODY_RE.match(line, start)
+    stop = body.end()  # at the closing quote, a bad escape or the end
+    if line.startswith('"', stop):
+        return _unescape(body.group(1)), stop + 1
+    if stop == len(line):
+        raise error(f"unterminated {noun}", lineno, start + 1)
+    if stop + 1 == len(line):
+        raise error(f"dangling escape in {noun}", lineno, stop + 1)
+    raise error(f"unknown escape \\{line[stop + 1]}", lineno, stop + 1)
+
+
+# One term at a position, after spaces and tabs. The group that matched
+# names the term: 1 <iri>, 2 literal, 3 its ^^<datatype>, 4 the
+# terminating '.' at the end of the line, 5 a '.' that more text follows,
+# 6 the end of the line, and in patterns also 7 ?variable and 8 a bare
+# CURIE. A literal directly followed by a '^^' that does not open a
+# datatype fails to match, as does every other malformed term;
+# `_scan_error` then names the fault.
+_TERM = (
+    rf'[ \t]*(?:<([^>]*)>|{_QUOTED_BODY}"(?:\^\^<([^>]*)>|(?!\^\^))'
+    r"|(\.)[ \t]*\Z|(\.)(?=[ \t])|(\Z)"
+)
+_STATEMENT_TOKEN_RE = re.compile(_TERM + ")")
+_PATTERN_TOKEN_RE = re.compile(_TERM + r'|\?([A-Za-z_][A-Za-z0-9_]*)|([^\s<"?]\S*))')
+_BLANKS_RE = re.compile(r"[ \t]*")
+
+
+def _parse_iri(match: re.Match, group: int, iris: dict[str, Iri], lineno: int | None) -> Iri:
+    try:
+        iri = iris[match.group(group)] = Iri.parse(match.group(group))
+    except ValueError as exc:
+        raise TripleParseError(str(exc), lineno, match.start(group) + 1) from None
+    return iri
+
+
+def _scan_error(line: str, pos: int, lineno: int | None, after_dot: bool, pattern: bool) -> TripleParseError:
+    """The error for the text at or after ``pos`` that the lexer rejected."""
+    i = _BLANKS_RE.match(line, pos).end()
+    c = line[i]
+    if after_dot:
+        return TripleParseError("content after terminating '.'", lineno, i + 1)
+    if c == "<":
+        return TripleParseError("unterminated '<'", lineno, i + 1)
+    if c == '"':
+        _, i = scan_quoted(line, i, lineno)
+        if not line.startswith("^^<", i):
+            return TripleParseError("expected <curie> after '^^'", lineno, i + 1)
+        return TripleParseError("unterminated datatype", lineno, i + 3)
+    if c == "?" and pattern:
+        return TripleParseError("invalid variable name", lineno, i + 1)
+    return TripleParseError(f"unexpected character {c!r}", lineno, i + 1)
+
+
+def _scan_terms(line: str, lineno: int | None, iris: dict[str, Iri], *, pattern: bool = False) -> list[PatternTerm]:
+    """The terms of one statement line, or of one query pattern.
+
+    A statement must end with ' .'; a pattern may also hold ``?variables``
+    and bare CURIEs, and its dot is optional. ``iris`` maps CURIE text to
+    the IRI already parsed from it, and gains every new one.
+    """
+    token = (_PATTERN_TOKEN_RE if pattern else _STATEMENT_TOKEN_RE).match
     terms: list[PatternTerm] = []
-    saw_dot = False
-    i, n = 0, len(line)
-    while i < n:
-        c = line[i]
-        if c in " \t":
-            i += 1
-            continue
-        if saw_dot:
-            raise TripleParseError("content after terminating '.'", lineno, i + 1)
-        if c == "." and (i + 1 == n or line[i + 1] in " \t"):
-            saw_dot = True
-            i += 1
-            continue
-        if c == "<":
-            j = line.find(">", i + 1)
-            if j < 0:
-                raise TripleParseError("unterminated '<'", lineno, i + 1)
-            try:
-                terms.append(Iri.parse(line[i + 1 : j]))
-            except ValueError as exc:
-                raise TripleParseError(str(exc), lineno, i + 2) from None
-            i = j + 1
-        elif c == '"':
-            text, i = _scan_quoted(line, i, lineno)
-            datatype = None
-            if line.startswith("^^", i):
-                if not line.startswith("^^<", i):
-                    raise TripleParseError("expected <curie> after '^^'", lineno, i + 1)
-                j = line.find(">", i + 3)
-                if j < 0:
-                    raise TripleParseError("unterminated datatype", lineno, i + 3)
-                try:
-                    datatype = Iri.parse(line[i + 3 : j])
-                except ValueError as exc:
-                    raise TripleParseError(str(exc), lineno, i + 4) from None
-                i = j + 1
-            terms.append(Literal(text, datatype))
-        elif c == "?" and allow_variables:
-            match = re.match(r"\?([A-Za-z_][A-Za-z0-9_]*)", line[i:])
-            if not match:
-                raise TripleParseError("invalid variable name", lineno, i + 1)
-            terms.append(Variable(match.group(1)))
-            i += match.end()
-        elif allow_bare:
-            match = re.match(r"[^\s]+", line[i:])
-            token = match.group(0)
-            try:
-                terms.append(Iri.parse(token))
-            except ValueError as exc:
-                raise TripleParseError(str(exc), lineno, i + 1) from None
-            i += match.end()
+    pos = 0
+    while True:
+        match = token(line, pos)
+        if match is None:
+            raise _scan_error(line, pos, lineno, False, pattern)
+        kind = match.lastindex
+        if kind == 1:
+            terms.append(iris.get(match.group(1)) or _parse_iri(match, 1, iris, lineno))
+        elif kind == 2:
+            terms.append(Literal(_unescape(match.group(2))))
+        elif kind == 3:
+            datatype = iris.get(match.group(3)) or _parse_iri(match, 3, iris, lineno)
+            terms.append(Literal(_unescape(match.group(2)), datatype))
+        elif kind == 4:
+            return terms
+        elif kind == 5:
+            raise _scan_error(line, match.end(), lineno, True, pattern)
+        elif kind == 6:
+            if not pattern:
+                raise TripleParseError("statement must end with ' .'", lineno, len(line))
+            return terms
+        elif kind == 7:
+            terms.append(Variable(match.group(7)))
         else:
-            raise TripleParseError(f"unexpected character {c!r}", lineno, i + 1)
-    if require_dot and not saw_dot:
-        raise TripleParseError("statement must end with ' .'", lineno, n)
-    return terms
+            terms.append(iris.get(match.group(8)) or _parse_iri(match, 8, iris, lineno))
+        pos = match.end()
 
 
 _PREFIX_LINE_RE = re.compile(r"^@prefix\s+([A-Za-z][A-Za-z0-9_-]*):\s+<([^<>\s]+)>\s*\.?\s*$")
@@ -455,6 +468,7 @@ def import_triples(text: str, namespaces: Mapping[str, str] | None = None) -> St
     if namespaces:
         declared.update(namespaces)
     seen_in_file: dict[str, str] = {}
+    iris: dict[str, Iri] = {}
     triples: list[Triple] = []
     for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
@@ -470,17 +484,15 @@ def import_triples(text: str, namespaces: Mapping[str, str] | None = None) -> St
             seen_in_file[prefix] = expansion
             declared[prefix] = expansion
             continue
-        terms = _scan_terms(line, lineno)
+        terms = _scan_terms(line, lineno, iris)
         if len(terms) != 3:
             raise TripleParseError(f"expected 3 terms, found {len(terms)}", lineno)
         subject, predicate, obj = terms
         if not isinstance(subject, Iri) or not isinstance(predicate, Iri):
             raise TripleParseError("subject and predicate must be IRIs", lineno)
-        for term in terms:
-            check = (term.datatype,) if isinstance(term, Literal) else (term,)
-            for iri in check:
-                if iri is not None and iri.prefix not in declared:
-                    raise TripleParseError(f"undeclared namespace prefix {iri.prefix!r}", lineno)
+        for iri in (subject, predicate, obj.datatype if isinstance(obj, Literal) else obj):
+            if iri is not None and iri.prefix not in declared:
+                raise TripleParseError(f"undeclared namespace prefix {iri.prefix!r}", lineno)
         triples.append(Triple(subject, predicate, obj))
     return Store(frozenset(triples), declared)
 
@@ -498,7 +510,7 @@ def parse_pattern(text: str) -> TriplePattern:
     Terms may be ``?variables``, bare CURIEs, ``<curie>`` or ``"literals"``;
     the terminating dot is optional.
     """
-    terms = _scan_terms(text, None, allow_variables=True, allow_bare=True, require_dot=False)
+    terms = _scan_terms(text, None, {}, pattern=True)
     if len(terms) != 3:
         raise TripleParseError(f"expected 3 terms in pattern, found {len(terms)}")
     return TriplePattern(*terms)

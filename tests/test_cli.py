@@ -197,6 +197,14 @@ def test_triples_parse_error_exits_one(tmp_path, capsys):
     assert err.startswith("error: line 1")
 
 
+@pytest.mark.parametrize("pattern", ["?s rdf:type\x0b?o", "?s\r?p ?o", "?s ?p ?o\n.", "\u00a0?s ?p ?o"])
+def test_triples_query_malformed_pattern_exits_one(capsys, store_ttl, pattern):
+    code, out, err = run(capsys, "triples", "query", store_ttl, pattern)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert "unexpected character" in err
+
+
 # ----------------------------------------------------------------------
 # filter
 
@@ -213,6 +221,19 @@ def test_filter_score(capsys, toy_model_file):
     lines = out.strip().split("\n")
     assert lines[0] == "0.849815\t!x!"
     assert lines[1] == "-0.569717\txy"
+
+
+@pytest.mark.parametrize(
+    "model",
+    ['{"format": "charfilter/1"}\n', '{"format": "charfilter/1", "alpha": 1, "vocab_size": 2, '
+     '"oov_score": 0, "threshold": 0}\n{"char": "x", "llr": 1}\n'],
+)
+def test_filter_score_malformed_model_exits_one(tmp_path, capsys, model):
+    path = tmp_path / "model.jsonl"
+    path.write_text(model, encoding="utf-8")
+    code, out, err = run(capsys, "filter", "score", "--model", str(path), "xy")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line ")
 
 
 def test_filter_classify_dynamic(capsys, toy_model_file):

@@ -329,6 +329,21 @@ def test_parse_statement_escapes():
     assert argument.node("G1").statement == 'say "hi" \\ twice\n'
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('goal G1 "unterminated', "line 1, column 4: unterminated statement"),
+        ('goal G1 "dangling\\', "line 1, column 13: dangling escape in statement"),
+        ('goal G1 "bad \\q escape"', "line 1, column 9: unknown escape \\q"),
+        ("goal G1 unquoted", "line 1, column 4: expected quoted statement"),
+    ],
+)
+def test_statement_scan_errors_name_the_statement(text, message):
+    with pytest.raises(GsnParseError) as exc:
+        parse_gsn(text)
+    assert str(exc.value) == message
+
+
 def test_parse_duty_line():
     argument = parse_gsn('goal G1 "g" undeveloped\nduty euaia:d9\n')
     assert argument.duty_link == "euaia:d9"

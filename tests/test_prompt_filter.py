@@ -318,6 +318,38 @@ def test_load_rejects_foreign_files():
         load_model("")
 
 
+_HEADER = '{"format": "charfilter/1", "alpha": 1.0, "vocab_size": 4, "oov_score": 0.0, "threshold": 0.1}'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"format": "charfilter/1"}\n', "line 1: header field 'alpha' must be a number"),
+        (_HEADER.replace('"vocab_size": 4', '"vocab_size": 4.5') + "\n", "'vocab_size' must be an integer"),
+        (_HEADER.replace('"threshold": 0.1', '"threshold": "high"') + "\n", "'threshold' must be a number"),
+        (_HEADER.replace('"alpha": 1.0', '"alpha": true') + "\n", "'alpha' must be a number"),
+        (_HEADER[:-1] + ', "bigram_vocab_size": 3}\n', "'bigram_oov_score' must be a number"),
+        (_HEADER[:-1] + ', "provenance": ["a"]}\n', "line 1: malformed provenance"),
+        ("[1, 2]\n", "line 1: model header is not a JSON object"),
+        (_HEADER + '\n{"char": "x", "llr": 0.5}\n', "line 2: char must be a code point"),
+        (_HEADER + '\n{"char": -1, "llr": 0.5}\n', "line 2: char must be a code point"),
+        (_HEADER + '\n{"char": 120, "llr": "big"}\n', "line 2: llr must be a number"),
+        (_HEADER + '\n{"char": 120}\n', "line 2: llr must be a number"),
+        (_HEADER + '\n{"chars": [120], "llr": 0.5}\n', "line 2: chars must be a list of two code points"),
+        (_HEADER + '\n{"chars": "xy", "llr": 0.5}\n', "line 2: chars must be a list of two code points"),
+        (_HEADER + '\n{"chars": [120, "y"], "llr": 0.5}\n', "line 2: chars must be a list of two code points"),
+        (_HEADER + "\n[120, 0.5]\n", "line 2: expected a char or chars record"),
+        (_HEADER + "\n7\n", "line 2: expected a char or chars record"),
+        # blank lines count: the error names the line in the file
+        (_HEADER + '\n\n{"char": 120, "llr": 0.5}\n{"char": null, "llr": 0.5}\n', "line 4: char must be"),
+    ],
+)
+def test_load_rejects_schema_violations_with_the_line(text, message):
+    with pytest.raises(CorpusFormatError) as exc:
+        load_model(text)
+    assert message in str(exc.value)
+
+
 def test_provenance_timestamp_is_opt_in():
     stamped = train_dynamic(TOY_ADV, TOY_BEN, trained_at="2026-08-19T00:00:00Z")
     assert stamped.provenance.trained_at == "2026-08-19T00:00:00Z"

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from euaia_assurance.triples import (
@@ -16,12 +16,15 @@ from euaia_assurance.triples import (
     TripleParseError,
     TriplePattern,
     Variable,
+    _scan_terms,
     export_triples,
     import_triples,
     parse_pattern,
     serialize_term,
     serialize_triple,
 )
+
+from char_scanner import _scan_terms as char_scan_terms
 
 
 def iri(curie: str) -> Iri:
@@ -104,6 +107,22 @@ def test_store_rejects_undeclared_prefix():
     assert len(widened.assert_triple(
         Triple(Iri("mystery", "x"), iri("rdf:type"), iri("assures:Attack"))
     )) == 1
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        Triple(Iri("mystery", "x"), iri("rdf:type"), iri("assures:Attack")),
+        Triple(iri("atk:a"), Iri("mystery", "p"), iri("assures:Attack")),
+        Triple(iri("atk:a"), iri("rdf:type"), Iri("mystery", "o")),
+        Triple(iri("atk:a"), iri("gsn:statement"), Literal("x", Iri("mystery", "t"))),
+    ],
+)
+def test_store_names_the_triple_with_an_undeclared_prefix(triple):
+    declared = [t("atk:a", "rdf:type", "assures:Attack"), t("atk:b", "gsn:statement", Literal("y"))]
+    with pytest.raises(NamespaceError) as exc:
+        Store(frozenset(declared + [triple]))
+    assert str(exc.value) == f"undeclared namespace prefix 'mystery' in {serialize_triple(triple)}"
 
 
 def test_store_iteration_is_sorted_and_stable():
@@ -342,6 +361,41 @@ def test_parse_error_reports_later_line_numbers():
     assert exc.value.line == 2
 
 
+def test_import_shares_one_object_per_distinct_iri():
+    store = import_triples(
+        "<atk:a> <rdf:type> <assures:Attack> .\n"
+        '<atk:b> <rdf:type> <assures:Attack> .\n<atk:a> <gsn:statement> "s"^^<atk:a> .\n'
+    )
+    by_text: dict[str, set[int]] = {}
+    for triple in store:
+        terms = [triple.subject, triple.predicate, triple.object]
+        if isinstance(triple.object, Literal):
+            terms[2] = triple.object.datatype
+        for term in terms:
+            by_text.setdefault(term.curie, set()).add(id(term))
+    assert by_text.keys() == {"atk:a", "atk:b", "rdf:type", "assures:Attack", "gsn:statement"}
+    assert all(len(ids) == 1 for ids in by_text.values())
+
+
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        ("?s rdf:type\x0b?o", "unexpected character '\\x0b'", 12),
+        ("?s\r?p ?o", "unexpected character '\\r'", 3),
+        ("?s ?p ?o\n", "unexpected character '\\n'", 9),
+        ("\u00a0?s ?p ?o", "unexpected character '\\xa0'", 1),
+        ("?s ?p ?1", "invalid variable name", 7),
+        ("?s ?p <rdf:type", "unterminated '<'", 7),
+        ('?s ?p "x"^^rdf:type', "expected <curie> after '^^'", 10),
+        ("?s ?p ?o . ?x", "content after terminating '.'", 12),
+    ],
+)
+def test_parse_pattern_rejects_malformed_patterns(text, message, column):
+    with pytest.raises(TripleParseError) as exc:
+        parse_pattern(text)
+    assert (str(exc.value), exc.value.line, exc.value.column) == (message, None, column)
+
+
 def test_parse_pattern_variables_and_ground_terms():
     pattern = parse_pattern('?s <rdf:type> "lit" .')
     assert pattern.subject == Variable("s")
@@ -358,3 +412,86 @@ def test_parse_pattern_variables_and_ground_terms():
 def test_literal_text_round_trips_through_files(text):
     store = Store().assert_triple(t("atk:a", "gsn:statement", Literal(text)))
     assert import_triples(export_triples(store)) == store
+
+
+# ----------------------------------------------------------------------
+# the compiled lexer against the character scanner it replaced
+
+_CURIES = ("rdf:type", "atk:a1", "gsn:G1", "lab:x", "a:b.c", "x", ":x", "1a:x", "a:", "a b:x", "a:x y", "")
+_IRIS = st.sampled_from(_CURIES).map(lambda curie: f"<{curie}>")
+_BODIES = st.lists(
+    st.one_of(
+        st.text(alphabet="ab .<>?^t#\t", max_size=4),
+        st.sampled_from(['\\"', "\\\\", "\\n", "\\t", "\\q", "\\", '"']),
+    ),
+    max_size=4,
+).map("".join)
+_ENDS = st.sampled_from(['"', "", '"^^<rdf:type>', '"^^<x>', '"^^', '"^^rdf:type', '"^^<gsn:G1', '"^^<a b:c>'])
+_LITERALS = st.tuples(_BODIES, _ENDS).map(lambda parts: '"' + parts[0] + parts[1])
+_TERMS = st.one_of(
+    _IRIS, _LITERALS, st.sampled_from(_CURIES), st.sampled_from(["?s", "?_x1", "?", "?1", "?a-b"])
+)
+_BLANKS = st.sampled_from([" ", "\t", "  ", " \t", ""])
+_STRAYS = st.sampled_from(
+    [".", ". ", ".x", "..", "<", ">", '"', "\\", "^", "^^", "#", "@", "<a:b", "<>", "\x0b", "\r", "\n", "\u00a0"]
+)
+# Three terms and a dot, each part possibly malformed, or any run of pieces.
+_LINES = st.one_of(
+    st.tuples(_TERMS, _BLANKS, _TERMS, _BLANKS, _TERMS, st.sampled_from(["", " .", ".", " . ", "\t.\t", " . x"]))
+    .map("".join),
+    st.lists(st.one_of(_TERMS, _BLANKS, _STRAYS), max_size=10).map("".join),
+)
+
+
+def _outcome(scan, *args, **kwargs):
+    try:
+        return ("terms", scan(*args, **kwargs))
+    except TripleParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_LINES, st.booleans())
+@example("?s ?p ?o .\n", True)
+@example('<a:b> <c:d> "x\\', False)
+@example('<a:b> <c:d> "x"^^<e:f', False)
+def test_lexer_agrees_with_the_character_scanner(line, pattern):
+    if pattern:
+        new = _outcome(_scan_terms, line, None, {}, pattern=True)
+        try:
+            old = _outcome(char_scan_terms, line, None, allow_variables=True, allow_bare=True, require_dot=False)
+        except AttributeError:  # the old bare-token match met whitespace other than space or tab
+            assert new[0] == "error" and new[1].startswith("unexpected character")
+            return
+    else:
+        new = _outcome(_scan_terms, line, 7, {})
+        old = _outcome(char_scan_terms, line, 7)
+    assert new == old
+
+
+_FILE_LINES = st.one_of(
+    _LINES,
+    st.text(max_size=30),
+    st.sampled_from(["@prefix lab: <https://example.org/lab#>", "@prefix lab: <https://x/>", "@prefix bad", "# c", ""]),
+    st.sampled_from(["<atk:a> <rdf:type> <assures:Attack> .", '<lab:x> <gsn:statement> "s"^^<lab:t> .']),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FILE_LINES, max_size=6).map("\n".join))
+def test_import_returns_a_store_or_a_located_parse_error(text):
+    try:
+        store = import_triples(text)
+    except TripleParseError as exc:
+        assert exc.line is not None and 1 <= exc.line <= text.count("\n") + 1
+    else:
+        assert isinstance(store, Store)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_LINES, st.text(max_size=30)))
+def test_parse_pattern_raises_only_parse_errors(text):
+    try:
+        parse_pattern(text)
+    except TripleParseError:
+        pass

@@ -1,16 +1,20 @@
 """Time ``parse_gsn`` and ``validate`` on generated arguments of 1,500,
-3,000 and 6,000 nodes, for one or more source trees, and write the records
-as JSON.
+3,000 and 6,000 nodes, and ``import_triples`` on generated store text of
+12,500, 25,000 and 50,000 statements, for one or more source trees, and
+write the records as JSON.
 
-    python3 tools/bench_gsn.py --tree before=../old-checkout --tree after=. -o BENCH_2.json
+    python3 tools/bench_stages.py --tree before=../old-checkout --tree after=. -o BENCH_3.json
 
 Each tree is measured in its own subprocess with ``PYTHONPATH=<tree>/src``,
-so no two trees share imported modules. The arguments come from
-``bench/generate.make_argument`` of this checkout, with a fixed seed, so
-every tree parses the same texts. A record holds the stage, the size in
-nodes, the median and minimum seconds over ``--repeats`` runs, the Python
-version, the tree's git commit (or null) and a digest of its
-``src/euaia_assurance``, which identifies uncommitted trees too.
+so no two trees share imported modules. The inputs come from
+``bench/generate`` of this checkout, with a fixed seed, so every tree reads
+the same texts: arguments from ``make_argument``, and a store made like the
+case-audit one, the statements of ``CASE_AUDIT_SIZE``-node arguments in
+shuffled order under the generator's ``@prefix`` header. A record holds the
+stage, the size and its unit, the median and minimum seconds over
+``--repeats`` runs, the Python version, the tree's git commit (or null) and
+a digest of its ``src/euaia_assurance``, which identifies uncommitted trees
+too.
 """
 
 from __future__ import annotations
@@ -28,25 +32,56 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = (1500, 3000, 6000)
+GSN_SIZES = (1500, 3000, 6000)
+STORE_SIZES = (12500, 25000, 50000)
 SEED = 2
 
 
-def _argument_text(size: int) -> str:
+def _generate():
     sys.dont_write_bytecode = True  # leave bench/ as checked out
     sys.path.insert(0, str(ROOT / "bench"))
     import generate
 
+    return generate
+
+
+def _argument_text(size: int) -> str:
     rng = random.Random(f"bench-gsn/{SEED}/{size}")
-    return generate.make_argument(rng, f"n{size}", 0, size, duty=1, developed=True).text()
+    return _generate().make_argument(rng, f"n{size}", 0, size, duty=1, developed=True).text()
+
+
+def _store_text(size: int) -> str:
+    generate = _generate()
+    rng = random.Random(f"bench-store/{SEED}/{size}")
+    statements: list[str] = []
+    while len(statements) < size:
+        base = len(statements)  # node ids stay distinct: every node adds two statements
+        duty = 1 + len(statements) % generate.DUTY_COUNT
+        argument = generate.make_argument(rng, f"s{base}", base, generate.CASE_AUDIT_SIZE, duty, True)
+        statements.extend(argument.triples())
+    statements = statements[:size]
+    rng.shuffle(statements)
+    return generate._triple_file(statements)
+
+
+def _record(stage: str, size: int, unit: str, samples: list[float]) -> dict:
+    return {
+        "stage": stage,
+        "size": size,
+        "unit": unit,
+        "repeats": len(samples),
+        "median_s": round(statistics.median(samples), 6),
+        "min_s": round(min(samples), 6),
+    }
 
 
 def _measure(repeats: int) -> list[dict]:
     """Worker side: time the stages with the ``euaia_assurance`` on sys.path."""
     from euaia_assurance.gsn import parse_gsn, validate
+    from euaia_assurance.triples import import_triples
 
     records = []
-    for size in SIZES:
+    for size in GSN_SIZES:
         text = _argument_text(size)
         times: dict[str, list[float]] = {"parse_gsn": [], "validate": []}
         for _ in range(repeats):
@@ -59,15 +94,17 @@ def _measure(repeats: int) -> list[dict]:
                 raise SystemExit(f"{size}-node argument: {len(argument.nodes)} nodes, {diagnostics[:3]}")
             times["parse_gsn"].append(parsed - start)
             times["validate"].append(done - parsed)
-        for stage, samples in times.items():
-            records.append({
-                "stage": stage,
-                "size": size,
-                "unit": "nodes",
-                "repeats": repeats,
-                "median_s": round(statistics.median(samples), 6),
-                "min_s": round(min(samples), 6),
-            })
+        records.extend(_record(stage, size, "nodes", samples) for stage, samples in times.items())
+    for size in STORE_SIZES:
+        text = _store_text(size)
+        samples = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            store = import_triples(text)
+            samples.append(time.perf_counter() - start)
+            if len(store) != size:
+                raise SystemExit(f"{size}-statement store: {len(store)} triples")
+        records.append(_record("import_triples", size, "statements", samples))
     return records
 
 
