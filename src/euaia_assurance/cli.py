@@ -88,7 +88,7 @@ def _extra_namespaces() -> dict[str, str]:
     ):
         raise NamespaceError(f"{NAMESPACES_ENV} must point to a JSON object of prefix -> IRI")
     for prefix in data:
-        if not _PREFIX_RE.match(prefix):
+        if not _PREFIX_RE.fullmatch(prefix):
             raise NamespaceError(f"invalid namespace prefix {prefix!r}")
     return data
 

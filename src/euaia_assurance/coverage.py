@@ -63,7 +63,6 @@ class _GraphView:
     parents: dict[Iri, list[Iri]]
     kinds: dict[Iri, Iri]
     evidenced: set[Iri]
-    unresolved_challengers: dict[Iri, list[Iri]]
     operationalized_by: dict[Iri, list[Iri]]
 
 
@@ -72,8 +71,6 @@ def _view(store: Store) -> _GraphView:
     parents: dict[Iri, list[Iri]] = {}
     kinds: dict[Iri, Iri] = {}
     evidenced: set[Iri] = set()
-    challengers: dict[Iri, list[Iri]] = {}
-    rebutted: set[Iri] = set()
     operationalized_by: dict[Iri, list[Iri]] = {}
     for triple in store.triples:
         subject, predicate, obj = triple.subject, triple.predicate, triple.object
@@ -84,23 +81,27 @@ def _view(store: Store) -> _GraphView:
             kinds[subject] = obj
         elif predicate == vocab.EVIDENCED_BY:
             evidenced.add(subject)
-        elif predicate == vocab.GSN_CHALLENGES and isinstance(obj, Iri):
-            challengers.setdefault(obj, []).append(subject)
-        elif predicate == vocab.REBUTTED_BY:
-            rebutted.add(subject)
         elif predicate == vocab.OPERATIONALIZES and isinstance(obj, Iri):
             operationalized_by.setdefault(obj, []).append(subject)
-    unresolved = {
-        target: sorted((cc for cc in ccs if cc not in rebutted), key=lambda i: i.curie)
-        for target, ccs in challengers.items()
-    }
     return _GraphView(
         children=children,
         parents=parents,
         kinds=kinds,
         evidenced=evidenced,
-        unresolved_challengers={t: ccs for t, ccs in unresolved.items() if ccs},
         operationalized_by=operationalized_by,
+    )
+
+
+def open_counterclaims(store: Store) -> list[tuple[Iri, Iri]]:
+    """The (counterclaim, challenged node) pair of every ``gsn:challenges`` triple
+    whose counterclaim has no ``assures:rebuttedBy`` triple, sorted. The coverage
+    report contests duties over these pairs and the factsheet lists them.
+    """
+    rebutted = {b["c"] for b in store.match(TriplePattern(Variable("c"), vocab.REBUTTED_BY, Variable("r")))}
+    challenges = store.match(TriplePattern(Variable("c"), vocab.GSN_CHALLENGES, Variable("n")))
+    return sorted(
+        ((b["c"], b["n"]) for b in challenges if b["c"] not in rebutted and isinstance(b["n"], Iri)),
+        key=lambda pair: (pair[0].curie, pair[1].curie),
     )
 
 
@@ -136,6 +137,9 @@ def coverage_report(store: Store, registry: DutyRegistry) -> list[DutyStatus]:
                 f"store is missing the registry triples (duty {duty.id}); assert them first"
             )
     view = _view(store)
+    open_by_node: dict[Iri, list[Iri]] = {}
+    for counterclaim, node in open_counterclaims(store):
+        open_by_node.setdefault(node, []).append(counterclaim)
     report: list[DutyStatus] = []
     for duty in registry.duties:
         goals = view.operationalized_by.get(vocab.duty_iri(duty.id), [])
@@ -150,7 +154,7 @@ def coverage_report(store: Store, registry: DutyRegistry) -> list[DutyStatus]:
                     solutions.add(node)
                 if kind in (Iri("gsn", "Goal"), Iri("gsn", "Strategy")) and not view.children.get(node):
                     has_undeveloped = True
-                challengers.update(view.unresolved_challengers.get(node, ()))
+                challengers.update(open_by_node.get(node, ()))
         if goals and solutions:
             status = CoverageStatus.CONTESTED if challengers else CoverageStatus.COVERED
         elif goals and has_undeveloped:

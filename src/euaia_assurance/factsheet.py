@@ -15,11 +15,11 @@ from __future__ import annotations
 import html as _html
 
 from . import vocab
-from .coverage import CoverageStatus, coverage_report
+from .coverage import CoverageStatus, coverage_report, open_counterclaims
 from .duties import DutyRegistry
 from .gsn import GsnArgument, GsnNodeKind, GsnRelation, Severity, validate
 from .prompt_filter import FilterMetrics
-from .triples import Iri, Store, TriplePattern, Variable
+from .triples import Iri, Literal, Store, TriplePattern, Variable
 
 TITLE = "Robustness Assurance Factsheet"
 
@@ -61,6 +61,11 @@ def render_factsheet(
     the same inputs produce byte-identical output."""
     _check_inputs(registry, argument, store)
     report = coverage_report(store, registry)
+    trained_on = sorted(
+        binding["c"].curie
+        for binding in store.match(TriplePattern(Iri("def", "dynamicFilter"), vocab.TRAINED_ON, Variable("c")))
+        if isinstance(binding["c"], Iri)
+    )
 
     lines: list[str] = [f"# {TITLE}", ""]
 
@@ -142,29 +147,22 @@ def render_factsheet(
             f"- Evaluation corpus: {metrics.corpus_sizes[0]} adversarial, "
             f"{metrics.corpus_sizes[1]} benign prompts"
         )
-        trained_on = sorted(
-            binding["c"].curie
-            for binding in store.match(
-                TriplePattern(Iri("def", "dynamicFilter"), vocab.TRAINED_ON, Variable("c"))
-            )
-            if isinstance(binding["c"], Iri)
-        )
         if trained_on:
             lines.append(f"- Dynamic filter trained on: {', '.join(trained_on)}")
     lines.append("")
 
     # 5 ------------------------------------------------------------------
     lines += ["## 5. Open counterclaims", ""]
-    open_counterclaims = _open_counterclaims(argument, store)
-    if open_counterclaims:
-        lines.extend(open_counterclaims)
+    counterclaims = _open_counterclaims(store)
+    if counterclaims:
+        lines.extend(counterclaims)
     else:
         lines.append("None.")
     lines.append("")
 
     # 6 ------------------------------------------------------------------
     lines += ["## 6. Source provenance", ""]
-    provenance = _source_lines(store)
+    provenance = _source_lines(store, trained_on)
     if provenance:
         lines.extend(provenance)
     else:
@@ -214,24 +212,21 @@ def _argument_tree(argument: GsnArgument, store: Store) -> list[str]:
     return out
 
 
-def _open_counterclaims(argument: GsnArgument, store: Store) -> list[str]:
-    rebutted = {
-        triple.subject
-        for triple in store.triples
-        if triple.predicate == vocab.REBUTTED_BY
-    }
+def _open_counterclaims(store: Store) -> list[str]:
+    """Every open counterclaim of the store, with its ``gsn:statement`` when it has one."""
     lines = []
-    for edge in argument.edges:
-        if edge.relation is not GsnRelation.CHALLENGES:
-            continue
-        if vocab.gsn_node_iri(edge.source) in rebutted:
-            continue
-        statement = argument.node(edge.source).statement
-        lines.append(f"- {edge.source} challenges {edge.target}: {statement}")
+    for counterclaim, node in open_counterclaims(store):
+        line = f"- {counterclaim.curie.removeprefix('gsn:')} challenges {node.curie.removeprefix('gsn:')}"
+        statements = [
+            binding["s"].text
+            for binding in store.match(TriplePattern(counterclaim, vocab.GSN_STATEMENT, Variable("s")))
+            if isinstance(binding["s"], Literal)
+        ]
+        lines.append(f"{line}: {statements[0]}" if statements else line)
     return sorted(lines)
 
 
-def _source_lines(store: Store) -> list[str]:
+def _source_lines(store: Store, trained_on: list[str]) -> list[str]:
     lines = []
     sources = sorted(
         binding["s"].curie
@@ -246,15 +241,8 @@ def _source_lines(store: Store) -> list[str]:
         subject, source = binding["x"], binding["s"]
         if isinstance(subject, Iri) and isinstance(source, Iri):
             lines.append(f"- {subject.curie} derives from {source.curie}")
-    trained = sorted(
-        binding["c"].curie
-        for binding in store.match(
-            TriplePattern(Iri("def", "dynamicFilter"), vocab.TRAINED_ON, Variable("c"))
-        )
-        if isinstance(binding["c"], Iri)
-    )
-    if trained:
-        lines.append(f"- Training corpora: {', '.join(trained)}")
+    if trained_on:
+        lines.append(f"- Training corpora: {', '.join(trained_on)}")
     return lines
 
 

@@ -98,7 +98,7 @@ class GsnNode:
     def __post_init__(self) -> None:
         prefix = ID_PREFIXES[self.kind]
         suffix = self.id[len(prefix):]
-        if not self.id.startswith(prefix) or not re.match(r"^[1-9][0-9]*$", suffix):
+        if not self.id.startswith(prefix) or not re.fullmatch(r"[1-9][0-9]*", suffix):
             raise GsnError(
                 f"node id {self.id!r} must be {prefix!r} followed by a positive integer"
             )
@@ -391,6 +391,7 @@ def _require_valid(argument: GsnArgument) -> None:
 
 _KEYWORDS = {kind.value: kind for kind in GsnNodeKind}
 _RELATIONS = {rel.value: rel for rel in GsnRelation}
+_NODE_HEAD_RE = re.compile(r"\s*\S+\s+(\S+)\s+")  # keyword and id, before the statement
 
 
 def _strip_comment(line: str) -> str:
@@ -418,20 +419,20 @@ def _scan_gsn(
     duty_line: tuple[int, str] | None = None
 
     for lineno, raw in enumerate(text.split("\n"), 1):
-        line = _strip_comment(raw).strip()
+        code = _strip_comment(raw).rstrip()  # columns count within this, as in the raw line
+        line = code.lstrip()
         if not line:
             continue
         keyword = line.split(None, 1)[0]
         if keyword in _KEYWORDS:
-            rest = line[len(keyword):].lstrip()
-            match = re.match(r"^(\S+)\s+", rest)
+            match = _NODE_HEAD_RE.match(code)
             if not match:
                 raise GsnParseError("expected node id and statement", lineno)
             node_id = match.group(1)
-            if not rest.startswith('"', match.end()):
+            if not code.startswith('"', match.end()):
                 raise GsnParseError("expected quoted statement", lineno, match.end() + 1)
-            statement, end = scan_quoted(rest, match.end(), lineno, "statement", GsnParseError)
-            tail = rest[end:].strip()
+            statement, end = scan_quoted(code, match.end(), lineno, "statement", GsnParseError)
+            tail = code[end:].strip()
             undeveloped = False
             if tail == "undeveloped":
                 undeveloped = True
@@ -515,10 +516,6 @@ _DOT_STYLES = {
 }
 
 
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
 def render_dot(argument: GsnArgument) -> str:
     """DOT digraph with one shape per node kind and one style per relation."""
     _require_valid(argument)
@@ -528,7 +525,7 @@ def render_dot(argument: GsnArgument) -> str:
         if node.undeveloped:
             label += "\n(undeveloped)"
         lines.append(
-            f'  {node.id} [shape={_DOT_SHAPES[node.kind]}, label="{_dot_escape(label)}"];'
+            f'  {node.id} [shape={_DOT_SHAPES[node.kind]}, label="{escape_quoted(label)}"];'
         )
     for edge in sorted(argument.edges, key=_edge_key):
         lines.append(f"  {edge.source} -> {edge.target} [style={_DOT_STYLES[edge.relation]}];")

@@ -24,7 +24,9 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import vocab
 from .triples import Iri, Literal, Triple
@@ -230,19 +232,15 @@ def train_dynamic(
 def _youden_threshold(
     model: FilterModel, adversarial: Sequence[str], benign: Sequence[str]
 ) -> float:
-    adv_scores = [score(model, p) for p in adversarial if p]
-    ben_scores = [score(model, p) for p in benign if p]
-    if not adv_scores and not ben_scores:
-        return 0.0
-    candidates = sorted(set(adv_scores + ben_scores))
-    candidates.insert(0, candidates[0] - 1.0)
-    best_t, best_j = candidates[0], -2.0
-    for t in candidates:
-        tpr = sum(1 for s in adv_scores if s > t) / len(adv_scores) if adv_scores else 0.0
-        fpr = sum(1 for s in ben_scores if s > t) / len(ben_scores) if ben_scores else 0.0
-        j = tpr - fpr
-        if j >= best_j:
-            best_t, best_j = t, j
+    scored = [(score(model, p), Verdict.ADVERSARIAL) for p in adversarial if p]
+    adv_total = len(scored)
+    scored += [(score(model, p), Verdict.BENIGN) for p in benign if p]
+    ben_total = len(scored) - adv_total
+    best_t, best_j = 0.0, -2.0
+    for cut, tp, fp in _roc_sweep(scored):
+        j = (tp / adv_total if adv_total else 0.0) - (fp / ben_total if ben_total else 0.0)
+        if j > best_j:  # cuts come largest first, so the largest of equal J wins
+            best_t, best_j = cut, j
     return best_t
 
 
@@ -305,25 +303,24 @@ def evaluate(model: FilterModel, labeled: Sequence[tuple[str, Verdict]]) -> Filt
     return FilterMetrics(tpr, fpr, precision, auc, (adv_total, ben_total))
 
 
-def _trapezoid_auc(
-    scored: Sequence[tuple[float, Verdict]], adv_total: int, ben_total: int
-) -> float:
-    ordered = sorted(scored, key=lambda pair: pair[0], reverse=True)
-    points = [(0.0, 0.0)]
+def _roc_sweep(scored: Sequence[tuple[float, Verdict]]) -> Iterator[tuple[float, int, int]]:
+    """One sorted sweep (Fawcett 2006, Alg. 1): each candidate cut, every distinct
+    score from the highest down and then one below the lowest, with the adversarial
+    and benign counts strictly above it. Over the class totals these are the ROC points.
+    """
+    ordered = sorted(scored, key=itemgetter(0), reverse=True)
     tp = fp = 0
-    index = 0
-    while index < len(ordered):
-        cut = ordered[index][0]
-        while index < len(ordered) and ordered[index][0] == cut:
-            if ordered[index][1] is Verdict.ADVERSARIAL:
-                tp += 1
-            else:
-                fp += 1
-            index += 1
-        points.append((fp / ben_total, tp / adv_total))
-    return math.fsum(
-        (x1 - x0) * (y1 + y0) / 2.0 for (x0, y0), (x1, y1) in zip(points, points[1:])
-    )
+    for cut, group in groupby(ordered, key=itemgetter(0)):
+        yield cut, tp, fp
+        verdicts = [verdict for _, verdict in group]
+        tp, fp = tp + verdicts.count(Verdict.ADVERSARIAL), fp + verdicts.count(Verdict.BENIGN)
+    if ordered:
+        yield ordered[-1][0] - 1.0, tp, fp
+
+
+def _trapezoid_auc(scored: Sequence[tuple[float, Verdict]], adv_total: int, ben_total: int) -> float:
+    points = [(fp / ben_total, tp / adv_total) for _, tp, fp in _roc_sweep(scored)]
+    return math.fsum((x1 - x0) * (y1 + y0) / 2.0 for (x0, y0), (x1, y1) in zip(points, points[1:]))
 
 
 # ----------------------------------------------------------------------

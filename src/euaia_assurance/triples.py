@@ -27,9 +27,10 @@ DEFAULT_NAMESPACES: dict[str, str] = {
     "src": "https://example.org/ns/source#",
 }
 
-_PREFIX_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
-_LOCAL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
-_VARIABLE_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# Whole-string patterns: use fullmatch, since `$` also matches before a final newline.
+_PREFIX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
+_LOCAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
+_VARIABLE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class NamespaceError(ValueError):
@@ -54,9 +55,9 @@ class Iri:
     local: str
 
     def __post_init__(self) -> None:
-        if not _PREFIX_RE.match(self.prefix):
+        if not _PREFIX_RE.fullmatch(self.prefix):
             raise ValueError(f"invalid namespace prefix {self.prefix!r}")
-        if not _LOCAL_RE.match(self.local):
+        if not _LOCAL_RE.fullmatch(self.local):
             raise ValueError(f"invalid local name {self.local!r}")
 
     @property
@@ -97,7 +98,7 @@ class Variable:
     name: str
 
     def __post_init__(self) -> None:
-        if not _VARIABLE_RE.match(self.name):
+        if not _VARIABLE_RE.fullmatch(self.name):
             raise ValueError(f"invalid variable name {self.name!r}")
 
 
@@ -226,7 +227,7 @@ class Store:
     # updates (persistent: each returns a new store)
 
     def with_namespace(self, prefix: str, expansion: str) -> "Store":
-        if not _PREFIX_RE.match(prefix):
+        if not _PREFIX_RE.fullmatch(prefix):
             raise NamespaceError(f"invalid namespace prefix {prefix!r}")
         merged = dict(self.namespaces)
         merged[prefix] = expansion

@@ -5,14 +5,18 @@ from pathlib import Path
 import pytest
 
 import euaia_assurance as ea
-from euaia_assurance.exemplar import (
-    TOY_ADVERSARIAL,
-    TOY_BENIGN,
-    dynamic_filter_links,
-    exemplar_links,
-)
 
+# The worked example for Art. 15(5) (duty 9) lives only in these files.
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ATTACK = ea.Iri("atk", "charCombo")
+
+
+def fixture_text(name: str) -> str:
+    return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+def fixture_triples(name: str) -> frozenset[ea.Triple]:
+    return ea.import_triples(fixture_text(name)).triples
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +26,7 @@ def registry():
 
 @pytest.fixture(scope="session")
 def argument():
-    return ea.exemplar_argument()
+    return ea.parse_gsn(fixture_text("art15-5.gsn"))
 
 
 @pytest.fixture(scope="session")
@@ -31,16 +35,22 @@ def base_store(registry, argument):
     # complete evidence chain for duty 9
     store = ea.Store().assert_all(ea.registry_to_triples(registry))
     store = store.assert_all(ea.argument_to_triples(argument))
-    return store.assert_all(exemplar_links())
+    return store.assert_all(fixture_triples("knowledge-links.ttl"))
 
 
 @pytest.fixture(scope="session")
 def full_store(base_store):
-    return base_store.assert_all(dynamic_filter_links())
+    return base_store.assert_all(fixture_triples("dynamic-links.ttl"))
 
 
 @pytest.fixture(scope="session")
-def toy_model():
-    return ea.train_dynamic(
-        TOY_ADVERSARIAL, TOY_BENIGN, corpus_ids=("toy-adversarial", "toy-benign")
+def toy_corpora():
+    return (
+        ea.parse_corpus(fixture_text("toy-adversarial.txt")),
+        ea.parse_corpus(fixture_text("toy-benign.txt")),
     )
+
+
+@pytest.fixture(scope="session")
+def toy_model(toy_corpora):
+    return ea.train_dynamic(*toy_corpora, corpus_ids=("toy-adversarial", "toy-benign"))

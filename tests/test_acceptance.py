@@ -14,13 +14,6 @@ import re
 import time
 
 import euaia_assurance as ea
-from euaia_assurance.exemplar import (
-    ATTACK,
-    TOY_ADVERSARIAL,
-    TOY_BENIGN,
-    dynamic_filter_links,
-    exemplar_links,
-)
 from euaia_assurance.gsn import (
     ID_PREFIXES,
     GsnArgument,
@@ -43,7 +36,10 @@ from euaia_assurance.triples import (
     serialize_term,
 )
 
-from conftest import FIXTURES
+from conftest import ATTACK, FIXTURES, fixture_text, fixture_triples
+
+TOY_ADVERSARIAL = tuple(ea.parse_corpus(fixture_text("toy-adversarial.txt")))
+TOY_BENIGN = tuple(ea.parse_corpus(fixture_text("toy-benign.txt")))
 
 
 def _gate(capsys, number: int, label: str, budget_seconds: float, body) -> None:
@@ -376,8 +372,8 @@ def _walkthrough() -> tuple[str, list]:
     store = Store()
     store = store.assert_all(ea.registry_to_triples(registry))
     store = store.assert_all(ea.argument_to_triples(argument))
-    store = store.assert_all(exemplar_links())
-    store = store.assert_all(dynamic_filter_links())
+    store = store.assert_all(fixture_triples("knowledge-links.ttl"))
+    store = store.assert_all(fixture_triples("dynamic-links.ttl"))
     store = store.assert_all(ea.filter_to_triples(model, metrics))
 
     report = ea.coverage_report(store, registry)
@@ -427,8 +423,8 @@ def test_acceptance_6_causal_trace(capsys):
                 ea.parse_gsn((FIXTURES / "art15-5.gsn").read_text(encoding="utf-8"))
             )
         )
-        store = store.assert_all(exemplar_links())
-        store = store.assert_all(dynamic_filter_links())
+        store = store.assert_all(fixture_triples("knowledge-links.ttl"))
+        store = store.assert_all(fixture_triples("dynamic-links.ttl"))
 
         traces = ea.causal_trace(store, ATTACK)
         _check(failures, len(traces) >= 1, "no trace found")

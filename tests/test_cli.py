@@ -205,6 +205,12 @@ def test_triples_query_malformed_pattern_exits_one(capsys, store_ttl, pattern):
     assert "unexpected character" in err
 
 
+def test_triples_query_iri_with_a_trailing_newline_exits_one(capsys, store_ttl):
+    code, out, err = run(capsys, "triples", "query", store_ttl, "?s <rdf:type\n> ?o")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "invalid local name" in err
+
+
 # ----------------------------------------------------------------------
 # filter
 
@@ -469,11 +475,12 @@ def test_triple_files_declare_their_own_prefixes(capsys, tmp_path, store_ttl):
     assert err == "error: line 1: undeclared namespace prefix 'ex'\n"
 
 
-def test_namespace_env_var_rejects_invalid_prefixes(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("prefix, shown", [("1lab", "'1lab'"), ("rdf\n", "'rdf\\n'")])
+def test_namespace_env_var_rejects_invalid_prefixes(capsys, tmp_path, monkeypatch, prefix, shown):
     namespaces = tmp_path / "ns.json"
-    namespaces.write_text('{"1lab": "https://example.org/ns/lab#"}', encoding="utf-8")
+    namespaces.write_text(json.dumps({prefix: "https://example.org/ns/lab#"}), encoding="utf-8")
     monkeypatch.setenv("EUAIA_ASSURE_NAMESPACES", str(namespaces))
     for argv in (("triples", "export", LINKS), ("gsn", "triples", GSN)):
         code, _, err = run(capsys, *argv)
         assert code == 1
-        assert err == "error: invalid namespace prefix '1lab'\n"
+        assert err == f"error: invalid namespace prefix {shown}\n"

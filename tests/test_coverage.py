@@ -12,9 +12,11 @@ from euaia_assurance.coverage import (
     causal_trace,
     coverage_report,
     coverage_to_tsv,
+    open_counterclaims,
 )
-from euaia_assurance.exemplar import ATTACK, dynamic_filter_links, exemplar_links
 from euaia_assurance.triples import Iri, Store, Triple
+
+from conftest import ATTACK, fixture_triples
 
 RDF_TYPE = Iri("rdf", "type")
 SUPPORTED_BY = Iri("gsn", "supportedBy")
@@ -100,9 +102,20 @@ def test_operationalization_required_even_with_evidence(registry, argument):
     # duty 9, so it stays uncovered
     unlinked = argument.with_duty_link(None)
     store = registry_store(registry).assert_all(ea.argument_to_triples(unlinked))
-    store = store.assert_all(exemplar_links())
+    store = store.assert_all(fixture_triples("knowledge-links.ttl"))
     report = coverage_report(store, registry)
     assert all(s.status is CoverageStatus.UNCOVERED for s in report)
+
+
+def test_open_counterclaims_are_the_unrebutted_challenges(full_store):
+    cc1, cc2, g1, g3, sn1 = (Iri("gsn", local) for local in ("CC1", "CC2", "G1", "G3", "Sn1"))
+    challenges = Iri("gsn", "challenges")
+    assert open_counterclaims(full_store) == [(cc1, sn1)]
+    # a counterclaim only in the store counts, once per node it challenges
+    store = full_store.assert_all([Triple(cc2, challenges, g3), Triple(cc2, challenges, g1)])
+    assert open_counterclaims(store) == [(cc1, sn1), (cc2, g1), (cc2, g3)]
+    store = store.assert_triple(Triple(cc1, Iri("assures", "rebuttedBy"), Iri("src", "fieldStudy")))
+    assert open_counterclaims(store) == [(cc2, g1), (cc2, g3)]
 
 
 def test_report_requires_registry_triples(registry):

@@ -1,17 +1,13 @@
+"""Checks of the worked example in ``fixtures/``, its only copy."""
+
 from __future__ import annotations
 
-import euaia_assurance as ea
-from euaia_assurance.exemplar import (
-    ATTACK,
-    TOY_ADVERSARIAL,
-    TOY_BENIGN,
-    dynamic_filter_links,
-    exemplar_links,
-)
-from euaia_assurance.gsn import GsnNodeKind
-from euaia_assurance.triples import Store
+import pytest
 
-from conftest import FIXTURES
+import euaia_assurance as ea
+from euaia_assurance.gsn import GsnNodeKind
+
+from conftest import ATTACK, FIXTURES, fixture_text, fixture_triples
 
 
 def test_exemplar_argument_is_clean(argument):
@@ -23,29 +19,19 @@ def test_exemplar_argument_is_clean(argument):
     assert kinds.count(GsnNodeKind.COUNTERCLAIM) == 1
 
 
-def test_gsn_fixture_matches_builder(argument):
-    on_disk = (FIXTURES / "art15-5.gsn").read_text(encoding="utf-8")
-    assert on_disk == ea.serialize_gsn(argument)
-    assert ea.parse_gsn(on_disk) == argument
+def test_gsn_fixture_is_canonical(argument):
+    assert ea.serialize_gsn(argument) == fixture_text("art15-5.gsn")
 
 
-def test_knowledge_links_fixture_matches_builder():
-    on_disk = (FIXTURES / "knowledge-links.ttl").read_text(encoding="utf-8")
-    built = ea.export_triples(Store().assert_all(exemplar_links()))
-    assert on_disk == built
+@pytest.mark.parametrize("name", ["knowledge-links.ttl", "dynamic-links.ttl"])
+def test_link_fixtures_are_canonical_and_wire_the_attack(name):
+    assert ea.export_triples(ea.import_triples(fixture_text(name))) == fixture_text(name)
+    assert any(t.subject == ATTACK for t in fixture_triples(name))
 
 
-def test_dynamic_links_fixture_matches_builder():
-    on_disk = (FIXTURES / "dynamic-links.ttl").read_text(encoding="utf-8")
-    built = ea.export_triples(Store().assert_all(dynamic_filter_links()))
-    assert on_disk == built
-
-
-def test_toy_corpus_fixtures_match_constants():
-    adversarial = ea.parse_corpus((FIXTURES / "toy-adversarial.txt").read_text())
-    benign = ea.parse_corpus((FIXTURES / "toy-benign.txt").read_text())
-    assert tuple(adversarial) == TOY_ADVERSARIAL == ("!x!", "!!y")
-    assert tuple(benign) == TOY_BENIGN == ("xy", "yy")
+def test_toy_corpus_fixtures():
+    assert ea.parse_corpus(fixture_text("toy-adversarial.txt")) == ["!x!", "!!y"]
+    assert ea.parse_corpus(fixture_text("toy-benign.txt")) == ["xy", "yy"]
 
 
 def test_toy_labeled_fixture():
@@ -56,11 +42,6 @@ def test_toy_labeled_fixture():
         ("xy", "benign"),
         ("yy", "benign"),
     ]
-
-
-def test_attack_constant_is_wired_into_the_links():
-    assert any(t.subject == ATTACK for t in exemplar_links())
-    assert any(t.subject == ATTACK for t in dynamic_filter_links())
 
 
 def test_big_corpora_fixtures_train_a_separating_model():

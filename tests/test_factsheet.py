@@ -5,16 +5,16 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import euaia_assurance as ea
-from euaia_assurance.exemplar import TOY_ADVERSARIAL, TOY_BENIGN
 from euaia_assurance.factsheet import FactsheetError, render_factsheet, render_html
 from euaia_assurance.gsn import GsnArgument, GsnEdge, GsnNode, GsnNodeKind, GsnRelation
-from euaia_assurance.triples import Store
+from euaia_assurance.triples import Iri, Literal, Store, Triple
 
 
 @pytest.fixture(scope="module")
-def toy_metrics(toy_model):
-    labeled = [(p, ea.Verdict.ADVERSARIAL) for p in TOY_ADVERSARIAL] + [
-        (p, ea.Verdict.BENIGN) for p in TOY_BENIGN
+def toy_metrics(toy_model, toy_corpora):
+    adversarial, benign = toy_corpora
+    labeled = [(p, ea.Verdict.ADVERSARIAL) for p in adversarial] + [
+        (p, ea.Verdict.BENIGN) for p in benign
     ]
     return ea.evaluate(toy_model, labeled)
 
@@ -82,6 +82,57 @@ def test_metrics_section(rendered):
 
 def test_counterclaims_section(rendered):
     assert "- CC1 challenges Sn1:" in rendered
+
+
+def _section(text: str, heading: str) -> list[str]:
+    body = text.split(f"## {heading}\n")[1].split("\n## ")[0]
+    return [line for line in body.split("\n") if line]
+
+
+def _challenge(counterclaim: str, node: str, statement: str | None = None) -> list[Triple]:
+    cc = Iri("gsn", counterclaim)
+    triples = [Triple(cc, Iri("gsn", "challenges"), Iri("gsn", node))]
+    if statement is not None:
+        triples.append(Triple(cc, Iri("gsn", "statement"), Literal(statement)))
+    return triples
+
+
+def test_store_only_counterclaims_are_listed_with_every_counted_one(registry, argument, full_store):
+    store = full_store.assert_all(_challenge("CC2", "G3", "Scores drift as attackers adapt."))
+    text = render_factsheet(registry, argument, store)
+    assert "evidenced by 2 solutions; 2 counterclaims remain open." in text
+    listed = _section(text, "5. Open counterclaims")
+    assert listed == [
+        "- CC1 challenges Sn1: Low-effort character attacks keep succeeding against deployed "
+        "guardrails, so filtering alone may not hold.",
+        "- CC2 challenges G3: Scores drift as attackers adapt.",
+    ]
+    counted = {cc for status in ea.coverage_report(store, registry) for cc in status.counterclaims}
+    assert counted == {"gsn:CC1", "gsn:CC2"}
+    for curie in counted:
+        assert any(line.startswith(f"- {curie.removeprefix('gsn:')} challenges") for line in listed)
+
+
+def test_counterclaims_rebutted_in_the_store_are_in_neither_section(registry, argument, full_store):
+    rebutted_by = Iri("assures", "rebuttedBy")
+    store = full_store.assert_all(
+        [
+            Triple(Iri("gsn", "CC1"), rebutted_by, Iri("src", "fieldStudy")),
+            *_challenge("CC2", "G3", "Rebutted elsewhere."),
+            Triple(Iri("gsn", "CC2"), rebutted_by, Iri("src", "fieldStudy")),
+            *_challenge("CC3", "Sn2", "Thresholds are tuned on the training prompts."),
+        ]
+    )
+    text = render_factsheet(registry, argument, store)
+    assert "evidenced by 2 solutions; 1 counterclaim remains open." in text
+    assert _section(text, "5. Open counterclaims") == [
+        "- CC3 challenges Sn2: Thresholds are tuned on the training prompts."
+    ]
+
+
+def test_counterclaim_without_a_statement_has_no_colon(registry, argument, full_store):
+    text = render_factsheet(registry, argument, full_store.assert_all(_challenge("CC2", "G3")))
+    assert "- CC2 challenges G3" in _section(text, "5. Open counterclaims")
 
 
 def test_provenance_section(rendered):

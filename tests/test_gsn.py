@@ -63,7 +63,7 @@ def test_node_id_must_match_kind_prefix():
         GsnNode("Sn1", K.GOAL, "x")
 
 
-@pytest.mark.parametrize("bad_id", ["G0", "G01", "G", "g1", "X1", "C1x", "Sn"])
+@pytest.mark.parametrize("bad_id", ["G0", "G01", "G", "g1", "X1", "C1x", "Sn", "G1\n", "Sn2\n"])
 def test_node_id_numbering_rules(bad_id):
     kind = {"G": K.GOAL, "C": K.CONTEXT, "S": K.STRATEGY}.get(bad_id[0], K.GOAL)
     if bad_id.startswith("Sn"):
@@ -332,10 +332,13 @@ def test_parse_statement_escapes():
 @pytest.mark.parametrize(
     "text, message",
     [
-        ('goal G1 "unterminated', "line 1, column 4: unterminated statement"),
-        ('goal G1 "dangling\\', "line 1, column 13: dangling escape in statement"),
-        ('goal G1 "bad \\q escape"', "line 1, column 9: unknown escape \\q"),
-        ("goal G1 unquoted", "line 1, column 4: expected quoted statement"),
+        # columns count within the raw line, from its first character
+        ('goal G1 "unterminated', "line 1, column 9: unterminated statement"),
+        ('goal G1 "dangling\\', "line 1, column 18: dangling escape in statement"),
+        ('goal G1 "bad \\q escape"', "line 1, column 14: unknown escape \\q"),
+        ("goal G1 unquoted", "line 1, column 9: expected quoted statement"),
+        ('  goal G1 "unterminated', "line 1, column 11: unterminated statement"),
+        ('goal G1 "g" undeveloped\n\tsolution  Sn1 bare', "line 2, column 16: expected quoted statement"),
     ],
 )
 def test_statement_scan_errors_name_the_statement(text, message):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from euaia_assurance.prompt_filter import (
     CorpusFormatError,
     FilterMetrics,
+    FilterModel,
+    ModelProvenance,
     ScriptClass,
     Verdict,
     char_profile,
@@ -24,11 +26,16 @@ from euaia_assurance.prompt_filter import (
     score,
     script_of,
     train_dynamic,
+    _trapezoid_auc,
+    _youden_threshold,
 )
 from euaia_assurance.triples import Iri, Literal
 
-TOY_ADV = ("!x!", "!!y")
-TOY_BEN = ("xy", "yy")
+import roc_oracle
+from conftest import fixture_text
+
+TOY_ADV = tuple(parse_corpus(fixture_text("toy-adversarial.txt")))
+TOY_BEN = tuple(parse_corpus(fixture_text("toy-benign.txt")))
 TOY_LABELED = [(p, Verdict.ADVERSARIAL) for p in TOY_ADV] + [
     (p, Verdict.BENIGN) for p in TOY_BEN
 ]
@@ -258,6 +265,57 @@ def test_trapezoid_auc_equals_pairwise_comparison():
         metrics = evaluate(model, labeled)
         scored = [(score(model, p), v) for p, v in labeled]
         assert metrics.auc == pytest.approx(_pairwise_auc(scored), abs=1e-9)
+
+
+# A model whose per-character scores come from five values, so prompts of
+# up to four characters share scores often; "e" is out of vocabulary.
+_TIED = st.sampled_from([-1.5, -0.25, 0.0, 0.25, 1.0])
+_PROMPTS = st.lists(st.text(alphabet="abcde", max_size=4), max_size=12)
+
+
+@st.composite
+def _tied_corpora(draw):
+    llr = {c: draw(_TIED) for c in "abcd"}
+    model = FilterModel(llr, 1.0, 5, draw(_TIED), 0.0, ModelProvenance(()))
+    return model, draw(_PROMPTS), draw(_PROMPTS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tied_corpora())
+def test_roc_sweep_matches_the_recounting_oracle(case):
+    # heavy ties, empty prompts, one class only and no prompts at all
+    model, adversarial, benign = case
+    assert _youden_threshold(model, adversarial, benign) == roc_oracle.youden_threshold(
+        model, adversarial, benign
+    )
+    scored = [(score(model, p), Verdict.ADVERSARIAL) for p in adversarial if p]
+    adv_total = len(scored)
+    scored += [(score(model, p), Verdict.BENIGN) for p in benign if p]
+    ben_total = len(scored) - adv_total
+    if adv_total and ben_total:
+        assert _trapezoid_auc(scored, adv_total, ben_total) == roc_oracle.trapezoid_auc(
+            scored, adv_total, ben_total
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.text(alphabet="ab!?", max_size=6), min_size=1, max_size=10),
+    st.lists(st.text(alphabet="ab!?", max_size=6), min_size=1, max_size=10),
+    st.booleans(),
+)
+def test_trained_threshold_matches_the_oracle(adversarial, benign, bigrams):
+    model = train_dynamic(adversarial, benign, bigrams=bigrams)
+    assert model.threshold == roc_oracle.youden_threshold(model, adversarial, benign)
+
+
+def test_threshold_edge_cases(toy):
+    assert _youden_threshold(toy, [], []) == 0.0
+    assert _youden_threshold(toy, ["", ""], [""]) == 0.0
+    # one class only: every cut has J = 0 for benign prompts, so the highest score wins
+    assert _youden_threshold(toy, [], ["xy", "yy"]) == score(toy, "xy")
+    # adversarial only: J = 1 only below the lowest score
+    assert _youden_threshold(toy, ["!x!", "!!y"], []) == score(toy, "!!y") - 1.0
 
 
 # ----------------------------------------------------------------------

@@ -54,7 +54,9 @@ def test_iri_expand():
         iri("gsn:G1").expand({})
 
 
-@pytest.mark.parametrize("bad", ["", "nocolon", ":x", "1a:x", "a:", "a b:x", "a:x y"])
+@pytest.mark.parametrize(
+    "bad", ["", "nocolon", ":x", "1a:x", "a:", "a b:x", "a:x y", "rdf:type\n", "rdf\n:type"]
+)
 def test_iri_rejects_malformed(bad):
     with pytest.raises(ValueError):
         Iri.parse(bad)
@@ -66,6 +68,15 @@ def test_variable_name_rules():
         Variable("")
     with pytest.raises(ValueError):
         Variable("bad name")
+    with pytest.raises(ValueError):
+        Variable("x\n")
+
+
+def test_names_with_a_trailing_newline_are_rejected():
+    with pytest.raises(TripleParseError, match="invalid local name 'type\\\\n'"):
+        parse_pattern("?s <rdf:type\n> ?o")
+    with pytest.raises(NamespaceError):
+        Store().with_namespace("ex\n", "https://example.org/ns/ex#")
 
 
 def test_serialize_term_forms():

@@ -1,16 +1,18 @@
 """Time ``parse_gsn`` and ``validate`` on generated arguments of 1,500,
-3,000 and 6,000 nodes, and ``import_triples`` on generated store text of
-12,500, 25,000 and 50,000 statements, for one or more source trees, and
-write the records as JSON.
+3,000 and 6,000 nodes, ``import_triples`` on generated store text of
+12,500, 25,000 and 50,000 statements, and ``train_dynamic`` with bigrams on
+1,000, 2,000 and 4,000 generated prompts per class, for one or more source
+trees, and write the records as JSON.
 
-    python3 tools/bench_stages.py --tree before=../old-checkout --tree after=. -o BENCH_3.json
+    python3 tools/bench_stages.py --tree before=../old-checkout --tree after=. -o BENCH_4.json
 
 Each tree is measured in its own subprocess with ``PYTHONPATH=<tree>/src``,
 so no two trees share imported modules. The inputs come from
 ``bench/generate`` of this checkout, with a fixed seed, so every tree reads
-the same texts: arguments from ``make_argument``, and a store made like the
-case-audit one, the statements of ``CASE_AUDIT_SIZE``-node arguments in
-shuffled order under the generator's ``@prefix`` header. A record holds the
+the same texts: arguments from ``make_argument``, a store made like the
+case-audit one (the statements of ``CASE_AUDIT_SIZE``-node arguments in
+shuffled order under the generator's ``@prefix`` header), and prompts from
+the filter workload's adversarial and benign generators. A record holds the
 stage, the size and its unit, the median and minimum seconds over
 ``--repeats`` runs, the Python version, the tree's git commit (or null) and
 a digest of its ``src/euaia_assurance``, which identifies uncommitted trees
@@ -34,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GSN_SIZES = (1500, 3000, 6000)
 STORE_SIZES = (12500, 25000, 50000)
+TRAIN_SIZES = (1000, 2000, 4000)
 SEED = 2
 
 
@@ -64,6 +67,13 @@ def _store_text(size: int) -> str:
     return generate._triple_file(statements)
 
 
+def _corpora(size: int) -> tuple[list[str], list[str]]:
+    generate = _generate()
+    rng = random.Random(f"bench-filter/{SEED}/{size}")
+    adversarial = [generate._adversarial(rng)[0] for _ in range(size)]
+    return adversarial, [generate._benign(rng)[0] for _ in range(size)]
+
+
 def _record(stage: str, size: int, unit: str, samples: list[float]) -> dict:
     return {
         "stage": stage,
@@ -78,6 +88,7 @@ def _record(stage: str, size: int, unit: str, samples: list[float]) -> dict:
 def _measure(repeats: int) -> list[dict]:
     """Worker side: time the stages with the ``euaia_assurance`` on sys.path."""
     from euaia_assurance.gsn import parse_gsn, validate
+    from euaia_assurance.prompt_filter import train_dynamic
     from euaia_assurance.triples import import_triples
 
     records = []
@@ -105,6 +116,14 @@ def _measure(repeats: int) -> list[dict]:
             if len(store) != size:
                 raise SystemExit(f"{size}-statement store: {len(store)} triples")
         records.append(_record("import_triples", size, "statements", samples))
+    for size in TRAIN_SIZES:
+        adversarial, benign = _corpora(size)
+        samples = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            train_dynamic(adversarial, benign, bigrams=True)
+            samples.append(time.perf_counter() - start)
+        records.append(_record("train_dynamic", size, "prompts per class", samples))
     return records
 
 
