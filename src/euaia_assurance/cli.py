@@ -39,6 +39,7 @@ from .prompt_filter import (
     Verdict,
     classify_dynamic,
     classify_static,
+    compile_blocklist,
     evaluate,
     filter_to_triples,
     load_model,
@@ -114,10 +115,15 @@ def _read_store(paths: list[str]) -> Store:
     return Store(frozenset(triples), namespaces)
 
 
+def _read_corpus(path: str) -> str:
+    """A corpus file's text as stored: no newline translation, so a lone ``\\r`` stays in its prompt."""
+    return Path(path).read_bytes().decode("utf-8")
+
+
 def _read_prompts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> list[str]:
     prompts = list(args.prompts)
     if args.prompts_file:
-        prompts.extend(parse_corpus(Path(args.prompts_file).read_text(encoding="utf-8")))
+        prompts.extend(parse_corpus(_read_corpus(args.prompts_file)))
     if not prompts:
         parser.error("no prompts given (positional arguments or --prompts-file)")
     return prompts
@@ -208,8 +214,8 @@ def _cmd_triples_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter_train(args: argparse.Namespace) -> int:
-    adversarial = parse_corpus(Path(args.adversarial).read_text(encoding="utf-8"))
-    benign = parse_corpus(Path(args.benign).read_text(encoding="utf-8"))
+    adversarial = parse_corpus(_read_corpus(args.adversarial))
+    benign = parse_corpus(_read_corpus(args.benign))
     model = train_dynamic(
         adversarial,
         benign,
@@ -227,8 +233,8 @@ def _cmd_filter_train(args: argparse.Namespace) -> int:
 
 def _cmd_filter_score(args: argparse.Namespace) -> int:
     model = load_model(Path(args.model).read_text(encoding="utf-8"))
-    for prompt in _read_prompts(args, args.parser):
-        print(f"{score(model, prompt):.6f}\t{prompt}")
+    prompts = _read_prompts(args, args.parser)
+    sys.stdout.writelines(f"{score(model, prompt):.6f}\t{prompt}\n" for prompt in prompts)
     return 0
 
 
@@ -239,21 +245,21 @@ def _cmd_filter_classify(args: argparse.Namespace) -> int:
         model = load_model(Path(args.model).read_text(encoding="utf-8"))
         verdict_of = lambda prompt: classify_dynamic(model, prompt)
     elif args.blocklist or args.block_script:
-        entries: list = list(args.blocklist or "")
-        entries.extend(ScriptClass(name) for name in args.block_script)
-        verdict_of = lambda prompt: classify_static(entries, prompt)[0]
+        blocklist = compile_blocklist([*(args.blocklist or ""), *map(ScriptClass, args.block_script)])
+        verdict_of = lambda prompt: classify_static(blocklist, prompt)[0]
     else:
         args.parser.error("one of --model or --blocklist/--block-script is required")
         return 2
-    for prompt in _read_prompts(args, args.parser):
-        letter = "A" if verdict_of(prompt) is Verdict.ADVERSARIAL else "B"
-        print(f"{letter}\t{prompt}")
+    prompts = _read_prompts(args, args.parser)
+    sys.stdout.writelines(
+        f"{'A' if verdict_of(prompt) is Verdict.ADVERSARIAL else 'B'}\t{prompt}\n" for prompt in prompts
+    )
     return 0
 
 
 def _cmd_filter_eval(args: argparse.Namespace) -> int:
     model = load_model(Path(args.model).read_text(encoding="utf-8"))
-    labeled = parse_labeled_corpus(Path(args.corpus).read_text(encoding="utf-8"))
+    labeled = parse_labeled_corpus(_read_corpus(args.corpus))
     metrics = evaluate(model, labeled)
     print(f"tpr={metrics.true_positive_rate:.4f}")
     print(f"fpr={metrics.false_positive_rate:.4f}")
@@ -294,7 +300,7 @@ def _cmd_factsheet_render(args: argparse.Namespace) -> int:
         if not args.eval_corpus:
             args.parser.error("--model requires --eval-corpus")
         model = load_model(Path(args.model).read_text(encoding="utf-8"))
-        labeled = parse_labeled_corpus(Path(args.eval_corpus).read_text(encoding="utf-8"))
+        labeled = parse_labeled_corpus(_read_corpus(args.eval_corpus))
         metrics = evaluate(model, labeled)
         triples.update(filter_to_triples(model, metrics))
     store = Store(frozenset(triples), namespaces)

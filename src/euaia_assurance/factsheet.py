@@ -125,9 +125,10 @@ def render_factsheet(
 
     # 3 ------------------------------------------------------------------
     lines += ["## 3. Argument summary", ""]
+    counterclaims = open_counterclaims(store)
     if argument.nodes:
         lines.append("```")
-        lines.extend(_argument_tree(argument, store))
+        lines.extend(_argument_tree(argument, store, counterclaims))
         lines.append("```")
     else:
         lines.append("None.")
@@ -153,9 +154,8 @@ def render_factsheet(
 
     # 5 ------------------------------------------------------------------
     lines += ["## 5. Open counterclaims", ""]
-    counterclaims = _open_counterclaims(store)
     if counterclaims:
-        lines.extend(counterclaims)
+        lines.extend(_counterclaim_lines(store, counterclaims))
     else:
         lines.append("None.")
     lines.append("")
@@ -172,14 +172,14 @@ def render_factsheet(
     return "\n".join(lines)
 
 
-def _argument_tree(argument: GsnArgument, store: Store) -> list[str]:
+def _argument_tree(argument: GsnArgument, store: Store, counterclaims: list[tuple[Iri, Iri]]) -> list[str]:
     attachments: dict[str, list[str]] = {}
-    challenges: dict[str, list[str]] = {}
     for edge in argument.edges:
         if edge.relation is GsnRelation.IN_CONTEXT_OF:
             attachments.setdefault(edge.source, []).append(edge.target)
-        elif edge.relation is GsnRelation.CHALLENGES:
-            challenges.setdefault(edge.target, []).append(edge.source)
+    challenges: dict[Iri, list[str]] = {}
+    for counterclaim, node in counterclaims:
+        challenges.setdefault(node, []).append(counterclaim.curie.removeprefix("gsn:"))
 
     out: list[str] = []
 
@@ -198,7 +198,7 @@ def _argument_tree(argument: GsnArgument, store: Store) -> list[str]:
             )
             if evidence:
                 line += f" [evidence: {', '.join(evidence)}]"
-        for challenger in sorted(challenges.get(node.id, ())):
+        for challenger in sorted(challenges.get(vocab.gsn_node_iri(node.id), ())):
             line += f" [challenged by {challenger}]"
         out.append(line)
         for attached in sorted(attachments.get(node.id, ())):
@@ -212,10 +212,10 @@ def _argument_tree(argument: GsnArgument, store: Store) -> list[str]:
     return out
 
 
-def _open_counterclaims(store: Store) -> list[str]:
-    """Every open counterclaim of the store, with its ``gsn:statement`` when it has one."""
+def _counterclaim_lines(store: Store, counterclaims: list[tuple[Iri, Iri]]) -> list[str]:
+    """Each open counterclaim of the store, with its ``gsn:statement`` when it has one."""
     lines = []
-    for counterclaim, node in open_counterclaims(store):
+    for counterclaim, node in counterclaims:
         line = f"- {counterclaim.curie.removeprefix('gsn:')} challenges {node.curie.removeprefix('gsn:')}"
         statements = [
             binding["s"].text

@@ -24,8 +24,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import groupby
-from operator import itemgetter
+from itertools import chain, groupby, repeat
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import vocab
@@ -107,36 +107,41 @@ def char_profile(corpus: Sequence[str]) -> CharProfile:
 # ----------------------------------------------------------------------
 # static blocklist
 
+def compile_blocklist(blocklist: Iterable[str | ScriptClass]) -> re.Pattern[str]:
+    """One character class for a blocklist: the listed characters plus every
+    code-point interval, cut at the script table's bounds, of a blocked script.
+    """
+    members: list[str] = []
+    scripts: set[ScriptClass] = set()
+    for entry in blocklist:
+        if isinstance(entry, ScriptClass):
+            scripts.add(entry)
+        elif isinstance(entry, str) and len(entry) == 1:
+            members.append(re.escape(entry))
+        else:
+            raise ValueError(f"blocklist entries must be single characters or script classes: {entry!r}")
+    cuts = sorted({0, sys.maxunicode + 1, *(cut for low, high, _ in _SCRIPT_RANGES for cut in (low, high + 1))})
+    for low, end in zip(cuts, cuts[1:]):
+        if script_of(chr(low)) in scripts:
+            members.append(f"{re.escape(chr(low))}-{re.escape(chr(end - 1))}")
+    return re.compile(f"[{''.join(members)}]" if members else "(?!)")
+
+
 def classify_static(
-    blocklist: Iterable[str | ScriptClass], prompt: str
+    blocklist: re.Pattern[str] | Iterable[str | ScriptClass], prompt: str
 ) -> tuple[Verdict, list[str]]:
     """Blocklist check against characters and script classes.
 
     Returns the verdict and the offending characters, each reported once
-    in first-occurrence order. The empty prompt is rejected as an error,
-    not classified.
+    in first-occurrence order. The blocklist is a :func:`compile_blocklist`
+    pattern or the raw entries; compile it once to check many prompts. The
+    empty prompt is rejected as an error, not classified.
     """
     if not prompt:
         raise ValueError("cannot classify an empty prompt")
-    blocked_chars: set[str] = set()
-    blocked_scripts: set[ScriptClass] = set()
-    for entry in blocklist:
-        if isinstance(entry, ScriptClass):
-            blocked_scripts.add(entry)
-        elif isinstance(entry, str) and len(entry) == 1:
-            blocked_chars.add(entry)
-        else:
-            raise ValueError(f"blocklist entries must be single characters or script classes: {entry!r}")
-    offenders: list[str] = []
-    seen: set[str] = set()
-    for char in prompt:
-        if char in seen:
-            continue
-        if char in blocked_chars or script_of(char) in blocked_scripts:
-            offenders.append(char)
-            seen.add(char)
-    verdict = Verdict.ADVERSARIAL if offenders else Verdict.BENIGN
-    return verdict, offenders
+    pattern = blocklist if isinstance(blocklist, re.Pattern) else compile_blocklist(blocklist)
+    offenders = list(dict.fromkeys(pattern.findall(prompt)))
+    return (Verdict.ADVERSARIAL if offenders else Verdict.BENIGN), offenders
 
 
 # ----------------------------------------------------------------------
@@ -182,10 +187,6 @@ def _llr_table(
     return table, v, oov
 
 
-def _bigrams(prompt: str) -> list[str]:
-    return [prompt[i : i + 2] for i in range(len(prompt) - 1)]
-
-
 def train_dynamic(
     adversarial: Sequence[str],
     benign: Sequence[str],
@@ -219,8 +220,8 @@ def train_dynamic(
     )
     if bigrams:
         bi_table, bi_v, bi_oov = _llr_table(
-            Counter(b for p in adversarial for b in _bigrams(p)),
-            Counter(b for p in benign for b in _bigrams(p)),
+            Counter(chain.from_iterable(map(add, p, p[1:]) for p in adversarial)),
+            Counter(chain.from_iterable(map(add, p, p[1:]) for p in benign)),
             alpha,
         )
         model = replace(
@@ -254,11 +255,11 @@ def score(model: FilterModel, prompt: str) -> float:
     """
     if not prompt:
         raise ValueError("score is undefined for an empty prompt")
-    unigram = math.fsum(model.llr.get(c, model.oov_score) for c in prompt) / len(prompt)
+    unigram = math.fsum(map(model.llr.get, prompt, repeat(model.oov_score))) / len(prompt)
     if model.bigram_llr is None or len(prompt) < 2:
         return unigram
-    pairs = _bigrams(prompt)
-    bigram = math.fsum(model.bigram_llr.get(b, model.bigram_oov_score) for b in pairs) / len(pairs)
+    pairs = map(add, prompt, prompt[1:])
+    bigram = math.fsum(map(model.bigram_llr.get, pairs, repeat(model.bigram_oov_score))) / (len(prompt) - 1)
     return (unigram + bigram) / 2.0
 
 
@@ -456,9 +457,14 @@ def load_model(text: str) -> FilterModel:
     )
 
 
+def _corpus_lines(text: str) -> list[str]:
+    """Lines ended by ``\\r\\n`` or ``\\n``; a lone ``\\r`` is part of its line."""
+    return text.replace("\r\n", "\n").split("\n")
+
+
 def parse_corpus(text: str) -> list[str]:
     """One prompt per line, kept verbatim; whitespace-only lines are skipped."""
-    return [line for line in text.split("\n") if line.strip()]
+    return [line for line in _corpus_lines(text) if line.strip()]
 
 
 _LABELS = {"A": Verdict.ADVERSARIAL, "B": Verdict.BENIGN}
@@ -467,7 +473,7 @@ _LABELS = {"A": Verdict.ADVERSARIAL, "B": Verdict.BENIGN}
 def parse_labeled_corpus(text: str) -> list[tuple[str, Verdict]]:
     """Labeled corpus lines: ``A<TAB>prompt`` or ``B<TAB>prompt``."""
     labeled: list[tuple[str, Verdict]] = []
-    for lineno, line in enumerate(text.split("\n"), 1):
+    for lineno, line in enumerate(_corpus_lines(text), 1):
         if not line:
             continue
         label, sep, prompt = line.partition("\t")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -298,6 +299,42 @@ def test_filter_prompts_file(capsys, toy_model_file):
     )
     assert code == 0
     assert out == "A\t!x!\nA\t!!y\n"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["score", "--model", "MODEL"], "-0.223144\tabc\n"),
+        (["classify", "--blocklist", "x"], "B\tabc\n"),
+    ],
+)
+def test_filter_output_streams_lines_before_an_error(capsys, toy_model_file, argv, line):
+    argv = [toy_model_file if arg == "MODEL" else arg for arg in argv]
+    code, out, err = run(capsys, "filter", *argv, "abc", "")
+    assert (code, out) == (1, line)
+    assert err.startswith("error: ")
+
+
+def test_corpus_files_end_lines_at_crlf_or_lf_only(tmp_path, capsys, toy_model_file):
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_bytes(b"abc\rdef\nstop!\r\nx\r")
+    code, out, _ = run(capsys, "filter", "classify", "--blocklist", "!", "--prompts-file", str(prompts))
+    assert (code, out) == (0, "B\tabc\rdef\nA\tstop!\nB\tx\r\n")
+
+    crlf = tmp_path / "labeled.txt"
+    crlf.write_bytes((FIXTURES / "toy-labeled.txt").read_bytes().replace(b"\n", b"\r\n"))
+    lf_result = run(capsys, "filter", "eval", "--model", toy_model_file, "--corpus", TOY_LABELED)
+    assert run(capsys, "filter", "eval", "--model", toy_model_file, "--corpus", str(crlf)) == lf_result
+
+    for name in ("toy-adversarial.txt", "toy-benign.txt"):  # same file stems, same provenance
+        (tmp_path / name).write_bytes((FIXTURES / name).read_bytes().replace(b"\n", b"\r\n"))
+    model = tmp_path / "crlf.jsonl"
+    code, _, _ = run(
+        capsys, "filter", "train", "--adversarial", str(tmp_path / "toy-adversarial.txt"),
+        "--benign", str(tmp_path / "toy-benign.txt"), "-o", str(model),
+    )
+    assert code == 0
+    assert model.read_bytes() == Path(toy_model_file).read_bytes()
 
 
 # ----------------------------------------------------------------------

@@ -130,6 +130,19 @@ def test_counterclaims_rebutted_in_the_store_are_in_neither_section(registry, ar
     ]
 
 
+def test_argument_tree_marks_follow_the_open_counterclaims_of_the_store(registry, argument, full_store):
+    def marked(store: Store) -> dict[str, list[str]]:
+        tree = _section(render_factsheet(registry, argument, store), "3. Argument summary")
+        return {line.split()[0]: line.split("[challenged by ")[1:] for line in tree if "[challenged by" in line}
+
+    assert marked(full_store) == {"Sn1": ["CC1]"]}
+    store = full_store.assert_all(_challenge("CC2", "G3"))
+    assert marked(store) == {"Sn1": ["CC1]"], "G3": ["CC2]"]}
+    rebuttal = Triple(Iri("gsn", "CC1"), Iri("assures", "rebuttedBy"), Iri("src", "fieldStudy"))
+    rebutted = store.assert_triple(rebuttal)
+    assert marked(rebutted) == {"G3": ["CC2]"]}
+
+
 def test_counterclaim_without_a_statement_has_no_colon(registry, argument, full_store):
     text = render_factsheet(registry, argument, full_store.assert_all(_challenge("CC2", "G3")))
     assert "- CC2 challenges G3" in _section(text, "5. Open counterclaims")

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import math
 import random
+import re
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from euaia_assurance.prompt_filter import (
     char_profile,
     classify_dynamic,
     classify_static,
+    compile_blocklist,
     evaluate,
     filter_to_triples,
     load_model,
@@ -26,11 +30,14 @@ from euaia_assurance.prompt_filter import (
     score,
     script_of,
     train_dynamic,
+    _SCRIPT_RANGES,
+    _llr_table,
     _trapezoid_auc,
     _youden_threshold,
 )
 from euaia_assurance.triples import Iri, Literal
 
+import filter_oracle
 import roc_oracle
 from conftest import fixture_text
 
@@ -131,6 +138,52 @@ def test_static_verdict_matches_membership_oracle():
         verdict, offenders = classify_static(blocklist, prompt)
         assert (verdict is Verdict.ADVERSARIAL) == expected
         assert bool(offenders) == expected
+
+
+def test_compiled_blocklist_is_one_character_class():
+    pattern = compile_blocklist(["]", "-", ScriptClass.GREEK])
+    assert isinstance(pattern, re.Pattern)
+    assert classify_static(pattern, "a-b]λ-") == (Verdict.ADVERSARIAL, ["-", "]", "λ"])
+    assert classify_static(compile_blocklist([]), "anything") == (Verdict.BENIGN, [])
+    with pytest.raises(ValueError):
+        compile_blocklist(["!", "ab"])
+
+
+# Code points at and next to every bound of the script table, inside each
+# block, in the gaps between blocks and anywhere, plus the characters that
+# are special inside a regular-expression character class.
+_BOUNDS = sorted(
+    {0, sys.maxunicode} | {p for low, high, _ in _SCRIPT_RANGES for p in (low - 1, low, high, high + 1) if p >= 0}
+)
+_GAPS = [
+    (low, high)
+    for low, high in zip(_BOUNDS, _BOUNDS[1:])
+    if not any(a <= low <= b or a <= high <= b for a, b, _ in _SCRIPT_RANGES)
+]
+_CHARS = st.one_of(
+    st.sampled_from(_BOUNDS).map(chr),
+    st.sampled_from(_SCRIPT_RANGES).flatmap(lambda r: st.integers(r[0], r[1])).map(chr),
+    st.sampled_from(_GAPS).flatmap(lambda g: st.integers(g[0], g[1])).map(chr),
+    st.integers(0, sys.maxunicode).map(chr),
+    st.sampled_from("]\\^-[|"),
+)
+_BLOCKLISTS = st.lists(st.sampled_from(list(ScriptClass)) | _CHARS, max_size=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_BLOCKLISTS, st.text(_CHARS, min_size=1, max_size=30))
+def test_static_classify_matches_the_per_character_oracle(blocklist, prompt):
+    expected = filter_oracle.classify_static(blocklist, prompt)
+    assert classify_static(compile_blocklist(blocklist), prompt) == expected
+    assert classify_static(blocklist, prompt) == expected
+
+
+@pytest.mark.parametrize("script", [ScriptClass.COMMON, ScriptClass.OTHER, ScriptClass.LATIN])
+def test_every_table_bound_is_classified_like_the_oracle(script):
+    pattern = compile_blocklist([script])
+    for point in _BOUNDS:
+        prompt = chr(point)
+        assert classify_static(pattern, prompt) == filter_oracle.classify_static([script], prompt)
 
 
 # ----------------------------------------------------------------------
@@ -309,6 +362,43 @@ def test_trained_threshold_matches_the_oracle(adversarial, benign, bigrams):
     assert model.threshold == roc_oracle.youden_threshold(model, adversarial, benign)
 
 
+# Random unigram and bigram tables over a small alphabet; "e" and "é" may be
+# out of vocabulary, and one-character prompts have no pairs.
+_LLR = st.floats(-50.0, 50.0)
+_ALPHABET = "abcdeé"
+
+
+@st.composite
+def _random_models(draw):
+    llr = draw(st.dictionaries(st.sampled_from(_ALPHABET), _LLR))
+    bigram_llr = bigram_oov = None
+    if draw(st.booleans()):
+        bigram_llr = draw(st.dictionaries(st.text(_ALPHABET, min_size=2, max_size=2), _LLR))
+        bigram_oov = draw(_LLR)
+    return FilterModel(llr, 1.0, len(llr) + 1, draw(_LLR), 0.0, ModelProvenance(()), bigram_llr, None, bigram_oov)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_random_models(), st.text(_ALPHABET, min_size=1, max_size=12))
+def test_score_matches_the_per_character_oracle(model, prompt):
+    assert score(model, prompt) == filter_oracle.score(model, prompt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.text(alphabet="ab!?", max_size=6), min_size=1, max_size=10),
+    st.lists(st.text(alphabet="ab!?", max_size=6), min_size=1, max_size=10),
+)
+def test_trained_bigram_table_counts_the_oracle_pairs(adversarial, benign):
+    model = train_dynamic(adversarial, benign, bigrams=True)
+    expected = _llr_table(
+        Counter(b for p in adversarial for b in filter_oracle._bigrams(p)),
+        Counter(b for p in benign for b in filter_oracle._bigrams(p)),
+        1.0,
+    )
+    assert (model.bigram_llr, model.bigram_vocab_size, model.bigram_oov_score) == expected
+
+
 def test_threshold_edge_cases(toy):
     assert _youden_threshold(toy, [], []) == 0.0
     assert _youden_threshold(toy, ["", ""], [""]) == 0.0
@@ -422,6 +512,15 @@ def test_provenance_timestamp_is_opt_in():
 
 def test_parse_corpus_skips_blank_lines():
     assert parse_corpus("one\n\ntwo\n   \nthree\n") == ["one", "two", "three"]
+
+
+def test_corpus_lines_end_at_crlf_or_lf_and_keep_a_lone_cr():
+    assert parse_corpus("abc\r\n") == ["abc"]
+    assert parse_corpus("abc\rdef\nxyz\r\n\r\n") == ["abc\rdef", "xyz"]
+    assert parse_corpus("a\r\r\nb\r") == ["a\r", "b\r"]
+    assert parse_labeled_corpus("A\tx\r\nB\ty\rz\n") == [("x", Verdict.ADVERSARIAL), ("y\rz", Verdict.BENIGN)]
+    with pytest.raises(CorpusFormatError, match="line 2"):
+        parse_labeled_corpus("A\tx\r\nnope\r\n")
 
 
 def test_parse_labeled_corpus():

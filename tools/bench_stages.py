@@ -1,10 +1,11 @@
 """Time ``parse_gsn`` and ``validate`` on generated arguments of 1,500,
 3,000 and 6,000 nodes, ``import_triples`` on generated store text of
-12,500, 25,000 and 50,000 statements, and ``train_dynamic`` with bigrams on
-1,000, 2,000 and 4,000 generated prompts per class, for one or more source
-trees, and write the records as JSON.
+12,500, 25,000 and 50,000 statements, ``train_dynamic`` with bigrams on
+1,000, 2,000 and 4,000 generated prompts per class, and ``classify_static``
+and ``score`` over 12,500, 25,000 and 50,000 generated prompts, for one or
+more source trees, and write the records as JSON.
 
-    python3 tools/bench_stages.py --tree before=../old-checkout --tree after=. -o BENCH_4.json
+    python3 tools/bench_stages.py --tree before=../old-checkout --tree after=. -o BENCH_5.json
 
 Each tree is measured in its own subprocess with ``PYTHONPATH=<tree>/src``,
 so no two trees share imported modules. The inputs come from
@@ -12,7 +13,12 @@ so no two trees share imported modules. The inputs come from
 the same texts: arguments from ``make_argument``, a store made like the
 case-audit one (the statements of ``CASE_AUDIT_SIZE``-node arguments in
 shuffled order under the generator's ``@prefix`` header), and prompts from
-the filter workload's adversarial and benign generators. A record holds the
+the filter workload's adversarial and benign generators. The prompt stages
+work as the ``filter`` workload's commands do: ``classify_static`` checks each
+prompt against the workload's blocklist, prepared once per run as the CLI
+prepares it (``compile_blocklist`` where the tree has it, else the raw
+entries), and ``score`` scores each prompt with a bigram model trained on
+the workload's number of prompts per class. A record holds the
 stage, the size and its unit, the median and minimum seconds over
 ``--repeats`` runs, the Python version, the tree's git commit (or null) and
 a digest of its ``src/euaia_assurance``, which identifies uncommitted trees
@@ -37,6 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GSN_SIZES = (1500, 3000, 6000)
 STORE_SIZES = (12500, 25000, 50000)
 TRAIN_SIZES = (1000, 2000, 4000)
+PROMPT_SIZES = (12500, 25000, 50000)
 SEED = 2
 
 
@@ -74,6 +81,13 @@ def _corpora(size: int) -> tuple[list[str], list[str]]:
     return adversarial, [generate._benign(rng)[0] for _ in range(size)]
 
 
+def _prompts(size: int) -> list[str]:
+    """Mixed prompts, drawn like the filter workload's prompts file."""
+    generate = _generate()
+    rng = random.Random(f"bench-prompts/{SEED}/{size}")
+    return [(generate._adversarial if rng.random() < 0.5 else generate._benign)(rng)[0] for _ in range(size)]
+
+
 def _record(stage: str, size: int, unit: str, samples: list[float]) -> dict:
     return {
         "stage": stage,
@@ -87,8 +101,9 @@ def _record(stage: str, size: int, unit: str, samples: list[float]) -> dict:
 
 def _measure(repeats: int) -> list[dict]:
     """Worker side: time the stages with the ``euaia_assurance`` on sys.path."""
+    from euaia_assurance import prompt_filter
     from euaia_assurance.gsn import parse_gsn, validate
-    from euaia_assurance.prompt_filter import train_dynamic
+    from euaia_assurance.prompt_filter import ScriptClass, Verdict, classify_static, score, train_dynamic
     from euaia_assurance.triples import import_triples
 
     records = []
@@ -124,6 +139,25 @@ def _measure(repeats: int) -> list[dict]:
             train_dynamic(adversarial, benign, bigrams=True)
             samples.append(time.perf_counter() - start)
         records.append(_record("train_dynamic", size, "prompts per class", samples))
+    generate = _generate()
+    entries = [*generate.BLOCKLIST, *map(ScriptClass, generate.BLOCK_SCRIPTS)]
+    prepare = getattr(prompt_filter, "compile_blocklist", list)
+    model = train_dynamic(*_corpora(generate.TRAIN_PER_CLASS), bigrams=True)
+    for size in PROMPT_SIZES:
+        prompts = _prompts(size)
+        times = {"classify_static": [], "score": []}
+        for _ in range(repeats):
+            start = time.perf_counter()
+            blocklist = prepare(entries)
+            flagged = sum(classify_static(blocklist, prompt)[0] is Verdict.ADVERSARIAL for prompt in prompts)
+            classified = time.perf_counter()
+            for prompt in prompts:
+                score(model, prompt)
+            times["classify_static"].append(classified - start)
+            times["score"].append(time.perf_counter() - classified)
+            if not 0 < flagged < size:
+                raise SystemExit(f"{size} prompts: {flagged} flagged by the blocklist")
+        records.extend(_record(stage, size, "prompts", samples) for stage, samples in times.items())
     return records
 
 
