@@ -9,23 +9,20 @@ factsheet rendering. All output is deterministic; domain failures print
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from .duties import (
     STAKEHOLDER_A_COUNT_NOTE,
-    RegistryError,
     StakeholderCode,
     load_registry,
     registry_to_jsonl,
     registry_to_triples,
 )
-from .factsheet import FactsheetError, render_factsheet, render_html
+from .factsheet import render_factsheet, render_html
 from .gsn import (
     GsnArgument,
-    GsnError,
     Severity,
     argument_to_triples,
     parse_gsn,
@@ -34,7 +31,6 @@ from .gsn import (
     validate,
 )
 from .prompt_filter import (
-    CorpusFormatError,
     ScriptClass,
     Verdict,
     classify_dynamic,
@@ -49,16 +45,17 @@ from .prompt_filter import (
     score,
     train_dynamic,
 )
-from .coverage import CoverageError, causal_trace, coverage_report, coverage_to_tsv
+from .coverage import causal_trace, coverage_report, coverage_to_tsv
 from .triples import (
     _PREFIX_RE,
+    InputError,
     Iri,
     NamespaceError,
     Store,
     Triple,
-    TripleParseError,
     export_triples,
     import_triples,
+    load_json,
     parse_pattern,
     serialize_term,
     serialize_triple,
@@ -66,24 +63,32 @@ from .triples import (
 
 NAMESPACES_ENV = "EUAIA_ASSURE_NAMESPACES"
 
-_DOMAIN_ERRORS = (
-    RegistryError,
-    GsnError,
-    TripleParseError,
-    NamespaceError,
-    CorpusFormatError,
-    CoverageError,
-    FactsheetError,
-    OSError,
-    ValueError,
-)
+
+def _read_file(path: str, corpus: bool = False) -> str:
+    """A file's text as strict UTF-8, with universal newlines except in a corpus.
+
+    A corpus keeps a lone ``\\r`` in its prompt, as stored; in any other file
+    it ends a line, as ``\\r\\n`` does, and every line end reads as ``\\n``.
+    A byte that is not UTF-8 raises InputError at its line and column.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text, bad = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        text, bad = data[: exc.start].decode("utf-8"), exc.start
+    if not corpus and "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if bad is not None:
+        message = f"invalid UTF-8 byte 0x{data[bad]:02x} in {path}"
+        raise InputError(message, text.count("\n") + 1, len(text) - text.rfind("\n"))
+    return text
 
 
 def _extra_namespaces() -> dict[str, str]:
     path = os.environ.get(NAMESPACES_ENV)
     if not path:
         return {}
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = load_json(_read_file(path), f"invalid JSON in {path}")
     if not isinstance(data, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in data.items()
     ):
@@ -104,7 +109,7 @@ def _read_triples(paths: list[str]) -> tuple[dict[str, str], set[Triple]]:
     namespaces = dict(extra)
     triples: set[Triple] = set()
     for path in paths:
-        imported = import_triples(Path(path).read_text(encoding="utf-8"), namespaces=extra)
+        imported = import_triples(_read_file(path), namespaces=extra)
         namespaces.update(imported.namespaces)
         triples.update(imported.triples)
     return namespaces, triples
@@ -115,15 +120,10 @@ def _read_store(paths: list[str]) -> Store:
     return Store(frozenset(triples), namespaces)
 
 
-def _read_corpus(path: str) -> str:
-    """A corpus file's text as stored: no newline translation, so a lone ``\\r`` stays in its prompt."""
-    return Path(path).read_bytes().decode("utf-8")
-
-
 def _read_prompts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> list[str]:
     prompts = list(args.prompts)
     if args.prompts_file:
-        prompts.extend(parse_corpus(_read_corpus(args.prompts_file)))
+        prompts.extend(parse_corpus(_read_file(args.prompts_file, corpus=True)))
     if not prompts:
         parser.error("no prompts given (positional arguments or --prompts-file)")
     return prompts
@@ -153,7 +153,7 @@ def _cmd_duties_list(args: argparse.Namespace) -> int:
 
 
 def _parse_gsn_file(path: str) -> GsnArgument:
-    return parse_gsn(Path(path).read_text(encoding="utf-8"))
+    return parse_gsn(_read_file(path))
 
 
 def _cmd_gsn_validate(args: argparse.Namespace) -> int:
@@ -214,8 +214,8 @@ def _cmd_triples_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter_train(args: argparse.Namespace) -> int:
-    adversarial = parse_corpus(_read_corpus(args.adversarial))
-    benign = parse_corpus(_read_corpus(args.benign))
+    adversarial = parse_corpus(_read_file(args.adversarial, corpus=True))
+    benign = parse_corpus(_read_file(args.benign, corpus=True))
     model = train_dynamic(
         adversarial,
         benign,
@@ -232,7 +232,7 @@ def _cmd_filter_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter_score(args: argparse.Namespace) -> int:
-    model = load_model(Path(args.model).read_text(encoding="utf-8"))
+    model = load_model(_read_file(args.model))
     prompts = _read_prompts(args, args.parser)
     sys.stdout.writelines(f"{score(model, prompt):.6f}\t{prompt}\n" for prompt in prompts)
     return 0
@@ -242,7 +242,7 @@ def _cmd_filter_classify(args: argparse.Namespace) -> int:
     if args.model and (args.blocklist or args.block_script):
         args.parser.error("use either --model or a static blocklist, not both")
     if args.model:
-        model = load_model(Path(args.model).read_text(encoding="utf-8"))
+        model = load_model(_read_file(args.model))
         verdict_of = lambda prompt: classify_dynamic(model, prompt)
     elif args.blocklist or args.block_script:
         blocklist = compile_blocklist([*(args.blocklist or ""), *map(ScriptClass, args.block_script)])
@@ -258,8 +258,8 @@ def _cmd_filter_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter_eval(args: argparse.Namespace) -> int:
-    model = load_model(Path(args.model).read_text(encoding="utf-8"))
-    labeled = parse_labeled_corpus(_read_corpus(args.corpus))
+    model = load_model(_read_file(args.model))
+    labeled = parse_labeled_corpus(_read_file(args.corpus, corpus=True))
     metrics = evaluate(model, labeled)
     print(f"tpr={metrics.true_positive_rate:.4f}")
     print(f"fpr={metrics.false_positive_rate:.4f}")
@@ -299,8 +299,8 @@ def _cmd_factsheet_render(args: argparse.Namespace) -> int:
     if args.model:
         if not args.eval_corpus:
             args.parser.error("--model requires --eval-corpus")
-        model = load_model(Path(args.model).read_text(encoding="utf-8"))
-        labeled = parse_labeled_corpus(_read_corpus(args.eval_corpus))
+        model = load_model(_read_file(args.model))
+        labeled = parse_labeled_corpus(_read_file(args.eval_corpus, corpus=True))
         metrics = evaluate(model, labeled)
         triples.update(filter_to_triples(model, metrics))
     store = Store(frozenset(triples), namespaces)
@@ -425,14 +425,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    args.parser = parser
-    try:
+        args.parser = parser
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except _DOMAIN_ERRORS as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,21 +20,15 @@ from functools import cached_property
 from typing import Iterable
 
 from . import vocab
-from .triples import Iri, Literal, Triple, escape_quoted, scan_quoted
+from .triples import InputError, Iri, Literal, Triple, escape_quoted, scan_quoted
 
 
 class GsnError(ValueError):
     """Violation of the argument structure rules."""
 
 
-class GsnParseError(GsnError):
+class GsnParseError(GsnError, InputError):
     """DSL text that does not parse; carries the offending line."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.line = line
-        self.column = column
-        where = "" if line is None else f"line {line}" + ("" if column is None else f", column {column}")
-        super().__init__(f"{where}: {message}" if where else message)
 
 
 class GsnNodeKind(Enum):
@@ -392,22 +386,14 @@ def _require_valid(argument: GsnArgument) -> None:
 _KEYWORDS = {kind.value: kind for kind in GsnNodeKind}
 _RELATIONS = {rel.value: rel for rel in GsnRelation}
 _NODE_HEAD_RE = re.compile(r"\s*\S+\s+(\S+)\s+")  # keyword and id, before the statement
+# A line up to its comment: text other than '"' and '#', and quoted strings,
+# in which '\' escapes any character and '#' is text; an unterminated string
+# runs to the end of the line.
+_CODE_RE = re.compile(r'[^"#]*(?:"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)[^"#]*)*', re.DOTALL)
 
 
 def _strip_comment(line: str) -> str:
-    in_quote = False
-    i = 0
-    while i < len(line):
-        c = line[i]
-        if c == "\\" and in_quote:
-            i += 2
-            continue
-        if c == '"':
-            in_quote = not in_quote
-        elif c == "#" and not in_quote:
-            return line[:i]
-        i += 1
-    return line
+    return line[: _CODE_RE.match(line).end()]
 
 
 def _scan_gsn(

@@ -29,7 +29,7 @@ from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import vocab
-from .triples import Iri, Literal, Triple
+from .triples import InputError, Iri, Literal, Triple, load_json
 
 MODEL_FORMAT = "charfilter/1"
 
@@ -39,7 +39,7 @@ class Verdict(Enum):
     ADVERSARIAL = "adversarial"
 
 
-class CorpusFormatError(ValueError):
+class CorpusFormatError(InputError):
     """A corpus or model file that does not follow its line format."""
 
 
@@ -206,8 +206,8 @@ def train_dynamic(
     """
     if not adversarial or not benign:
         raise ValueError("both corpora must be non-empty")
-    if alpha <= 0:
-        raise ValueError("smoothing alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("smoothing alpha must be positive and finite")
 
     table, v, oov = _llr_table(char_profile(adversarial).counts, char_profile(benign).counts, alpha)
     model = FilterModel(
@@ -383,7 +383,8 @@ def save_model(model: FilterModel) -> str:
 
 
 def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A number a float holds: not a bool, NaN, an infinity or an integer beyond float range."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def _is_code_point(value: object) -> bool:
@@ -398,14 +399,11 @@ def load_model(text: str) -> FilterModel:
     if not numbered:
         raise CorpusFormatError("empty model file")
     (head_line, head), records = numbered[0], numbered[1:]
-    try:
-        header = json.loads(head)
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"model header is not valid JSON: {exc}") from None
+    header = load_json(head, "model header is not valid JSON", head_line, CorpusFormatError)
     if not isinstance(header, dict):
-        raise CorpusFormatError(f"line {head_line}: model header is not a JSON object")
+        raise CorpusFormatError("model header is not a JSON object", head_line)
     if header.get("format") != MODEL_FORMAT:
-        raise CorpusFormatError(f"unsupported model format {header.get('format')!r}")
+        raise CorpusFormatError(f"unsupported model format {header.get('format')!r}", head_line)
     has_bigrams = "bigram_vocab_size" in header
     numbers = ["alpha", "vocab_size", "oov_score", "threshold"]
     numbers += ["bigram_vocab_size", "bigram_oov_score"] if has_bigrams else []
@@ -414,7 +412,7 @@ def load_model(text: str) -> FilterModel:
         integer = key.endswith("vocab_size")
         if not _is_number(value) or (integer and not isinstance(value, int)):
             kind = "an integer" if integer else "a number"
-            raise CorpusFormatError(f"line {head_line}: header field {key!r} must be {kind}")
+            raise CorpusFormatError(f"header field {key!r} must be {kind}", head_line)
     provenance = header.get("provenance", {})
     corpora = provenance.get("corpora", ()) if isinstance(provenance, dict) else None
     trained_at = provenance.get("trained_at") if isinstance(provenance, dict) else None
@@ -423,26 +421,23 @@ def load_model(text: str) -> FilterModel:
         and all(isinstance(corpus, str) for corpus in corpora)
         and (trained_at is None or isinstance(trained_at, str))
     ):
-        raise CorpusFormatError(f"line {head_line}: malformed provenance")
+        raise CorpusFormatError("malformed provenance", head_line)
     llr: dict[str, float] = {}
     bigram_llr: dict[str, float] = {}
     for lineno, line in records:
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from None
+        record = load_json(line, "invalid JSON", lineno, CorpusFormatError)
         if not isinstance(record, dict) or ("char" not in record and "chars" not in record):
-            raise CorpusFormatError(f"line {lineno}: expected a char or chars record")
+            raise CorpusFormatError("expected a char or chars record", lineno)
         if not _is_number(record.get("llr")):
-            raise CorpusFormatError(f"line {lineno}: llr must be a number")
+            raise CorpusFormatError("llr must be a number", lineno)
         if "char" in record:
             if not _is_code_point(record["char"]):
-                raise CorpusFormatError(f"line {lineno}: char must be a code point")
+                raise CorpusFormatError("char must be a code point", lineno)
             llr[chr(record["char"])] = float(record["llr"])
         else:
             pair = record["chars"]
             if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_code_point, pair))):
-                raise CorpusFormatError(f"line {lineno}: chars must be a list of two code points")
+                raise CorpusFormatError("chars must be a list of two code points", lineno)
             bigram_llr[chr(pair[0]) + chr(pair[1])] = float(record["llr"])
     return FilterModel(
         llr=llr,
@@ -478,6 +473,6 @@ def parse_labeled_corpus(text: str) -> list[tuple[str, Verdict]]:
             continue
         label, sep, prompt = line.partition("\t")
         if not sep or label not in _LABELS:
-            raise CorpusFormatError(f"line {lineno}: expected 'A<TAB>prompt' or 'B<TAB>prompt'")
+            raise CorpusFormatError("expected 'A<TAB>prompt' or 'B<TAB>prompt'", lineno)
         labeled.append((prompt, _LABELS[label]))
     return labeled

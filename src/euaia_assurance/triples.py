@@ -11,6 +11,7 @@ store can be shared freely across threads.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,14 +38,30 @@ class NamespaceError(ValueError):
     """An IRI uses a prefix that the store's namespace map does not declare."""
 
 
-class TripleParseError(ValueError):
-    """A triple file line that does not follow the statement grammar."""
+class InputError(ValueError):
+    """Input text that breaks its format: ``line L, column C: message``, as far as known."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
         self.column = column
         where = "" if line is None else f"line {line}" + ("" if column is None else f", column {column}")
         super().__init__(f"{where}: {message}" if where else message)
+
+
+class TripleParseError(InputError):
+    """A triple file line that does not follow the statement grammar."""
+
+
+def load_json(text: str, what: str, line: int = 1, error: type = InputError) -> object:
+    """The JSON value of ``text``, whose first line is ``line``. A text that
+    does not parse raises ``error`` at its position as ``what: reason``.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what}: {exc.msg}", line + exc.lineno - 1, exc.colno) from None
+    except (ValueError, RecursionError) as exc:  # an integer of over 4,300 digits, or deep nesting
+        raise error(f"{what}: {exc}", line) from None
 
 
 @dataclass(frozen=True, slots=True)

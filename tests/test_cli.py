@@ -521,3 +521,73 @@ def test_namespace_env_var_rejects_invalid_prefixes(capsys, tmp_path, monkeypatc
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert err == f"error: invalid namespace prefix {shown}\n"
+
+
+# ----------------------------------------------------------------------
+# input errors: one located shape for every file kind
+
+_NOT_UTF8 = b'goal G1 "ok"\ngoal G2 "b\xffad"\n'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gsn", "validate", "FILE"],
+        ["filter", "classify", "--blocklist", "x", "--prompts-file", "FILE"],
+        ["triples", "export", "FILE"],
+        ["filter", "score", "--model", "FILE", "abc"],
+    ],
+)
+def test_a_byte_that_is_not_utf8_names_its_file_line_and_column(tmp_path, capsys, argv):
+    path = tmp_path / "input"
+    path.write_bytes(_NOT_UTF8)
+    code, out, err = run(capsys, *[str(path) if arg == "FILE" else arg for arg in argv])
+    assert (code, out) == (1, "")
+    assert err == f"error: line 2, column 11: invalid UTF-8 byte 0xff in {path}\n"
+
+
+def test_utf8_columns_count_characters_and_lines_follow_the_file_kind(tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_bytes('goal G1 "ä\r€'.encode() + b"\xe2\x82")  # a lone \r ends a GSN line
+    assert run(capsys, "gsn", "validate", str(path)) == (
+        1, "", f"error: line 2, column 2: invalid UTF-8 byte 0xe2 in {path}\n"
+    )
+    assert run(capsys, "filter", "classify", "--blocklist", "x", "--prompts-file", str(path)) == (
+        1, "", f"error: line 1, column 13: invalid UTF-8 byte 0xe2 in {path}\n"
+    )
+
+
+@pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
+def test_gsn_and_triple_files_read_crlf_and_lone_cr_as_line_ends(tmp_path, capsys, ending):
+    for argv, source in (
+        (["gsn", "format", "FILE"], GSN),
+        (["gsn", "validate", "FILE"], GSN),
+        (["triples", "export", "FILE"], LINKS),
+        (["triples", "query", "FILE", "?s assures:mitigatedBy ?o"], LINKS),
+    ):
+        path = tmp_path / Path(source).name
+        path.write_bytes(Path(source).read_bytes().replace(b"\n", ending))
+        lf = run(capsys, *[source if arg == "FILE" else arg for arg in argv])
+        assert lf[0] == 0 and lf[1]
+        assert run(capsys, *[str(path) if arg == "FILE" else arg for arg in argv]) == lf
+
+
+def test_namespace_json_errors_name_their_position(capsys, tmp_path, monkeypatch):
+    namespaces = tmp_path / "ns.json"
+    namespaces.write_text('{\n  "lab": https\n}\n', encoding="utf-8")
+    monkeypatch.setenv("EUAIA_ASSURE_NAMESPACES", str(namespaces))
+    code, _, err = run(capsys, "triples", "export", LINKS)
+    assert code == 1
+    assert err == f"error: line 2, column 10: invalid JSON in {namespaces}: Expecting value\n"
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0"])
+def test_filter_train_rejects_a_non_finite_alpha_and_writes_no_model(tmp_path, capsys, alpha):
+    model = tmp_path / "model.jsonl"
+    code, out, err = run(
+        capsys, "filter", "train", "--adversarial", TOY_ADV, "--benign", TOY_BEN,
+        "-o", str(model), f"--alpha={alpha}",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: smoothing alpha must be positive and finite\n"
+    assert not model.exists()

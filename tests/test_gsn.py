@@ -23,8 +23,10 @@ from euaia_assurance.gsn import (
     render_dot,
     serialize_gsn,
     validate,
+    _strip_comment,
 )
 from euaia_assurance.triples import Iri, Literal
+from char_scanner import strip_comment as char_strip_comment
 from incremental_gsn import parse_gsn_incrementally
 
 K = GsnNodeKind
@@ -608,3 +610,9 @@ def test_argument_without_duty_link_emits_no_operationalizes():
     triples = argument_to_triples(argument)
     assert len(triples) == 2
     assert all(t.predicate != Iri("assures", "operationalizes") for t in triples)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet='"#\\ab\n', max_size=24) | st.text(max_size=12))
+def test_strip_comment_matches_the_character_loop(line):
+    assert _strip_comment(line) == char_strip_comment(line)

@@ -588,3 +588,52 @@ def test_score_is_mean_of_per_character_scores(prompt):
     model = train_dynamic(TOY_ADV, TOY_BEN)
     by_hand = sum(model.llr.get(c, model.oov_score) for c in prompt) / len(prompt)
     assert score(model, prompt) == pytest.approx(by_hand, abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# non-finite numbers and JSON positions
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_train_rejects_a_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="smoothing alpha must be positive and finite"):
+        train_dynamic(["ab"], ["cd"], alpha=alpha)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_HEADER.replace("0.1", "NaN") + "\n", "line 1: header field 'threshold' must be a number"),
+        (_HEADER.replace("0.0", "-Infinity") + "\n", "line 1: header field 'oov_score' must be a number"),
+        (_HEADER.replace("1.0", "1e999") + "\n", "line 1: header field 'alpha' must be a number"),
+        (_HEADER.replace("4", "9" * 400) + "\n", "line 1: header field 'vocab_size' must be an integer"),
+        (_HEADER + '\n{"char": 120, "llr": NaN}\n', "line 2: llr must be a number"),
+        (_HEADER + '\n{"char": 120, "llr": Infinity}\n', "line 2: llr must be a number"),
+        (_HEADER + '\n{"char": 120, "llr": ' + "9" * 400 + "}\n", "line 2: llr must be a number"),
+    ],
+)
+def test_load_rejects_non_finite_numbers_with_the_line(text, message):
+    with pytest.raises(CorpusFormatError) as exc:
+        load_model(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_HEADER + '\n{"char": 120, "llr":}\n', "line 2, column 21: invalid JSON: Expecting value"),
+        ("\n  {format\n", "line 2, column 4: model header is not valid JSON: Expecting property name enclosed in double quotes"),
+        ('{"format": "x"}\n', "line 1: unsupported model format 'x'"),
+    ],
+)
+def test_load_names_the_position_of_a_json_error(text, message):
+    with pytest.raises(CorpusFormatError) as exc:
+        load_model(text)
+    assert str(exc.value) == message
+
+
+def test_load_rejects_json_too_large_to_read_with_the_line():
+    for record in ("[" * 100_000, "1" * 5_000):
+        with pytest.raises(CorpusFormatError) as exc:
+            load_model(_HEADER + "\n" + record + "\n")
+        assert exc.value.line == 2 and str(exc.value).startswith("line 2: invalid JSON: ")
