@@ -48,6 +48,7 @@ from .prompt_filter import (
 from .coverage import causal_trace, coverage_report, coverage_to_tsv
 from .triples import (
     _PREFIX_RE,
+    _binding_key,
     InputError,
     Iri,
     NamespaceError,
@@ -57,7 +58,6 @@ from .triples import (
     import_triples,
     load_json,
     parse_pattern,
-    serialize_term,
     serialize_triple,
 )
 
@@ -209,7 +209,7 @@ def _cmd_triples_query(args: argparse.Namespace) -> int:
         if not binding:
             print("true")
             continue
-        print(" ".join(f"?{name}={serialize_term(binding[name])}" for name in sorted(binding)))
+        print(_binding_key(binding))
     return 0
 
 

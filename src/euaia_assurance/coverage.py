@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from . import vocab
 from .duties import DutyRegistry
-from .triples import Iri, Store, Term, Triple, TriplePattern, Variable, serialize_triple
+from .triples import Iri, Store, Term, Triple, serialize_triple
 
-# Searches over supportedBy chains stop at this depth; arguments in
-# practice are far shallower.
+# Causal traces climb at most this many supportedBy hops; coverage has no limit.
 MAX_PATH_DEPTH = 12
 
 
@@ -55,69 +55,32 @@ class CausalTrace:
         return self.hops[-1].object
 
 
-@dataclass(frozen=True)
-class _GraphView:
-    """Indexes over the argument-and-evidence triples of one store."""
-
-    children: dict[Iri, list[Iri]]
-    parents: dict[Iri, list[Iri]]
-    kinds: dict[Iri, Iri]
-    evidenced: set[Iri]
-    operationalized_by: dict[Iri, list[Iri]]
-
-
-def _view(store: Store) -> _GraphView:
-    children: dict[Iri, list[Iri]] = {}
-    parents: dict[Iri, list[Iri]] = {}
-    kinds: dict[Iri, Iri] = {}
-    evidenced: set[Iri] = set()
-    operationalized_by: dict[Iri, list[Iri]] = {}
-    for triple in store.triples:
-        subject, predicate, obj = triple.subject, triple.predicate, triple.object
-        if predicate == vocab.GSN_SUPPORTED_BY and isinstance(obj, Iri):
-            children.setdefault(subject, []).append(obj)
-            parents.setdefault(obj, []).append(subject)
-        elif predicate == vocab.RDF_TYPE and isinstance(obj, Iri):
-            kinds[subject] = obj
-        elif predicate == vocab.EVIDENCED_BY:
-            evidenced.add(subject)
-        elif predicate == vocab.OPERATIONALIZES and isinstance(obj, Iri):
-            operationalized_by.setdefault(obj, []).append(subject)
-    return _GraphView(
-        children=children,
-        parents=parents,
-        kinds=kinds,
-        evidenced=evidenced,
-        operationalized_by=operationalized_by,
-    )
-
-
 def open_counterclaims(store: Store) -> list[tuple[Iri, Iri]]:
     """The (counterclaim, challenged node) pair of every ``gsn:challenges`` triple
     whose counterclaim has no ``assures:rebuttedBy`` triple, sorted. The coverage
     report contests duties over these pairs and the factsheet lists them.
     """
-    rebutted = {b["c"] for b in store.match(TriplePattern(Variable("c"), vocab.REBUTTED_BY, Variable("r")))}
-    challenges = store.match(TriplePattern(Variable("c"), vocab.GSN_CHALLENGES, Variable("n")))
+    by_predicate = store._by_predicate
+    rebutted = {t.subject for t in by_predicate.get(vocab.REBUTTED_BY, ())}
     return sorted(
-        ((b["c"], b["n"]) for b in challenges if b["c"] not in rebutted and isinstance(b["n"], Iri)),
+        (
+            (t.subject, t.object)
+            for t in by_predicate.get(vocab.GSN_CHALLENGES, ())
+            if t.subject not in rebutted and isinstance(t.object, Iri)
+        ),
         key=lambda pair: (pair[0].curie, pair[1].curie),
     )
 
 
-def _subtree(view: _GraphView, root: Iri) -> set[Iri]:
-    seen = {root}
-    frontier = [root]
-    for _ in range(MAX_PATH_DEPTH):
-        nxt: list[Iri] = []
-        for node in frontier:
-            for child in view.children.get(node, ()):
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-        if not nxt:
-            break
-        frontier = nxt
+def _subtree(children: dict[Iri, list[Iri]], roots: Iterable[Iri]) -> set[Iri]:
+    """Every node on a supportedBy path down from one of the roots, the roots included."""
+    seen = set(roots)
+    stack = list(seen)
+    while stack:
+        for child in children.get(stack.pop(), ()):
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
     return seen
 
 
@@ -129,35 +92,39 @@ def coverage_report(store: Store, registry: DutyRegistry) -> list[DutyStatus]:
     counterclaim challenges a node of the argument subtree. partial: no
     such path yet, but the subtree has an undeveloped branch point (a goal
     or strategy with no support). uncovered: everything else, including
-    duties nothing operationalizes.
+    duties nothing operationalizes. Paths may be of any length, and a node
+    with several types is a solution or a branch point if any type says so.
     """
     for duty in registry.duties:
         if Triple(vocab.duty_iri(duty.id), vocab.RDF_TYPE, vocab.DUTY) not in store:
             raise CoverageError(
                 f"store is missing the registry triples (duty {duty.id}); assert them first"
             )
-    view = _view(store)
+    by_predicate = store._by_predicate
+    children: dict[Iri, list[Iri]] = {}
+    for t in by_predicate.get(vocab.GSN_SUPPORTED_BY, ()):
+        if isinstance(t.object, Iri):
+            children.setdefault(t.subject, []).append(t.object)
+    typed: dict[Iri, set[Iri]] = {vocab.SOLUTION: set(), vocab.GOAL: set(), vocab.STRATEGY: set()}
+    for t in by_predicate.get(vocab.RDF_TYPE, ()):
+        if t.object in typed:
+            typed[t.object].add(t.subject)
+    evidenced = typed[vocab.SOLUTION].intersection(t.subject for t in by_predicate.get(vocab.EVIDENCED_BY, ()))
+    undeveloped = (typed[vocab.GOAL] | typed[vocab.STRATEGY]).difference(children)
+    goals: dict[Term, list[Iri]] = {}
+    for t in by_predicate.get(vocab.OPERATIONALIZES, ()):
+        goals.setdefault(t.object, []).append(t.subject)
     open_by_node: dict[Iri, list[Iri]] = {}
     for counterclaim, node in open_counterclaims(store):
         open_by_node.setdefault(node, []).append(counterclaim)
     report: list[DutyStatus] = []
     for duty in registry.duties:
-        goals = view.operationalized_by.get(vocab.duty_iri(duty.id), [])
-        solutions: set[Iri] = set()
-        challengers: set[Iri] = set()
-        has_undeveloped = False
-        for goal in goals:
-            subtree = _subtree(view, goal)
-            for node in subtree:
-                kind = view.kinds.get(node)
-                if kind == Iri("gsn", "Solution") and node in view.evidenced:
-                    solutions.add(node)
-                if kind in (Iri("gsn", "Goal"), Iri("gsn", "Strategy")) and not view.children.get(node):
-                    has_undeveloped = True
-                challengers.update(open_by_node.get(node, ()))
-        if goals and solutions:
+        subtree = _subtree(children, goals.get(vocab.duty_iri(duty.id), ()))
+        solutions = subtree & evidenced
+        challengers = {c for node in subtree for c in open_by_node.get(node, ())}
+        if solutions:
             status = CoverageStatus.CONTESTED if challengers else CoverageStatus.COVERED
-        elif goals and has_undeveloped:
+        elif not undeveloped.isdisjoint(subtree):
             status = CoverageStatus.PARTIAL
         else:
             status = CoverageStatus.UNCOVERED
@@ -186,12 +153,6 @@ def coverage_to_tsv(report: list[DutyStatus]) -> str:
 # ----------------------------------------------------------------------
 # causal traces
 
-def _mentions(store: Store, term: Iri) -> bool:
-    return any(
-        term in (t.subject, t.predicate, t.object) for t in store.triples
-    )
-
-
 def causal_trace(store: Store, attack: Iri) -> list[CausalTrace]:
     """All attack-to-duty chains for the given attack.
 
@@ -202,55 +163,44 @@ def causal_trace(store: Store, attack: Iri) -> list[CausalTrace]:
     the inverse ``mitigatedBy`` triple is asserted it is preferred so the
     first hop's subject is the attack itself.
     """
-    if not _mentions(store, attack):
+    if not any(attack in (t.subject, t.predicate, t.object) for t in store.triples):
         raise CoverageError(f"attack {attack.curie} does not appear in the store")
-    view = _view(store)
-
+    by_predicate = store._by_predicate
     defenses: dict[Iri, Triple] = {}
-    for binding in store.match(TriplePattern(Variable("d"), vocab.MITIGATES, attack)):
-        defense = binding["d"]
-        if isinstance(defense, Iri):
-            defenses[defense] = Triple(defense, vocab.MITIGATES, attack)
-    for binding in store.match(TriplePattern(attack, vocab.MITIGATED_BY, Variable("d"))):
-        defense = binding["d"]
-        if isinstance(defense, Iri):
-            defenses[defense] = Triple(attack, vocab.MITIGATED_BY, defense)
+    for hop in by_predicate.get(vocab.MITIGATES, ()):
+        if hop.object == attack and isinstance(hop.subject, Iri):
+            defenses[hop.subject] = hop
+    for hop in by_predicate.get(vocab.MITIGATED_BY, ()):
+        if hop.subject == attack and isinstance(hop.object, Iri):
+            defenses[hop.object] = hop
+    parents: dict[Iri, list[Iri]] = {}
+    for hop in by_predicate.get(vocab.GSN_SUPPORTED_BY, ()):
+        if isinstance(hop.object, Iri):
+            parents.setdefault(hop.object, []).append(hop.subject)
+    duties: dict[Iri, list[Triple]] = {}
+    for hop in by_predicate.get(vocab.OPERATIONALIZES, ()):
+        duties.setdefault(hop.subject, []).append(hop)
 
     traces: list[CausalTrace] = []
-    for defense in sorted(defenses, key=lambda i: i.curie):
-        first_hop = defenses[defense]
-        for binding in store.match(TriplePattern(Variable("s"), vocab.EVIDENCED_BY, defense)):
-            solution = binding["s"]
-            if not isinstance(solution, Iri):
-                continue
-            evidence_hop = Triple(solution, vocab.EVIDENCED_BY, defense)
-            _climb(
-                store,
-                view,
-                node=solution,
-                prefix=(first_hop, evidence_hop),
-                visited={solution},
-                traces=traces,
-            )
+    for hop in by_predicate.get(vocab.EVIDENCED_BY, ()):
+        if hop.object in defenses and isinstance(hop.subject, Iri):
+            _climb(hop.subject, (defenses[hop.object], hop), {hop.subject}, parents, duties, traces)
     traces.sort(key=lambda trace: [serialize_triple(h) for h in trace.hops])
     return traces
 
 
 def _climb(
-    store: Store,
-    view: _GraphView,
     node: Iri,
     prefix: tuple[Triple, ...],
     visited: set[Iri],
+    parents: dict[Iri, list[Iri]],
+    duties: dict[Iri, list[Triple]],
     traces: list[CausalTrace],
 ) -> None:
-    for binding in store.match(TriplePattern(node, vocab.OPERATIONALIZES, Variable("duty"))):
-        duty = binding["duty"]
-        traces.append(CausalTrace(prefix + (Triple(node, vocab.OPERATIONALIZES, duty),)))
+    traces.extend(CausalTrace(prefix + (hop,)) for hop in duties.get(node, ()))
     if len(prefix) - 2 >= MAX_PATH_DEPTH:
         return
-    for parent in sorted(view.parents.get(node, ()), key=lambda i: i.curie):
-        if parent in visited:
-            continue
-        hop = Triple(parent, vocab.GSN_SUPPORTED_BY, node)
-        _climb(store, view, parent, prefix + (hop,), visited | {parent}, traces)
+    for parent in parents.get(node, ()):
+        if parent not in visited:
+            hop = Triple(parent, vocab.GSN_SUPPORTED_BY, node)
+            _climb(parent, prefix + (hop,), visited | {parent}, parents, duties, traces)

@@ -52,9 +52,9 @@ ID_PREFIXES: dict[GsnNodeKind, str] = {
 
 _KIND_ORDER = {kind: index for index, kind in enumerate(GsnNodeKind)}
 _CLASS_IRIS: dict[GsnNodeKind, Iri] = {
-    GsnNodeKind.GOAL: Iri("gsn", "Goal"),
-    GsnNodeKind.STRATEGY: Iri("gsn", "Strategy"),
-    GsnNodeKind.SOLUTION: Iri("gsn", "Solution"),
+    GsnNodeKind.GOAL: vocab.GOAL,
+    GsnNodeKind.STRATEGY: vocab.STRATEGY,
+    GsnNodeKind.SOLUTION: vocab.SOLUTION,
     GsnNodeKind.CONTEXT: Iri("gsn", "Context"),
     GsnNodeKind.JUSTIFICATION: Iri("gsn", "Justification"),
     GsnNodeKind.COUNTERCLAIM: Iri("gsn", "Counterclaim"),

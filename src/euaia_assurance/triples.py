@@ -44,7 +44,7 @@ class InputError(ValueError):
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
         self.column = column
-        where = "" if line is None else f"line {line}" + ("" if column is None else f", column {column}")
+        where = ", ".join(f"{name} {at}" for name, at in (("line", line), ("column", column)) if at is not None)
         super().__init__(f"{where}: {message}" if where else message)
 
 
@@ -284,18 +284,20 @@ class Store:
         return _position_index(self.triples, "object")
 
     def _candidates(self, pattern: TriplePattern) -> Iterable[Triple]:
-        best: Iterable[Triple] | None = None
-        best_size = len(self.triples) + 1
+        """The smallest index bucket of the positions the pattern binds, or every
+        triple when it binds none. Only the indexes of bound positions are built.
+        """
+        best: Iterable[Triple] = self.triples
         for term, index in (
-            (pattern.subject, self._by_subject),
-            (pattern.predicate, self._by_predicate),
-            (pattern.object, self._by_object),
+            (pattern.subject, "_by_subject"),
+            (pattern.predicate, "_by_predicate"),
+            (pattern.object, "_by_object"),
         ):
             if not isinstance(term, Variable):
-                found = index.get(term, ())
-                if len(found) < best_size:
-                    best, best_size = found, len(found)
-        return self.triples if best is None else best
+                found = getattr(self, index).get(term, ())
+                if len(found) <= len(best):
+                    best = found
+        return best
 
     def _match_unsorted(self, pattern: TriplePattern) -> list[Binding]:
         out = []

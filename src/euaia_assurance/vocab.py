@@ -17,6 +17,9 @@ OBLIGATES = Iri("euaia", "obligates")
 HAS_QUALIFIER = Iri("euaia", "hasQualifier")
 
 # argument structure
+GOAL = Iri("gsn", "Goal")
+STRATEGY = Iri("gsn", "Strategy")
+SOLUTION = Iri("gsn", "Solution")
 GSN_STATEMENT = Iri("gsn", "statement")
 GSN_SUPPORTED_BY = Iri("gsn", "supportedBy")
 GSN_IN_CONTEXT_OF = Iri("gsn", "inContextOf")

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ DYNAMIC = str(FIXTURES / "dynamic-links.ttl")
 TOY_ADV = str(FIXTURES / "toy-adversarial.txt")
 TOY_BEN = str(FIXTURES / "toy-benign.txt")
 TOY_LABELED = str(FIXTURES / "toy-labeled.txt")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -206,6 +210,11 @@ def test_triples_query_malformed_pattern_exits_one(capsys, store_ttl, pattern):
     assert "unexpected character" in err
 
 
+def test_triples_query_pattern_error_names_its_column(capsys, store_ttl):
+    code, out, err = run(capsys, "triples", "query", store_ttl, "?s <rdf:type ?o")
+    assert (code, out, err) == (1, "", "error: column 4: unterminated '<'\n")
+
+
 def test_triples_query_iri_with_a_trailing_newline_exits_one(capsys, store_ttl):
     code, out, err = run(capsys, "triples", "query", store_ttl, "?s <rdf:type\n> ?o")
     assert (code, out) == (1, "")
@@ -353,6 +362,23 @@ def test_coverage_report_multiple_files(capsys, argument_ttl):
     registry_only = run(capsys, "coverage", "report", argument_ttl, LINKS)
     # registry triples absent: refuse
     assert registry_only[0] == 1
+
+
+def test_coverage_of_a_node_with_two_types_ignores_the_hash_seed(tmp_path, store_ttl):
+    # Sn1 is a goal and a solution: it counts as the solution, whatever the set order
+    extra = tmp_path / "extra.ttl"
+    extra.write_text("<gsn:Sn1> <rdf:type> <gsn:Goal> .\n", encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    outputs = set()
+    for seed in range(1, 11):
+        done = subprocess.run(
+            [sys.executable, "-m", "euaia_assurance", "coverage", "report", store_ttl, DYNAMIC, str(extra)],
+            env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path),
+            capture_output=True, text=True, check=True,
+        )
+        outputs.add(done.stdout)
+    (out,) = outputs
+    assert out.split("\n")[9] == "9\tcontested\tgsn:Sn1,gsn:Sn2\tgsn:CC1"
 
 
 def test_coverage_trace(capsys, store_ttl):

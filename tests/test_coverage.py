@@ -3,8 +3,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import coverage_oracle as oracle
 import euaia_assurance as ea
+from euaia_assurance import vocab
 from euaia_assurance.coverage import (
     MAX_PATH_DEPTH,
     CoverageError,
@@ -14,7 +18,7 @@ from euaia_assurance.coverage import (
     coverage_to_tsv,
     open_counterclaims,
 )
-from euaia_assurance.triples import Iri, Store, Triple
+from euaia_assurance.triples import Iri, Literal, Store, Triple
 
 from conftest import ATTACK, fixture_triples
 
@@ -233,3 +237,108 @@ def test_trace_emits_one_chain_per_operationalized_node():
     )
     traces = causal_trace(store, Iri("atk", "a"))
     assert {t.duty for t in traces} == {Iri("euaia", "d7"), Iri("euaia", "d9")}
+
+
+# ----------------------------------------------------------------------
+# the replaced graph view as oracle
+
+_NODES = [Iri("gsn", f"N{i}") for i in range(10)]  # no path longer than MAX_PATH_DEPTH hops
+_DEFENSES = [Iri("def", f"d{i}") for i in range(3)]
+_ATTACKS = [Iri("atk", "a0"), Iri("atk", "a1")]
+_KINDS = [vocab.GOAL, vocab.STRATEGY, vocab.SOLUTION, Iri("gsn", "Counterclaim"), Literal("gsn:Goal")]
+
+
+def _duty_types(registry) -> list[Triple]:
+    return [Triple(vocab.duty_iri(duty.id), vocab.RDF_TYPE, vocab.DUTY) for duty in registry.duties]
+
+
+@st.composite
+def _stores(draw, registry) -> Store:
+    """Small stores with at most one type per node, supportedBy cycles, and a
+    literal object possible on every predicate coverage and traces read."""
+    triples = set(_duty_types(registry))
+    for node in _NODES:
+        triples.update(Triple(node, vocab.RDF_TYPE, kind) for kind in draw(st.lists(st.sampled_from(_KINDS), max_size=1)))
+
+    def link(subjects, predicate, objects, max_size):
+        pairs = st.tuples(st.sampled_from(subjects), st.sampled_from([*objects, Literal("x")]))
+        triples.update(Triple(s, predicate, o) for s, o in draw(st.lists(pairs, max_size=max_size)))
+
+    link(_NODES, vocab.GSN_SUPPORTED_BY, _NODES, 16)
+    link(_NODES, vocab.EVIDENCED_BY, _DEFENSES, 6)
+    link(_NODES, vocab.OPERATIONALIZES, [vocab.duty_iri(d) for d in (1, 2, 3)], 5)
+    link(_NODES, vocab.GSN_CHALLENGES, _NODES, 4)
+    link(_NODES, vocab.REBUTTED_BY, [Iri("src", "r")], 3)
+    link(_DEFENSES, vocab.MITIGATES, _ATTACKS, 4)
+    link(_ATTACKS, vocab.MITIGATED_BY, _DEFENSES, 4)
+    return Store(frozenset(triples))
+
+
+def _outcome(analysis, *args):
+    try:
+        return analysis(*args)
+    except CoverageError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_coverage_and_traces_agree_with_the_graph_view_oracle(registry, data):
+    store = data.draw(_stores(registry))
+    attack = data.draw(st.sampled_from([*_ATTACKS, Iri("atk", "unknown")]))
+    assert coverage_report(store, registry) == oracle.coverage_report(store, registry)
+    assert open_counterclaims(store) == oracle.open_counterclaims(store)
+    assert _outcome(causal_trace, store, attack) == _outcome(oracle.causal_trace, store, attack)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_coverage_reaches_evidence_at_any_depth(registry, data):
+    size = data.draw(st.integers(MAX_PATH_DEPTH + 2, 40))
+    nodes = [Iri("gsn", f"N{i}") for i in range(size)]
+    spine = data.draw(st.integers(MAX_PATH_DEPTH + 1, size - 1))  # N0 -> ... -> N<spine>
+    forward = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)).filter(lambda e: e[0] < e[1])
+    edges = {(i, i + 1) for i in range(spine)} | set(data.draw(st.lists(forward, max_size=size)))
+    triples = set(_duty_types(registry))
+    triples.update(Triple(nodes[a], vocab.GSN_SUPPORTED_BY, nodes[b]) for a, b in edges)
+    for node in nodes:
+        kind = data.draw(st.sampled_from([vocab.GOAL, vocab.STRATEGY, vocab.SOLUTION]))
+        triples.add(Triple(node, vocab.RDF_TYPE, kind))
+        if data.draw(st.booleans()):
+            triples.add(Triple(node, vocab.EVIDENCED_BY, Literal("report")))
+    triples.add(Triple(nodes[0], vocab.OPERATIONALIZES, vocab.duty_iri(9)))
+    triples.add(Triple(data.draw(st.sampled_from(nodes)), vocab.OPERATIONALIZES, vocab.duty_iri(4)))
+    for index in data.draw(st.lists(st.integers(0, size - 1), max_size=3)):
+        triples.add(Triple(Iri("gsn", "CC1"), vocab.GSN_CHALLENGES, nodes[index]))
+    store = Store(frozenset(triples))
+    expected = oracle.coverage_report(store, registry, subtree=oracle.fixed_point_subtree)
+    assert coverage_report(store, registry) == expected
+
+
+def test_evidence_below_the_trace_depth_cap_still_covers(registry):
+    store = _chain_store(MAX_PATH_DEPTH + 3).assert_all(_duty_types(registry))
+    nine = next(s for s in coverage_report(store, registry) if s.duty_id == 9)
+    assert (nine.status, nine.supporting_solutions) == (CoverageStatus.COVERED, ("gsn:Sn1",))
+    # the replaced search stopped 12 hops down and called the duty uncovered
+    capped = next(s for s in oracle.coverage_report(store, registry) if s.duty_id == 9)
+    assert capped.status is CoverageStatus.UNCOVERED
+
+
+@pytest.mark.parametrize("extra", [vocab.GOAL, vocab.STRATEGY, Iri("gsn", "Context")])
+def test_a_second_type_never_demotes_a_solution(registry, base_store, extra):
+    store = base_store.assert_triple(Triple(Iri("gsn", "Sn1"), vocab.RDF_TYPE, extra))
+    nine = next(s for s in coverage_report(store, registry) if s.duty_id == 9)
+    assert (nine.status, nine.supporting_solutions) == (CoverageStatus.CONTESTED, ("gsn:Sn1",))
+
+
+def test_a_goal_typed_twice_is_undeveloped_if_either_type_says_so(registry):
+    goal = Iri("gsn", "G1")
+    store = Store(frozenset(_duty_types(registry))).assert_all(
+        [
+            Triple(goal, vocab.RDF_TYPE, Iri("gsn", "Context")),
+            Triple(goal, vocab.RDF_TYPE, vocab.STRATEGY),
+            Triple(goal, vocab.OPERATIONALIZES, vocab.duty_iri(9)),
+        ]
+    )
+    nine = next(s for s in coverage_report(store, registry) if s.duty_id == 9)
+    assert nine.status is CoverageStatus.PARTIAL

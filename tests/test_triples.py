@@ -259,6 +259,22 @@ def test_match_and_query_equal_full_scan():
         assert store.query(chain) == _oracle_query(store, chain)
 
 
+@pytest.mark.parametrize(
+    "pattern, built",
+    [
+        ("?s ?p ?o", set()),
+        ("?s rdf:type ?o", {"_by_predicate"}),
+        ("gsn:G1 ?p gsn:S1", {"_by_subject", "_by_object"}),
+        ("gsn:G1 gsn:supportedBy gsn:S1", {"_by_subject", "_by_predicate", "_by_object"}),
+    ],
+)
+def test_match_builds_only_the_indexes_of_bound_positions(base_store, pattern, built):
+    store = Store(base_store.triples)
+    found = store.match(parse_pattern(pattern))
+    assert found == _oracle_match(store, parse_pattern(pattern))
+    assert {name for name in ("_by_subject", "_by_predicate", "_by_object") if name in vars(store)} == built
+
+
 def test_query_requires_patterns():
     with pytest.raises(ValueError):
         Store().query([])
@@ -404,7 +420,7 @@ def test_import_shares_one_object_per_distinct_iri():
 def test_parse_pattern_rejects_malformed_patterns(text, message, column):
     with pytest.raises(TripleParseError) as exc:
         parse_pattern(text)
-    assert (str(exc.value), exc.value.line, exc.value.column) == (message, None, column)
+    assert (str(exc.value), exc.value.line, exc.value.column) == (f"column {column}: {message}", None, column)
 
 
 def test_parse_pattern_variables_and_ground_terms():
@@ -472,7 +488,7 @@ def test_lexer_agrees_with_the_character_scanner(line, pattern):
         try:
             old = _outcome(char_scan_terms, line, None, allow_variables=True, allow_bare=True, require_dot=False)
         except AttributeError:  # the old bare-token match met whitespace other than space or tab
-            assert new[0] == "error" and new[1].startswith("unexpected character")
+            assert new[0] == "error" and new[1].startswith(f"column {new[3]}: unexpected character")
             return
     else:
         new = _outcome(_scan_terms, line, 7, {})

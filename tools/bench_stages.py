@@ -1,11 +1,13 @@
 """Time ``parse_gsn`` and ``validate`` on generated arguments of 1,500,
 3,000 and 6,000 nodes, ``import_triples`` on generated store text of
 12,500, 25,000 and 50,000 statements, ``train_dynamic`` with bigrams on
-1,000, 2,000 and 4,000 generated prompts per class, and ``classify_static``
-and ``score`` over 12,500, 25,000 and 50,000 generated prompts, for one or
-more source trees, and write the records as JSON.
+1,000, 2,000 and 4,000 generated prompts per class, ``classify_static``
+and ``score`` over 12,500, 25,000 and 50,000 generated prompts, and
+``coverage_report`` and ``causal_trace`` on audit stores generated with 200,
+400 and 800 nodes per argument, for one or more source trees, and write the
+records as JSON.
 
-    python3 tools/bench_stages.py --tree before=../old-checkout --tree after=. -o BENCH_5.json
+    python3 tools/bench_stages.py --tree before=../old-checkout --tree after=. -o BENCH_7.json
 
 Each tree is measured in its own subprocess with ``PYTHONPATH=<tree>/src``,
 so no two trees share imported modules. The inputs come from
@@ -18,7 +20,11 @@ work as the ``filter`` workload's commands do: ``classify_static`` checks each
 prompt against the workload's blocklist, prepared once per run as the CLI
 prepares it (``compile_blocklist`` where the tree has it, else the raw
 entries), and ``score`` scores each prompt with a bigram model trained on
-the workload's number of prompts per class. A record holds the
+the workload's number of prompts per class. The coverage stages read the
+``store.ttl`` and ``links.ttl`` that ``case_audit`` writes, merged as the
+CLI merges them, and each run gets a new ``Store`` built outside the timed
+call, so that the time includes the indexes the analysis builds; the trace
+follows the case's planted attack. A record holds the
 stage, the size and its unit, the median and minimum seconds over
 ``--repeats`` runs, the Python version, the tree's git commit (or null) and
 a digest of its ``src/euaia_assurance``, which identifies uncommitted trees
@@ -36,6 +42,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -44,6 +51,7 @@ GSN_SIZES = (1500, 3000, 6000)
 STORE_SIZES = (12500, 25000, 50000)
 TRAIN_SIZES = (1000, 2000, 4000)
 PROMPT_SIZES = (12500, 25000, 50000)
+AUDIT_SIZES = (200, 400, 800)  # nodes per argument; 800 is the case-audit workload's
 SEED = 2
 
 
@@ -88,6 +96,15 @@ def _prompts(size: int) -> list[str]:
     return [(generate._adversarial if rng.random() < 0.5 else generate._benign)(rng)[0] for _ in range(size)]
 
 
+def _audit_case(size: int, import_triples) -> tuple:
+    """The merged triples and namespaces of a generated audit case, and its attack."""
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = _generate().case_audit(SEED, Path(tmp), size=size)
+        stores = [import_triples((Path(tmp) / name).read_text(encoding="utf-8")) for name in ("store.ttl", "links.ttl")]
+    namespaces = {**stores[0].namespaces, **stores[1].namespaces}
+    return stores[0].triples | stores[1].triples, namespaces, plan
+
+
 def _record(stage: str, size: int, unit: str, samples: list[float]) -> dict:
     return {
         "stage": stage,
@@ -102,9 +119,11 @@ def _record(stage: str, size: int, unit: str, samples: list[float]) -> dict:
 def _measure(repeats: int) -> list[dict]:
     """Worker side: time the stages with the ``euaia_assurance`` on sys.path."""
     from euaia_assurance import prompt_filter
+    from euaia_assurance.coverage import causal_trace, coverage_report
+    from euaia_assurance.duties import load_registry
     from euaia_assurance.gsn import parse_gsn, validate
     from euaia_assurance.prompt_filter import ScriptClass, Verdict, classify_static, score, train_dynamic
-    from euaia_assurance.triples import import_triples
+    from euaia_assurance.triples import Iri, Store, import_triples
 
     records = []
     for size in GSN_SIZES:
@@ -158,6 +177,24 @@ def _measure(repeats: int) -> list[dict]:
             if not 0 < flagged < size:
                 raise SystemExit(f"{size} prompts: {flagged} flagged by the blocklist")
         records.extend(_record(stage, size, "prompts", samples) for stage, samples in times.items())
+    registry = load_registry()
+    for size in AUDIT_SIZES:
+        triples, namespaces, plan = _audit_case(size, import_triples)
+        attack = Iri.parse(plan.attack)
+        times = {"coverage_report": [], "causal_trace": []}
+        for _ in range(repeats):
+            store = Store(triples, namespaces)
+            start = time.perf_counter()
+            report = coverage_report(store, registry)
+            times["coverage_report"].append(time.perf_counter() - start)
+            store = Store(triples, namespaces)
+            start = time.perf_counter()
+            traces = causal_trace(store, attack)
+            times["causal_trace"].append(time.perf_counter() - start)
+            statuses = {status.duty_id: status.status.value for status in report}
+            if statuses != plan.statuses or len(traces) != plan.chains:
+                raise SystemExit(f"{size}-node audit case: wrong statuses or {len(traces)} of {plan.chains} chains")
+        records.extend(_record(stage, size, "nodes per argument", samples) for stage, samples in times.items())
     return records
 
 
