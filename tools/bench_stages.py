@@ -96,8 +96,10 @@ def _prompts(size: int) -> list[str]:
     return [(generate._adversarial if rng.random() < 0.5 else generate._benign)(rng)[0] for _ in range(size)]
 
 
-def _audit_case(size: int, import_triples) -> tuple:
-    """The merged triples and namespaces of a generated audit case, and its attack."""
+def _audit_case(size: int) -> tuple:
+    """The merged triples and namespaces of a generated audit case, and its plan."""
+    from euaia_assurance.triples import import_triples
+
     with tempfile.TemporaryDirectory() as tmp:
         plan = _generate().case_audit(SEED, Path(tmp), size=size)
         stores = [import_triples((Path(tmp) / name).read_text(encoding="utf-8")) for name in ("store.ttl", "links.ttl")]
@@ -179,7 +181,7 @@ def _measure(repeats: int) -> list[dict]:
         records.extend(_record(stage, size, "prompts", samples) for stage, samples in times.items())
     registry = load_registry()
     for size in AUDIT_SIZES:
-        triples, namespaces, plan = _audit_case(size, import_triples)
+        triples, namespaces, plan = _audit_case(size)
         attack = Iri.parse(plan.attack)
         times = {"coverage_report": [], "causal_trace": []}
         for _ in range(repeats):
