@@ -11,41 +11,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
 
-from .duties import (
-    STAKEHOLDER_A_COUNT_NOTE,
-    StakeholderCode,
-    load_registry,
-    registry_to_jsonl,
-    registry_to_triples,
-)
-from .factsheet import render_factsheet, render_html
-from .gsn import (
-    GsnArgument,
-    Severity,
-    argument_to_triples,
-    parse_gsn,
-    render_dot,
-    serialize_gsn,
-    validate,
-)
-from .prompt_filter import (
-    ScriptClass,
-    Verdict,
-    classify_dynamic,
-    classify_static,
-    compile_blocklist,
-    evaluate,
-    filter_to_triples,
-    load_model,
-    parse_corpus,
-    parse_labeled_corpus,
-    save_model,
-    score,
-    train_dynamic,
-)
-from .coverage import causal_trace, coverage_report, coverage_to_tsv
 from .triples import (
     _PREFIX_RE,
     _binding_key,
@@ -60,6 +28,42 @@ from .triples import (
     parse_pattern,
     serialize_triple,
 )
+from .vocab import ScriptClass, StakeholderCode
+
+# The names cli takes from each handler module. A module is imported, and
+# all of its names bound here, only when a command needs one of them.
+_HANDLER_NAMES = {
+    "duties": ("STAKEHOLDER_A_COUNT_NOTE", "load_registry", "registry_to_jsonl", "registry_to_triples"),
+    "gsn": ("GsnArgument", "Severity", "argument_to_triples", "parse_gsn", "render_dot", "serialize_gsn", "validate"),
+    "prompt_filter": (
+        "Verdict", "classify_dynamic", "classify_static", "compile_blocklist", "evaluate", "filter_to_triples",
+        "load_model", "parse_corpus", "parse_labeled_corpus", "save_model", "score", "train_dynamic",
+    ),
+    "coverage": ("causal_trace", "coverage_report", "coverage_to_tsv"),
+    "factsheet": ("render_factsheet", "render_html"),
+}
+_MODULE_OF = {name: module for module, names in _HANDLER_NAMES.items() for name in names}
+
+
+def _bind(*modules: str) -> None:
+    """Import each handler module and bind its listed names in cli.
+
+    A name already bound keeps its value, so a wrapper set on cli from
+    outside (a tracer's, a test's) survives.
+    """
+    for module in modules:
+        loaded = import_module(f".{module}", __package__)
+        for name in _HANDLER_NAMES[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
+
 
 NAMESPACES_ENV = "EUAIA_ASSURE_NAMESPACES"
 
@@ -134,6 +138,7 @@ def _read_prompts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _cmd_duties_list(args: argparse.Namespace) -> int:
+    _bind("duties")
     registry = load_registry()
     if args.stakeholder:
         code = StakeholderCode[args.stakeholder]
@@ -157,6 +162,7 @@ def _parse_gsn_file(path: str) -> GsnArgument:
 
 
 def _cmd_gsn_validate(args: argparse.Namespace) -> int:
+    _bind("gsn")
     argument = _parse_gsn_file(args.file)
     diagnostics = validate(argument)
     for diagnostic in diagnostics:
@@ -169,11 +175,13 @@ def _cmd_gsn_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_gsn_dot(args: argparse.Namespace) -> int:
+    _bind("gsn")
     sys.stdout.write(render_dot(_parse_gsn_file(args.file)))
     return 0
 
 
 def _cmd_gsn_triples(args: argparse.Namespace) -> int:
+    _bind("gsn")
     argument = _parse_gsn_file(args.file)
     store = Store(frozenset(argument_to_triples(argument)), _extra_namespaces())
     sys.stdout.write(export_triples(store))
@@ -181,6 +189,7 @@ def _cmd_gsn_triples(args: argparse.Namespace) -> int:
 
 
 def _cmd_gsn_format(args: argparse.Namespace) -> int:
+    _bind("gsn")
     sys.stdout.write(serialize_gsn(_parse_gsn_file(args.file)))
     return 0
 
@@ -188,6 +197,7 @@ def _cmd_gsn_format(args: argparse.Namespace) -> int:
 def _cmd_triples_import(args: argparse.Namespace) -> int:
     namespaces, triples = _read_triples(args.files)
     if args.with_registry:
+        _bind("duties")
         triples.update(registry_to_triples(load_registry()))
     text = export_triples(Store(frozenset(triples), namespaces))
     if args.output:
@@ -214,6 +224,7 @@ def _cmd_triples_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter_train(args: argparse.Namespace) -> int:
+    _bind("prompt_filter")
     adversarial = parse_corpus(_read_file(args.adversarial, corpus=True))
     benign = parse_corpus(_read_file(args.benign, corpus=True))
     model = train_dynamic(
@@ -232,6 +243,7 @@ def _cmd_filter_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter_score(args: argparse.Namespace) -> int:
+    _bind("prompt_filter")
     model = load_model(_read_file(args.model))
     prompts = _read_prompts(args, args.parser)
     sys.stdout.writelines(f"{score(model, prompt):.6f}\t{prompt}\n" for prompt in prompts)
@@ -239,6 +251,7 @@ def _cmd_filter_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter_classify(args: argparse.Namespace) -> int:
+    _bind("prompt_filter")
     if args.model and (args.blocklist or args.block_script):
         args.parser.error("use either --model or a static blocklist, not both")
     if args.model:
@@ -258,6 +271,7 @@ def _cmd_filter_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter_eval(args: argparse.Namespace) -> int:
+    _bind("prompt_filter")
     model = load_model(_read_file(args.model))
     labeled = parse_labeled_corpus(_read_file(args.corpus, corpus=True))
     metrics = evaluate(model, labeled)
@@ -270,6 +284,7 @@ def _cmd_filter_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_coverage_report(args: argparse.Namespace) -> int:
+    _bind("duties", "coverage")
     store = _read_store(args.stores)
     report = coverage_report(store, load_registry())
     sys.stdout.write(coverage_to_tsv(report))
@@ -277,6 +292,7 @@ def _cmd_coverage_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_coverage_trace(args: argparse.Namespace) -> int:
+    _bind("coverage")
     store = _read_store(args.stores)
     traces = causal_trace(store, Iri.parse(args.attack))
     for index, trace in enumerate(traces, start=1):
@@ -289,6 +305,7 @@ def _cmd_coverage_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_factsheet_render(args: argparse.Namespace) -> int:
+    _bind("duties", "gsn", "factsheet")
     registry = load_registry()
     namespaces, triples = _read_triples(args.store)
     triples.update(registry_to_triples(registry))
@@ -299,6 +316,7 @@ def _cmd_factsheet_render(args: argparse.Namespace) -> int:
     if args.model:
         if not args.eval_corpus:
             args.parser.error("--model requires --eval-corpus")
+        _bind("prompt_filter")
         model = load_model(_read_file(args.model))
         labeled = parse_labeled_corpus(_read_file(args.eval_corpus, corpus=True))
         metrics = evaluate(model, labeled)

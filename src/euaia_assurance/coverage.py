@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from . import vocab
-from .duties import DutyRegistry
 from .triples import Iri, Store, Term, Triple, serialize_triple
+
+if TYPE_CHECKING:
+    from .duties import DutyRegistry
 
 # Causal traces climb at most this many supportedBy hops; coverage has no limit.
 MAX_PATH_DEPTH = 12

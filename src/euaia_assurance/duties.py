@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from enum import Enum
 from functools import cache
 
 from . import vocab
+from .vocab import StakeholderCode
 from .triples import Literal, Triple
 
 # The table of record maps stakeholder A to 14 duties (rows 1-10, 16 and
@@ -51,21 +51,6 @@ PROVENANCE = "paraphrased from EUAIA"
 
 class RegistryError(ValueError):
     """Embedded duty data failed validation at load time."""
-
-
-class StakeholderCode(Enum):
-    """Stakeholder classes the Act addresses, keyed by their table code."""
-
-    A = "High-risk AI System Provider"
-    B = "Notified Body"
-    C = "General-Purpose AI Provider"
-    D = "National Competent Authority"
-    E = "Deployer"
-    F = "Market Surveillance Authority"
-
-    @property
-    def display_name(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,16 @@ store must already contain the registry and argument triples.
 from __future__ import annotations
 
 import html as _html
+from typing import TYPE_CHECKING
 
 from . import vocab
 from .coverage import CoverageStatus, coverage_report, open_counterclaims
-from .duties import DutyRegistry
 from .gsn import GsnArgument, GsnNodeKind, GsnRelation, Severity, validate
-from .prompt_filter import FilterMetrics
-from .triples import Iri, Literal, Store, TriplePattern, Variable
+from .triples import Iri, Literal, Store, _binding_key, serialize_term
+
+if TYPE_CHECKING:
+    from .duties import DutyRegistry
+    from .prompt_filter import FilterMetrics
 
 TITLE = "Robustness Assurance Factsheet"
 
@@ -41,9 +44,9 @@ def _check_inputs(registry: DutyRegistry, argument: GsnArgument, store: Store) -
         known = {vocab.duty_iri(d.id) for d in registry.duties}
         if iri not in known:
             raise FactsheetError(f"argument duty link {argument.duty_link} is not a registry duty")
+    typed = {t.subject for t in store._by_predicate.get(vocab.RDF_TYPE, ())}
     for node in argument.nodes:
-        node_iri = vocab.gsn_node_iri(node.id)
-        if not store.match(TriplePattern(node_iri, vocab.RDF_TYPE, Variable("k"))):
+        if vocab.gsn_node_iri(node.id) not in typed:
             raise FactsheetError(
                 f"store is missing the argument triples (node {node.id}); assert them first"
             )
@@ -61,10 +64,11 @@ def render_factsheet(
     the same inputs produce byte-identical output."""
     _check_inputs(registry, argument, store)
     report = coverage_report(store, registry)
+    dynamic_filter = Iri("def", "dynamicFilter")
     trained_on = sorted(
-        binding["c"].curie
-        for binding in store.match(TriplePattern(Iri("def", "dynamicFilter"), vocab.TRAINED_ON, Variable("c")))
-        if isinstance(binding["c"], Iri)
+        t.object.curie
+        for t in store._by_predicate.get(vocab.TRAINED_ON, ())
+        if t.subject == dynamic_filter and isinstance(t.object, Iri)
     )
 
     lines: list[str] = [f"# {TITLE}", ""]
@@ -180,6 +184,9 @@ def _argument_tree(argument: GsnArgument, store: Store, counterclaims: list[tupl
     challenges: dict[Iri, list[str]] = {}
     for counterclaim, node in counterclaims:
         challenges.setdefault(node, []).append(counterclaim.curie.removeprefix("gsn:"))
+    evidence: dict[Iri, list[str]] = {}
+    for t in store._by_predicate.get(vocab.EVIDENCED_BY, ()):
+        evidence.setdefault(t.subject, []).append(t.object.curie if isinstance(t.object, Iri) else t.object.text)
 
     out: list[str] = []
 
@@ -190,14 +197,9 @@ def _argument_tree(argument: GsnArgument, store: Store, counterclaims: list[tupl
         if node.undeveloped:
             line += " [undeveloped]"
         if node.kind is GsnNodeKind.SOLUTION:
-            evidence = sorted(
-                binding["e"].curie if isinstance(binding["e"], Iri) else binding["e"].text
-                for binding in store.match(
-                    TriplePattern(vocab.gsn_node_iri(node.id), vocab.EVIDENCED_BY, Variable("e"))
-                )
-            )
-            if evidence:
-                line += f" [evidence: {', '.join(evidence)}]"
+            found = sorted(evidence.get(vocab.gsn_node_iri(node.id), ()))
+            if found:
+                line += f" [evidence: {', '.join(found)}]"
         for challenger in sorted(challenges.get(vocab.gsn_node_iri(node.id), ())):
             line += f" [challenged by {challenger}]"
         out.append(line)
@@ -213,34 +215,36 @@ def _argument_tree(argument: GsnArgument, store: Store, counterclaims: list[tupl
 
 
 def _counterclaim_lines(store: Store, counterclaims: list[tuple[Iri, Iri]]) -> list[str]:
-    """Each open counterclaim of the store, with its ``gsn:statement`` when it has one."""
+    """Each open counterclaim of the store, with its ``gsn:statement`` when it has one.
+
+    A counterclaim with several statements shows the first in serialized order.
+    """
+    statements: dict[Iri, list[Literal]] = {}
+    for t in store._by_predicate.get(vocab.GSN_STATEMENT, ()):
+        if isinstance(t.object, Literal):
+            statements.setdefault(t.subject, []).append(t.object)
     lines = []
     for counterclaim, node in counterclaims:
         line = f"- {counterclaim.curie.removeprefix('gsn:')} challenges {node.curie.removeprefix('gsn:')}"
-        statements = [
-            binding["s"].text
-            for binding in store.match(TriplePattern(counterclaim, vocab.GSN_STATEMENT, Variable("s")))
-            if isinstance(binding["s"], Literal)
-        ]
-        lines.append(f"{line}: {statements[0]}" if statements else line)
+        found = statements.get(counterclaim)
+        lines.append(f"{line}: {min(found, key=serialize_term).text}" if found else line)
     return sorted(lines)
 
 
 def _source_lines(store: Store, trained_on: list[str]) -> list[str]:
     lines = []
     sources = sorted(
-        binding["s"].curie
-        for binding in store.match(TriplePattern(Variable("s"), vocab.RDF_TYPE, vocab.SOURCE))
-        if isinstance(binding["s"], Iri)
+        t.subject.curie
+        for t in store._by_predicate.get(vocab.RDF_TYPE, ())
+        if t.object == vocab.SOURCE and isinstance(t.subject, Iri)
     )
     if sources:
         lines.append(f"- Sources: {', '.join(sources)}")
-    for binding in store.match(
-        TriplePattern(Variable("x"), vocab.DERIVED_FROM, Variable("s"))
-    ):
-        subject, source = binding["x"], binding["s"]
-        if isinstance(subject, Iri) and isinstance(source, Iri):
-            lines.append(f"- {subject.curie} derives from {source.curie}")
+    derived = store._by_predicate.get(vocab.DERIVED_FROM, ())
+    # Store.match's order for `?x derivedFrom ?s`: by source, then by subject.
+    for t in sorted(derived, key=lambda t: _binding_key({"x": t.subject, "s": t.object})):
+        if isinstance(t.subject, Iri) and isinstance(t.object, Iri):
+            lines.append(f"- {t.subject.curie} derives from {t.object.curie}")
     if trained_on:
         lines.append(f"- Training corpora: {', '.join(trained_on)}")
     return lines

@@ -29,6 +29,7 @@ from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import vocab
+from .vocab import ScriptClass
 from .triples import InputError, Iri, Literal, Triple, load_json
 
 MODEL_FORMAT = "charfilter/1"
@@ -45,15 +46,6 @@ class CorpusFormatError(InputError):
 
 # ----------------------------------------------------------------------
 # script classification
-
-class ScriptClass(Enum):
-    LATIN = "Latin"
-    HAN = "Han"
-    CYRILLIC = "Cyrillic"
-    GREEK = "Greek"
-    COMMON = "Common"
-    OTHER = "Other"
-
 
 # Coarse block table; whole blocks are assigned even where a block mixes in
 # the odd symbol. Basic Latin splits into letters (Latin) and the rest

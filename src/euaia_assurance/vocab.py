@@ -1,10 +1,14 @@
 """IRI vocabulary shared across the toolkit.
 
 Classes and predicates are ordinary IRIs with no inference semantics
-attached; consumers query them with plain pattern matching.
+attached; consumers query them with plain pattern matching. The two
+enumerations the command line offers as choices live here too, so that
+building its parser loads no handler module.
 """
 
 from __future__ import annotations
+
+from enum import Enum
 
 from .triples import Iri
 
@@ -52,3 +56,27 @@ def stakeholder_iri(code: str) -> Iri:
 
 def gsn_node_iri(node_id: str) -> Iri:
     return Iri("gsn", node_id)
+
+
+class StakeholderCode(Enum):
+    """Stakeholder classes the Act addresses, keyed by their table code."""
+
+    A = "High-risk AI System Provider"
+    B = "Notified Body"
+    C = "General-Purpose AI Provider"
+    D = "National Competent Authority"
+    E = "Deployer"
+    F = "Market Surveillance Authority"
+
+    @property
+    def display_name(self) -> str:
+        return self.value
+
+
+class ScriptClass(Enum):
+    LATIN = "Latin"
+    HAN = "Han"
+    CYRILLIC = "Cyrillic"
+    GREEK = "Greek"
+    COMMON = "Common"
+    OTHER = "Other"

@@ -7,7 +7,7 @@ import pytest
 import euaia_assurance as ea
 from euaia_assurance.factsheet import FactsheetError, render_factsheet, render_html
 from euaia_assurance.gsn import GsnArgument, GsnEdge, GsnNode, GsnNodeKind, GsnRelation
-from euaia_assurance.triples import Iri, Literal, Store, Triple
+from euaia_assurance.triples import Iri, Literal, Store, Triple, TriplePattern, Variable
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +146,46 @@ def test_argument_tree_marks_follow_the_open_counterclaims_of_the_store(registry
 def test_counterclaim_without_a_statement_has_no_colon(registry, argument, full_store):
     text = render_factsheet(registry, argument, full_store.assert_all(_challenge("CC2", "G3")))
     assert "- CC2 challenges G3" in _section(text, "5. Open counterclaims")
+
+
+def test_lists_read_from_the_index_keep_the_order_of_store_match(registry, argument, full_store):
+    """Sections 3, 5 and 6 read the predicate index; each list keeps the order
+    (and the first statement) that ``Store.match`` gives."""
+    derived_from, statement = Iri("assures", "derivedFrom"), Iri("gsn", "statement")
+    trained_on = Iri("assures", "trainedOn")
+    extra = [
+        *_challenge("CC2", "G3", "zz last"),
+        Triple(Iri("gsn", "CC2"), statement, Literal("aa first")),
+        Triple(Iri("gsn", "CC2"), statement, Iri("src", "aaNotALiteral")),
+        Triple(Iri("gsn", "Sn1"), Iri("assures", "evidencedBy"), Literal("a report")),
+        Triple(Iri("gsn", "Sn1"), Iri("assures", "evidencedBy"), Iri("def", "aFirst")),
+        *(
+            Triple(Iri("atk", subject), derived_from, Iri("src", source))
+            for subject, source in [("b", "z"), ("a", "z"), ("c", "y"), ("a2", "y2"), ("a", "y"), ("b", "zz")]
+        ),
+        Triple(Iri("atk", "d"), derived_from, Literal("not a source")),
+        Triple(Iri("src", "y"), Iri("rdf", "type"), Iri("assures", "Source")),
+        *(Triple(Iri("def", "dynamicFilter"), trained_on, corpus) for corpus in (Iri("src", "b"), Iri("src", "a"))),
+        Triple(Iri("def", "dynamicFilter"), trained_on, Literal("not a corpus")),
+        Triple(Iri("def", "staticFilter"), trained_on, Iri("src", "c")),
+    ]
+    store = full_store.assert_all(extra)
+    text = render_factsheet(registry, argument, store)
+
+    derived = store.match(TriplePattern(Variable("x"), derived_from, Variable("s")))
+    assert [line for line in _section(text, "6. Source provenance") if "derives from" in line] == [
+        f"- {b['x'].curie} derives from {b['s'].curie}" for b in derived if isinstance(b["s"], Iri)
+    ]
+    assert "- Sources: src:charComboStudy, src:y" in _section(text, "6. Source provenance")
+    assert _section(text, "6. Source provenance")[-1] == "- Training corpora: src:a, src:b"
+    first = next(
+        b["s"].text
+        for b in store.match(TriplePattern(Iri("gsn", "CC2"), statement, Variable("s")))
+        if isinstance(b["s"], Literal)
+    )
+    assert f"- CC2 challenges G3: {first}" in _section(text, "5. Open counterclaims")
+    assert first == "aa first"
+    assert "[evidence: a report, def:aFirst, def:staticFilter]" in text
 
 
 def test_provenance_section(rendered):

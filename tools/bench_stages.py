@@ -4,8 +4,8 @@
 1,000, 2,000 and 4,000 generated prompts per class, ``classify_static``
 and ``score`` over 12,500, 25,000 and 50,000 generated prompts, and
 ``coverage_report`` and ``causal_trace`` on audit stores generated with 200,
-400 and 800 nodes per argument, for one or more source trees, and write the
-records as JSON.
+400 and 800 nodes per argument, and the start-up time of short commands, for
+one or more source trees, and write the records as JSON.
 
     python3 tools/bench_stages.py --tree before=../old-checkout --tree after=. -o BENCH_7.json
 
@@ -24,7 +24,16 @@ the workload's number of prompts per class. The coverage stages read the
 ``store.ttl`` and ``links.ttl`` that ``case_audit`` writes, merged as the
 CLI merges them, and each run gets a new ``Store`` built outside the timed
 call, so that the time includes the indexes the analysis builds; the trace
-follows the case's planted attack. A record holds the
+follows the case's planted attack. The start-up stage spawns ``python -c pass``
+and ``python -m euaia_assurance`` for ``duties list``, ``gsn validate`` on the
+fixture argument and ``triples query`` on a fixture triple file, in turn,
+``STARTUP_RUNS`` times each (``--repeats`` does not apply). The package runs
+from a copy of its ``.py`` files with ``PYTHONDONTWRITEBYTECODE=1``, so no
+cached bytecode of the tree is read and every command compiles the package
+modules it imports, as in a fresh checkout; the interpreter's own cached
+bytecode is read as usual. (An empty ``PYTHONPYCACHEPREFIX`` would hide
+that too: ``python -c pass`` then compiles what ``site`` imports and takes
+several times as long, which buries the package's share.) A record holds the
 stage, the size and its unit, the median and minimum seconds over
 ``--repeats`` runs, the Python version, the tree's git commit (or null) and
 a digest of its ``src/euaia_assurance``, which identifies uncommitted trees
@@ -39,6 +48,7 @@ import json
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -53,6 +63,15 @@ TRAIN_SIZES = (1000, 2000, 4000)
 PROMPT_SIZES = (12500, 25000, 50000)
 AUDIT_SIZES = (200, 400, 800)  # nodes per argument; 800 is the case-audit workload's
 SEED = 2
+STARTUP_RUNS = 15
+FIXTURES = ROOT / "fixtures"
+STARTUP_COMMANDS = {
+    "python -c pass": ["-c", "pass"],
+    "duties list": ["-m", "euaia_assurance", "duties", "list"],
+    "gsn validate": ["-m", "euaia_assurance", "gsn", "validate", str(FIXTURES / "art15-5.gsn")],
+    "triples query": ["-m", "euaia_assurance", "triples", "query", str(FIXTURES / "knowledge-links.ttl"),
+                      "?s <rdf:type> ?o"],
+}
 
 
 def _generate():
@@ -118,6 +137,25 @@ def _record(stage: str, size: int, unit: str, samples: list[float]) -> dict:
     }
 
 
+def _startup() -> list[dict]:
+    """Wall time of each start-up command, run in turn ``STARTUP_RUNS`` times."""
+    import euaia_assurance
+
+    samples: dict[str, list[float]] = {name: [] for name in STARTUP_COMMANDS}
+    with tempfile.TemporaryDirectory() as src:
+        package = Path(euaia_assurance.__file__).parent
+        shutil.copytree(package, Path(src) / package.name, ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=src)
+        for _ in range(STARTUP_RUNS):
+            for name, argv in STARTUP_COMMANDS.items():
+                start = time.perf_counter()
+                done = subprocess.run([sys.executable, *argv], stdout=subprocess.DEVNULL, env=env, cwd=ROOT)
+                samples[name].append(time.perf_counter() - start)
+                if done.returncode != 0:
+                    raise SystemExit(f"start-up command `{name}` exited {done.returncode}")
+    return [_record(f"startup: {name}", 1, "process", times) for name, times in samples.items()]
+
+
 def _measure(repeats: int) -> list[dict]:
     """Worker side: time the stages with the ``euaia_assurance`` on sys.path."""
     from euaia_assurance import prompt_filter
@@ -127,7 +165,7 @@ def _measure(repeats: int) -> list[dict]:
     from euaia_assurance.prompt_filter import ScriptClass, Verdict, classify_static, score, train_dynamic
     from euaia_assurance.triples import Iri, Store, import_triples
 
-    records = []
+    records = _startup()
     for size in GSN_SIZES:
         text = _argument_text(size)
         times: dict[str, list[float]] = {"parse_gsn": [], "validate": []}
