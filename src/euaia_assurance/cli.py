@@ -15,13 +15,13 @@ from importlib import import_module
 from pathlib import Path
 
 from .triples import (
-    _PREFIX_RE,
     _binding_key,
     InputError,
     Iri,
     NamespaceError,
     Store,
     Triple,
+    check_namespace,
     export_triples,
     import_triples,
     load_json,
@@ -97,9 +97,8 @@ def _extra_namespaces() -> dict[str, str]:
         isinstance(k, str) and isinstance(v, str) for k, v in data.items()
     ):
         raise NamespaceError(f"{NAMESPACES_ENV} must point to a JSON object of prefix -> IRI")
-    for prefix in data:
-        if not _PREFIX_RE.fullmatch(prefix):
-            raise NamespaceError(f"invalid namespace prefix {prefix!r}")
+    for prefix, expansion in data.items():
+        check_namespace(prefix, expansion)
     return data
 
 
@@ -182,8 +181,9 @@ def _cmd_gsn_dot(args: argparse.Namespace) -> int:
 
 def _cmd_gsn_triples(args: argparse.Namespace) -> int:
     _bind("gsn")
+    namespaces = _extra_namespaces()
     argument = _parse_gsn_file(args.file)
-    store = Store(frozenset(argument_to_triples(argument)), _extra_namespaces())
+    store = Store(frozenset(argument_to_triples(argument)), namespaces)
     sys.stdout.write(export_triples(store))
     return 0
 

@@ -35,6 +35,12 @@ def _count(n: int, noun: str) -> str:
     return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
 
 
+def _one_line(text: str) -> str:
+    """``text`` as one Markdown line: a line break is shown as ``\\r`` or ``\\n``,
+    so that copied text cannot close a fence or start a heading."""
+    return text.replace("\r", "\\r").replace("\n", "\\n")
+
+
 def _check_inputs(registry: DutyRegistry, argument: GsnArgument, store: Store) -> None:
     errors = [d for d in validate(argument) if d.severity is Severity.ERROR]
     if errors:
@@ -75,7 +81,7 @@ def render_factsheet(
 
     # 1 ------------------------------------------------------------------
     lines += ["## 1. System identification", ""]
-    lines.append(f"- System: {system_name}")
+    lines.append(f"- System: {_one_line(system_name)}")
     lines.append(f"- Duty registry: {len(registry.duties)} EU AI Act duties, {registry.duties[0].provenance}")
     lines.append(f"- Assembled store: {len(store)} triples")
     if argument.nodes:
@@ -186,14 +192,15 @@ def _argument_tree(argument: GsnArgument, store: Store, counterclaims: list[tupl
         challenges.setdefault(node, []).append(counterclaim.curie.removeprefix("gsn:"))
     evidence: dict[Iri, list[str]] = {}
     for t in store._by_predicate.get(vocab.EVIDENCED_BY, ()):
-        evidence.setdefault(t.subject, []).append(t.object.curie if isinstance(t.object, Iri) else t.object.text)
+        text = t.object.curie if isinstance(t.object, Iri) else _one_line(t.object.text)
+        evidence.setdefault(t.subject, []).append(text)
 
     out: list[str] = []
 
     def describe(node_id: str, depth: int) -> None:
         node = argument.node(node_id)
         indent = "  " * depth
-        line = f"{indent}{node.id} ({node.kind.value}) {node.statement}"
+        line = f"{indent}{node.id} ({node.kind.value}) {_one_line(node.statement)}"
         if node.undeveloped:
             line += " [undeveloped]"
         if node.kind is GsnNodeKind.SOLUTION:
@@ -205,7 +212,7 @@ def _argument_tree(argument: GsnArgument, store: Store, counterclaims: list[tupl
         out.append(line)
         for attached in sorted(attachments.get(node.id, ())):
             attached_node = argument.node(attached)
-            out.append(f"{indent}  [{attached_node.kind.value} {attached}] {attached_node.statement}")
+            out.append(f"{indent}  [{attached_node.kind.value} {attached}] {_one_line(attached_node.statement)}")
         for child in sorted(argument.supported_children(node.id)):
             describe(child, depth + 1)
 
@@ -227,7 +234,7 @@ def _counterclaim_lines(store: Store, counterclaims: list[tuple[Iri, Iri]]) -> l
     for counterclaim, node in counterclaims:
         line = f"- {counterclaim.curie.removeprefix('gsn:')} challenges {node.curie.removeprefix('gsn:')}"
         found = statements.get(counterclaim)
-        lines.append(f"{line}: {min(found, key=serialize_term).text}" if found else line)
+        lines.append(f"{line}: {_one_line(min(found, key=serialize_term).text)}" if found else line)
     return sorted(lines)
 
 

@@ -77,26 +77,6 @@ def script_of(char: str) -> ScriptClass:
 
 
 # ----------------------------------------------------------------------
-# corpus statistics
-
-@dataclass(frozen=True)
-class CharProfile:
-    counts: Mapping[str, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def char_profile(corpus: Sequence[str]) -> CharProfile:
-    """Character counts across all prompts in the corpus."""
-    counts: Counter[str] = Counter()
-    for prompt in corpus:
-        counts.update(prompt)
-    return CharProfile(dict(counts))
-
-
-# ----------------------------------------------------------------------
 # static blocklist
 
 def compile_blocklist(blocklist: Iterable[str | ScriptClass]) -> re.Pattern[str]:
@@ -201,7 +181,9 @@ def train_dynamic(
     if not 0 < alpha < math.inf:
         raise ValueError("smoothing alpha must be positive and finite")
 
-    table, v, oov = _llr_table(char_profile(adversarial).counts, char_profile(benign).counts, alpha)
+    table, v, oov = _llr_table(
+        Counter(chain.from_iterable(adversarial)), Counter(chain.from_iterable(benign)), alpha
+    )
     model = FilterModel(
         llr=table,
         alpha=alpha,
@@ -341,7 +323,7 @@ def _iri_safe(corpus_id: str) -> str:
     local = re.sub(r"[^A-Za-z0-9_.-]", "-", corpus_id)
     if not re.match(r"^[A-Za-z0-9_]", local):
         local = "corpus-" + local
-    return local or "corpus"
+    return local
 
 
 # ----------------------------------------------------------------------
@@ -430,6 +412,8 @@ def load_model(text: str) -> FilterModel:
             pair = record["chars"]
             if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_code_point, pair))):
                 raise CorpusFormatError("chars must be a list of two code points", lineno)
+            if not has_bigrams:
+                raise CorpusFormatError("chars record in a model whose header has no 'bigram_vocab_size'", lineno)
             bigram_llr[chr(pair[0]) + chr(pair[1])] = float(record["llr"])
     return FilterModel(
         llr=llr,

@@ -30,12 +30,22 @@ DEFAULT_NAMESPACES: dict[str, str] = {
 
 # Whole-string patterns: use fullmatch, since `$` also matches before a final newline.
 _PREFIX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
+_EXPANSION_RE = re.compile(r"[^<>\s]+")  # what an @prefix line can spell between < and >
 _LOCAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 _VARIABLE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class NamespaceError(ValueError):
-    """An IRI uses a prefix that the store's namespace map does not declare."""
+    """An IRI uses a prefix that the namespace map does not declare, or a
+    namespace entry is one that an ``@prefix`` line cannot spell."""
+
+
+def check_namespace(prefix: str, expansion: str) -> None:
+    """Raise :class:`NamespaceError` unless ``@prefix prefix: <expansion>`` is a valid line."""
+    if not _PREFIX_RE.fullmatch(prefix):
+        raise NamespaceError(f"invalid namespace prefix {prefix!r}")
+    if not _EXPANSION_RE.fullmatch(expansion):
+        raise NamespaceError(f"invalid expansion {expansion!r} for namespace prefix {prefix!r}")
 
 
 class InputError(ValueError):
@@ -244,8 +254,7 @@ class Store:
     # updates (persistent: each returns a new store)
 
     def with_namespace(self, prefix: str, expansion: str) -> "Store":
-        if not _PREFIX_RE.fullmatch(prefix):
-            raise NamespaceError(f"invalid namespace prefix {prefix!r}")
+        check_namespace(prefix, expansion)
         merged = dict(self.namespaces)
         merged[prefix] = expansion
         return Store(self.triples, merged)
@@ -474,7 +483,7 @@ def _scan_terms(line: str, lineno: int | None, iris: dict[str, Iri], *, pattern:
         pos = match.end()
 
 
-_PREFIX_LINE_RE = re.compile(r"^@prefix\s+([A-Za-z][A-Za-z0-9_-]*):\s+<([^<>\s]+)>\s*\.?\s*$")
+_PREFIX_LINE_RE = re.compile(rf"^@prefix\s+({_PREFIX_RE.pattern}):\s+<({_EXPANSION_RE.pattern})>\s*\.?\s*$")
 
 
 def import_triples(text: str, namespaces: Mapping[str, str] | None = None) -> Store:

@@ -4,37 +4,40 @@ from pathlib import Path
 
 import pytest
 
-import euaia_assurance as ea
+from euaia_assurance.duties import load_registry, registry_to_triples
+from euaia_assurance.gsn import argument_to_triples, parse_gsn
+from euaia_assurance.prompt_filter import parse_corpus, train_dynamic
+from euaia_assurance.triples import Iri, Store, Triple, import_triples
 
 # The worked example for Art. 15(5) (duty 9) lives only in these files.
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-ATTACK = ea.Iri("atk", "charCombo")
+ATTACK = Iri("atk", "charCombo")
 
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
-def fixture_triples(name: str) -> frozenset[ea.Triple]:
-    return ea.import_triples(fixture_text(name)).triples
+def fixture_triples(name: str) -> frozenset[Triple]:
+    return import_triples(fixture_text(name)).triples
 
 
 @pytest.fixture(scope="session")
 def registry():
-    return ea.load_registry()
+    return load_registry()
 
 
 @pytest.fixture(scope="session")
 def argument():
-    return ea.parse_gsn(fixture_text("art15-5.gsn"))
+    return parse_gsn(fixture_text("art15-5.gsn"))
 
 
 @pytest.fixture(scope="session")
 def base_store(registry, argument):
     # registry + argument + static filter links, the smallest store with a
     # complete evidence chain for duty 9
-    store = ea.Store().assert_all(ea.registry_to_triples(registry))
-    store = store.assert_all(ea.argument_to_triples(argument))
+    store = Store().assert_all(registry_to_triples(registry))
+    store = store.assert_all(argument_to_triples(argument))
     return store.assert_all(fixture_triples("knowledge-links.ttl"))
 
 
@@ -46,11 +49,11 @@ def full_store(base_store):
 @pytest.fixture(scope="session")
 def toy_corpora():
     return (
-        ea.parse_corpus(fixture_text("toy-adversarial.txt")),
-        ea.parse_corpus(fixture_text("toy-benign.txt")),
+        parse_corpus(fixture_text("toy-adversarial.txt")),
+        parse_corpus(fixture_text("toy-benign.txt")),
     )
 
 
 @pytest.fixture(scope="session")
 def toy_model(toy_corpora):
-    return ea.train_dynamic(*toy_corpora, corpus_ids=("toy-adversarial", "toy-benign"))
+    return train_dynamic(*toy_corpora, corpus_ids=("toy-adversarial", "toy-benign"))

@@ -13,7 +13,9 @@ import random
 import re
 import time
 
-import euaia_assurance as ea
+from euaia_assurance.coverage import causal_trace, coverage_report
+from euaia_assurance.duties import load_registry, registry_to_triples
+from euaia_assurance.factsheet import render_factsheet
 from euaia_assurance.gsn import (
     ID_PREFIXES,
     GsnArgument,
@@ -22,8 +24,23 @@ from euaia_assurance.gsn import (
     GsnNode,
     GsnNodeKind,
     GsnRelation,
+    argument_to_triples,
+    parse_gsn,
+    render_dot,
+    validate,
 )
-from euaia_assurance.prompt_filter import ScriptClass, Verdict, script_of
+from euaia_assurance.prompt_filter import (
+    ScriptClass,
+    Verdict,
+    classify_static,
+    evaluate,
+    filter_to_triples,
+    parse_corpus,
+    parse_labeled_corpus,
+    score,
+    script_of,
+    train_dynamic,
+)
 from euaia_assurance.triples import (
     Iri,
     Literal,
@@ -34,12 +51,13 @@ from euaia_assurance.triples import (
     export_triples,
     import_triples,
     serialize_term,
+    serialize_triple,
 )
 
 from conftest import ATTACK, FIXTURES, fixture_text, fixture_triples
 
-TOY_ADVERSARIAL = tuple(ea.parse_corpus(fixture_text("toy-adversarial.txt")))
-TOY_BENIGN = tuple(ea.parse_corpus(fixture_text("toy-benign.txt")))
+TOY_ADVERSARIAL = tuple(parse_corpus(fixture_text("toy-adversarial.txt")))
+TOY_BENIGN = tuple(parse_corpus(fixture_text("toy-benign.txt")))
 
 
 def _gate(capsys, number: int, label: str, budget_seconds: float, body) -> None:
@@ -69,7 +87,7 @@ def _check(failures: list[str], condition: bool, message: str) -> None:
 
 def test_acceptance_1_duty_registry(capsys):
     def body(failures):
-        registry = ea.load_registry()
+        registry = load_registry()
         _check(failures, len(registry.duties) == 23, f"{len(registry.duties)} duties")
         c_ids = [d.id for d in registry.duties_for_stakeholder("C")]
         _check(failures, c_ids == [12, 13, 14, 23], f"stakeholder C -> {c_ids}")
@@ -179,12 +197,12 @@ def test_acceptance_2_gsn_validity(capsys):
                         failures.append(f"acyclic edge G{a}->G{b} rejected")
 
         # exemplar fixture validates clean and exports digraph DOT
-        fixture = ea.parse_gsn((FIXTURES / "art15-5.gsn").read_text(encoding="utf-8"))
-        diagnostics = ea.validate(fixture)
+        fixture = parse_gsn((FIXTURES / "art15-5.gsn").read_text(encoding="utf-8"))
+        diagnostics = validate(fixture)
         _check(failures, diagnostics == [], f"exemplar diagnostics: {diagnostics}")
         _check(
             failures,
-            _dot_parses_as_digraph(ea.render_dot(fixture)),
+            _dot_parses_as_digraph(render_dot(fixture)),
             "DOT export is not a digraph",
         )
 
@@ -298,7 +316,7 @@ def test_acceptance_3_store_oracle_equivalence(capsys):
 
 def test_acceptance_4_filter_correctness(capsys):
     def body(failures):
-        model = ea.train_dynamic(TOY_ADVERSARIAL, TOY_BENIGN)
+        model = train_dynamic(TOY_ADVERSARIAL, TOY_BENIGN)
         _check(
             failures,
             abs(model.llr["!"] - math.log(4.0)) < 1e-9,
@@ -307,7 +325,7 @@ def test_acceptance_4_filter_correctness(capsys):
         labeled = [(p, Verdict.ADVERSARIAL) for p in TOY_ADVERSARIAL] + [
             (p, Verdict.BENIGN) for p in TOY_BENIGN
         ]
-        toy_auc = ea.evaluate(model, labeled).auc
+        toy_auc = evaluate(model, labeled).auc
         _check(failures, abs(toy_auc - 1.0) < 1e-9, f"toy AUC = {toy_auc}")
 
         rng = random.Random(5150)
@@ -321,13 +339,13 @@ def test_acceptance_4_filter_correctness(capsys):
                 "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 10)))
                 for _ in range(rng.randint(1, 100))
             ]
-            trained = ea.train_dynamic(adversarial, benign)
+            trained = train_dynamic(adversarial, benign)
             rows = [(p, Verdict.ADVERSARIAL) for p in adversarial] + [
                 (p, Verdict.BENIGN) for p in benign
             ]
-            trapezoid = ea.evaluate(trained, rows).auc
-            positives = [ea.score(trained, p) for p in adversarial]
-            negatives = [ea.score(trained, p) for p in benign]
+            trapezoid = evaluate(trained, rows).auc
+            positives = [score(trained, p) for p in adversarial]
+            negatives = [score(trained, p) for p in benign]
             pairwise = sum(
                 1.0 if p > n else 0.5 if p == n else 0.0
                 for p in positives
@@ -347,7 +365,7 @@ def test_acceptance_4_filter_correctness(capsys):
             expected = any(
                 c in ("!", "д") or script_of(c) is ScriptClass.HAN for c in prompt
             )
-            verdict, _ = ea.classify_static(blocklist, prompt)
+            verdict, _ = classify_static(blocklist, prompt)
             if (verdict is Verdict.ADVERSARIAL) != expected:
                 failures.append(f"prompt {prompt_no}: static verdict diverges")
 
@@ -359,25 +377,25 @@ def test_acceptance_4_filter_correctness(capsys):
 
 
 def _walkthrough() -> tuple[str, list]:
-    registry = ea.load_registry()
-    argument = ea.parse_gsn((FIXTURES / "art15-5.gsn").read_text(encoding="utf-8"))
-    adversarial = ea.parse_corpus((FIXTURES / "toy-adversarial.txt").read_text())
-    benign = ea.parse_corpus((FIXTURES / "toy-benign.txt").read_text())
-    model = ea.train_dynamic(
+    registry = load_registry()
+    argument = parse_gsn((FIXTURES / "art15-5.gsn").read_text(encoding="utf-8"))
+    adversarial = parse_corpus((FIXTURES / "toy-adversarial.txt").read_text())
+    benign = parse_corpus((FIXTURES / "toy-benign.txt").read_text())
+    model = train_dynamic(
         adversarial, benign, corpus_ids=("toy-adversarial", "toy-benign")
     )
-    labeled = ea.parse_labeled_corpus((FIXTURES / "toy-labeled.txt").read_text())
-    metrics = ea.evaluate(model, labeled)
+    labeled = parse_labeled_corpus((FIXTURES / "toy-labeled.txt").read_text())
+    metrics = evaluate(model, labeled)
 
     store = Store()
-    store = store.assert_all(ea.registry_to_triples(registry))
-    store = store.assert_all(ea.argument_to_triples(argument))
+    store = store.assert_all(registry_to_triples(registry))
+    store = store.assert_all(argument_to_triples(argument))
     store = store.assert_all(fixture_triples("knowledge-links.ttl"))
     store = store.assert_all(fixture_triples("dynamic-links.ttl"))
-    store = store.assert_all(ea.filter_to_triples(model, metrics))
+    store = store.assert_all(filter_to_triples(model, metrics))
 
-    report = ea.coverage_report(store, registry)
-    factsheet = ea.render_factsheet(registry, argument, store, metrics)
+    report = coverage_report(store, registry)
+    factsheet = render_factsheet(registry, argument, store, metrics)
     return factsheet, report
 
 
@@ -417,16 +435,16 @@ def test_acceptance_5_end_to_end_audit_trail(capsys):
 def test_acceptance_6_causal_trace(capsys):
     def body(failures):
         store = Store()
-        store = store.assert_all(ea.registry_to_triples(ea.load_registry()))
+        store = store.assert_all(registry_to_triples(load_registry()))
         store = store.assert_all(
-            ea.argument_to_triples(
-                ea.parse_gsn((FIXTURES / "art15-5.gsn").read_text(encoding="utf-8"))
+            argument_to_triples(
+                parse_gsn((FIXTURES / "art15-5.gsn").read_text(encoding="utf-8"))
             )
         )
         store = store.assert_all(fixture_triples("knowledge-links.ttl"))
         store = store.assert_all(fixture_triples("dynamic-links.ttl"))
 
-        traces = ea.causal_trace(store, ATTACK)
+        traces = causal_trace(store, ATTACK)
         _check(failures, len(traces) >= 1, "no trace found")
         for trace_no, trace in enumerate(traces):
             if trace.duty != Iri("euaia", "d9"):
@@ -434,7 +452,7 @@ def test_acceptance_6_causal_trace(capsys):
             for hop in trace.hops:
                 if hop not in store:
                     failures.append(
-                        f"trace {trace_no} hop not in store: {ea.serialize_triple(hop)}"
+                        f"trace {trace_no} hop not in store: {serialize_triple(hop)}"
                     )
 
     _gate(capsys, 6, "causal trace hop verification", 30.0, body)

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-import euaia_assurance as ea
 from euaia_assurance.cli import main
+from euaia_assurance.triples import import_triples
 
 from conftest import FIXTURES
 
@@ -165,7 +165,7 @@ def test_triples_export_canonicalizes(tmp_path, capsys):
 
 
 def test_triples_import_merges(store_ttl):
-    store = ea.import_triples(open(store_ttl, encoding="utf-8").read())
+    store = import_triples(open(store_ttl, encoding="utf-8").read())
     assert len(store) == 135  # registry 98 + argument 30 + links 7
 
 
@@ -449,6 +449,21 @@ def test_factsheet_render_html_file(capsys, tmp_path, toy_model_file):
     assert text.count("<tr>") == 24
 
 
+@pytest.mark.parametrize("fmt", ["md", "html"])
+def test_factsheet_system_name_stays_on_one_line(capsys, fmt):
+    code, out, _ = run(
+        capsys, "factsheet", "render", "--store", LINKS, "--gsn", GSN,
+        "--system", "Acme\n## 7. Injected", "--format", fmt,
+    )
+    assert code == 0
+    if fmt == "md":
+        assert sum(line.startswith("## ") for line in out.split("\n")) == 6
+        assert "- System: Acme\\n## 7. Injected\n" in out
+    else:
+        assert out.count("<h2>") == 6
+        assert "<li>System: Acme\\n## 7. Injected</li>" in out
+
+
 def test_factsheet_refuses_mismatched_inputs(capsys, tmp_path):
     # argument whose duty link exists but whose triples are absent from the
     # assembled store cannot happen through the CLI (it asserts them), so
@@ -547,6 +562,33 @@ def test_namespace_env_var_rejects_invalid_prefixes(capsys, tmp_path, monkeypatc
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert err == f"error: invalid namespace prefix {shown}\n"
+
+
+@pytest.mark.parametrize("expansion", ["", "http://example.org/a b#", "http://example.org/<a>#"])
+def test_namespace_env_var_rejects_expansions_no_prefix_line_can_spell(capsys, tmp_path, monkeypatch, expansion):
+    namespaces = tmp_path / "ns.json"
+    namespaces.write_text(json.dumps({"ex": expansion}), encoding="utf-8")
+    monkeypatch.setenv("EUAIA_ASSURE_NAMESPACES", str(namespaces))
+    missing = str(tmp_path / "missing")
+    for argv in (("triples", "import", missing), ("gsn", "triples", missing)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: invalid expansion {expansion!r} for namespace prefix 'ex'\n"
+
+
+def test_namespace_env_var_import_output_reads_back_byte_for_byte(capsys, tmp_path, monkeypatch):
+    namespaces = tmp_path / "ns.json"
+    namespaces.write_text('{"ex": "http://example.org/a%20b#"}', encoding="utf-8")
+    data = tmp_path / "data.ttl"
+    data.write_text("<ex:x> <rdf:type> <assures:Attack> .\n", encoding="utf-8")
+    monkeypatch.setenv("EUAIA_ASSURE_NAMESPACES", str(namespaces))
+    stored = tmp_path / "store.ttl"
+    code, _, err = run(capsys, "triples", "import", str(data), "-o", str(stored))
+    assert code == 0, err
+    monkeypatch.delenv("EUAIA_ASSURE_NAMESPACES")
+    code, out, err = run(capsys, "triples", "import", str(stored))
+    assert (code, out) == (0, stored.read_text(encoding="utf-8")), err
+    assert "@prefix ex: <http://example.org/a%20b#>\n" in out
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coverage_oracle as oracle
-import euaia_assurance as ea
 from euaia_assurance import vocab
 from euaia_assurance.coverage import (
     MAX_PATH_DEPTH,
@@ -18,7 +17,9 @@ from euaia_assurance.coverage import (
     coverage_to_tsv,
     open_counterclaims,
 )
-from euaia_assurance.triples import Iri, Literal, Store, Triple
+from euaia_assurance.duties import registry_to_triples
+from euaia_assurance.gsn import argument_to_triples, parse_gsn
+from euaia_assurance.triples import Iri, Literal, Store, Triple, serialize_triple
 
 from conftest import ATTACK, fixture_triples
 
@@ -29,7 +30,7 @@ OPERATIONALIZES = Iri("assures", "operationalizes")
 
 
 def registry_store(registry) -> Store:
-    return Store().assert_all(ea.registry_to_triples(registry))
+    return Store().assert_all(registry_to_triples(registry))
 
 
 # ----------------------------------------------------------------------
@@ -81,8 +82,8 @@ def test_partial_when_only_undeveloped_branches(registry):
         "edge S1 -> G2 supportedBy\n"
         "duty euaia:d9\n"
     )
-    argument = ea.parse_gsn(gsn_text)
-    store = registry_store(registry).assert_all(ea.argument_to_triples(argument))
+    argument = parse_gsn(gsn_text)
+    store = registry_store(registry).assert_all(argument_to_triples(argument))
     nine = next(s for s in coverage_report(store, registry) if s.duty_id == 9)
     assert nine.status is CoverageStatus.PARTIAL
     assert nine.supporting_solutions == ()
@@ -95,8 +96,8 @@ def test_unevidenced_solution_leaf_is_partial_not_covered(registry):
         'goal G1 "top" undeveloped\n'
         "duty euaia:d9\n"
     )
-    argument = ea.parse_gsn(gsn_text)
-    store = registry_store(registry).assert_all(ea.argument_to_triples(argument))
+    argument = parse_gsn(gsn_text)
+    store = registry_store(registry).assert_all(argument_to_triples(argument))
     nine = next(s for s in coverage_report(store, registry) if s.duty_id == 9)
     assert nine.status is CoverageStatus.PARTIAL
 
@@ -105,7 +106,7 @@ def test_operationalization_required_even_with_evidence(registry, argument):
     # same argument and evidence, duty link removed: nothing operationalizes
     # duty 9, so it stays uncovered
     unlinked = argument.with_duty_link(None)
-    store = registry_store(registry).assert_all(ea.argument_to_triples(unlinked))
+    store = registry_store(registry).assert_all(argument_to_triples(unlinked))
     store = store.assert_all(fixture_triples("knowledge-links.ttl"))
     report = coverage_report(store, registry)
     assert all(s.status is CoverageStatus.UNCOVERED for s in report)
@@ -136,7 +137,7 @@ def test_monotonicity_adding_triples_never_revokes_coverage(registry, full_store
         CoverageStatus.CONTESTED: 2,
         CoverageStatus.COVERED: 2,
     }
-    registry_triples = set(ea.registry_to_triples(registry))
+    registry_triples = set(registry_to_triples(registry))
     optional = sorted(
         full_store.triples - registry_triples, key=lambda t: str(t)
     )
@@ -168,7 +169,7 @@ def test_base_store_has_exactly_one_trace(base_store):
     traces = causal_trace(base_store, ATTACK)
     assert len(traces) == 1
     (trace,) = traces
-    hops = [ea.serialize_triple(h) for h in trace.hops]
+    hops = [serialize_triple(h) for h in trace.hops]
     assert hops == [
         "<atk:charCombo> <assures:mitigatedBy> <def:staticFilter> .",
         "<gsn:Sn1> <assures:evidencedBy> <def:staticFilter> .",

@@ -4,24 +4,34 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-import euaia_assurance as ea
+from euaia_assurance.coverage import CoverageError, coverage_report
+from euaia_assurance.duties import registry_to_triples
 from euaia_assurance.factsheet import FactsheetError, render_factsheet, render_html
-from euaia_assurance.gsn import GsnArgument, GsnEdge, GsnNode, GsnNodeKind, GsnRelation
+from euaia_assurance.gsn import (
+    GsnArgument,
+    GsnEdge,
+    GsnNode,
+    GsnNodeKind,
+    GsnRelation,
+    argument_to_triples,
+    parse_gsn,
+)
+from euaia_assurance.prompt_filter import Verdict, evaluate, filter_to_triples
 from euaia_assurance.triples import Iri, Literal, Store, Triple, TriplePattern, Variable
 
 
 @pytest.fixture(scope="module")
 def toy_metrics(toy_model, toy_corpora):
     adversarial, benign = toy_corpora
-    labeled = [(p, ea.Verdict.ADVERSARIAL) for p in adversarial] + [
-        (p, ea.Verdict.BENIGN) for p in benign
+    labeled = [(p, Verdict.ADVERSARIAL) for p in adversarial] + [
+        (p, Verdict.BENIGN) for p in benign
     ]
-    return ea.evaluate(toy_model, labeled)
+    return evaluate(toy_model, labeled)
 
 
 @pytest.fixture(scope="module")
 def rendered(registry, argument, full_store, toy_model, toy_metrics):
-    store = full_store.assert_all(ea.filter_to_triples(toy_model, toy_metrics))
+    store = full_store.assert_all(filter_to_triples(toy_model, toy_metrics))
     return render_factsheet(registry, argument, store, toy_metrics)
 
 
@@ -107,7 +117,7 @@ def test_store_only_counterclaims_are_listed_with_every_counted_one(registry, ar
         "guardrails, so filtering alone may not hold.",
         "- CC2 challenges G3: Scores drift as attackers adapt.",
     ]
-    counted = {cc for status in ea.coverage_report(store, registry) for cc in status.counterclaims}
+    counted = {cc for status in coverage_report(store, registry) for cc in status.counterclaims}
     assert counted == {"gsn:CC1", "gsn:CC2"}
     for curie in counted:
         assert any(line.startswith(f"- {curie.removeprefix('gsn:')} challenges") for line in listed)
@@ -212,7 +222,7 @@ def test_metrics_optional(registry, argument, full_store):
 
 
 def test_empty_argument_renders(registry):
-    store = Store().assert_all(ea.registry_to_triples(registry))
+    store = Store().assert_all(registry_to_triples(registry))
     text = render_factsheet(registry, GsnArgument(), store)
     assert "- Argument: empty" in text
     summary = text.split("## 3. Argument summary")[1].split("##")[0]
@@ -221,6 +231,49 @@ def test_empty_argument_renders(registry):
     assert counterclaims.strip() == "None."
     provenance = text.split("## 6. Source provenance")[1]
     assert provenance.strip() == "None."
+
+
+def test_copied_texts_keep_to_one_line(registry):
+    """Statements, literals and the system name may hold line breaks; each is
+    shown as ``\\n`` or ``\\r``, so the six sections and one fence stay."""
+    argument = parse_gsn(
+        'goal G1 "Top\\n```\\n## 5. Open counterclaims"\n'
+        'solution Sn1 "Tested\\n```"\n'
+        'context C1 "Scope\\n## 4. Defense metrics"\n'
+        "edge G1 -> Sn1 supportedBy\nedge G1 -> C1 inContextOf\n"
+    )
+    store = Store().assert_all(registry_to_triples(registry)).assert_all(argument_to_triples(argument))
+    store = store.assert_all(
+        [
+            Triple(Iri("gsn", "Sn1"), Iri("assures", "evidencedBy"), Literal("log\n```")),
+            *_challenge("CC1", "G1", "Not so\n## 6. Source provenance"),
+        ]
+    )
+    text = render_factsheet(registry, argument, store, system_name="Sys\r\n## 2. Duty coverage")
+    lines = text.split("\n")
+    assert "\r" not in text
+    assert [line for line in lines if line.startswith("## ")] == [
+        "## 1. System identification",
+        "## 2. Duty coverage",
+        "## 3. Argument summary",
+        "## 4. Defense metrics",
+        "## 5. Open counterclaims",
+        "## 6. Source provenance",
+    ]
+    assert sum(line.startswith("```") for line in lines) == 2
+    assert "- System: Sys\\r\\n## 2. Duty coverage" in lines
+    assert _section(text, "3. Argument summary") == [
+        "```",
+        "G1 (goal) Top\\n```\\n## 5. Open counterclaims [challenged by CC1]",
+        "  [context C1] Scope\\n## 4. Defense metrics",
+        "  Sn1 (solution) Tested\\n``` [evidence: log\\n```]",
+        "```",
+    ]
+    assert _section(text, "5. Open counterclaims") == ["- CC1 challenges G1: Not so\\n## 6. Source provenance"]
+    page = render_html(text)
+    assert page.count("<h2>") == 6
+    assert page.count("<pre>") == 1
+    assert page.index("</pre>") < page.index("<h2>4. Defense metrics</h2>")
 
 
 # ----------------------------------------------------------------------
@@ -243,14 +296,14 @@ def test_refuses_unknown_duty_link(registry, argument, full_store):
 
 
 def test_refuses_store_without_argument_triples(registry, argument):
-    store = Store().assert_all(ea.registry_to_triples(registry))
+    store = Store().assert_all(registry_to_triples(registry))
     with pytest.raises(FactsheetError):
         render_factsheet(registry, argument, store)
 
 
 def test_refuses_store_without_registry(registry, argument):
-    store = Store().assert_all(ea.argument_to_triples(argument))
-    with pytest.raises(ea.CoverageError):
+    store = Store().assert_all(argument_to_triples(argument))
+    with pytest.raises(CoverageError):
         render_factsheet(registry, argument, store)
 
 

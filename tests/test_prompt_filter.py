@@ -17,7 +17,6 @@ from euaia_assurance.prompt_filter import (
     ModelProvenance,
     ScriptClass,
     Verdict,
-    char_profile,
     classify_dynamic,
     classify_static,
     compile_blocklist,
@@ -88,12 +87,6 @@ def test_script_of_requires_single_character():
         script_of("")
     with pytest.raises(ValueError):
         script_of("ab")
-
-
-def test_char_profile_counts():
-    profile = char_profile(["aab", "b!"])
-    assert profile.counts == {"a": 2, "b": 2, "!": 1}
-    assert profile.total == 5
 
 
 # ----------------------------------------------------------------------
@@ -486,6 +479,8 @@ _HEADER = '{"format": "charfilter/1", "alpha": 1.0, "vocab_size": 4, "oov_score"
         (_HEADER + '\n{"chars": [120], "llr": 0.5}\n', "line 2: chars must be a list of two code points"),
         (_HEADER + '\n{"chars": "xy", "llr": 0.5}\n', "line 2: chars must be a list of two code points"),
         (_HEADER + '\n{"chars": [120, "y"], "llr": 0.5}\n', "line 2: chars must be a list of two code points"),
+        (_HEADER + '\n{"char": 120, "llr": 0.5}\n{"chars": [120, 121], "llr": 0.5}\n',
+         "line 3: chars record in a model whose header has no 'bigram_vocab_size'"),
         (_HEADER + "\n[120, 0.5]\n", "line 2: expected a char or chars record"),
         (_HEADER + "\n7\n", "line 2: expected a char or chars record"),
         # blank lines count: the error names the line in the file

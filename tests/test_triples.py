@@ -79,6 +79,12 @@ def test_names_with_a_trailing_newline_are_rejected():
         Store().with_namespace("ex\n", "https://example.org/ns/ex#")
 
 
+@pytest.mark.parametrize("expansion", ["", "http://a b/", "http://a\tb/", "http://a<b/", "http://a>b/"])
+def test_with_namespace_rejects_expansions_no_prefix_line_can_spell(expansion):
+    with pytest.raises(NamespaceError, match="namespace prefix 'ex'"):
+        Store().with_namespace("ex", expansion)
+
+
 def test_serialize_term_forms():
     assert serialize_term(iri("atk:x")) == "<atk:x>"
     assert serialize_term(Literal("hi")) == '"hi"'
