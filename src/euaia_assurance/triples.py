@@ -5,14 +5,17 @@ Statements are subject-predicate-object. IRIs are written as CURIEs
 plain literals. There is no inference of any kind: ``match`` and ``query``
 return exactly what was asserted.
 
-All values are immutable. Mutating operations return a new store, so a
-store can be shared freely across threads.
+All values are immutable. Terms and triples are tuples, so they hash and
+compare in C, and a term never equals a term of another kind. Mutating
+operations return a new store, so a store can be shared freely across
+threads.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -74,18 +77,25 @@ def load_json(text: str, what: str, line: int = 1, error: type = InputError) -> 
         raise error(f"{what}: {exc}", line) from None
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
-    """A CURIE-form IRI, e.g. ``Iri("euaia", "d9")`` for ``euaia:d9``."""
+class Iri(namedtuple("Iri", "prefix local")):
+    """A CURIE-form IRI, e.g. ``Iri("euaia", "d9")`` for ``euaia:d9``.
 
-    prefix: str
-    local: str
+    Every way of building one (the constructor, ``parse``, ``_make``,
+    ``_replace`` and, from Python 3.13, ``copy.replace``) checks both names.
+    """
 
-    def __post_init__(self) -> None:
-        if not _PREFIX_RE.fullmatch(self.prefix):
-            raise ValueError(f"invalid namespace prefix {self.prefix!r}")
-        if not _LOCAL_RE.fullmatch(self.local):
-            raise ValueError(f"invalid local name {self.local!r}")
+    __slots__ = ()
+
+    def __new__(cls, prefix: str, local: str) -> "Iri":
+        if not _PREFIX_RE.fullmatch(prefix):
+            raise ValueError(f"invalid namespace prefix {prefix!r}")
+        if not _LOCAL_RE.fullmatch(local):
+            raise ValueError(f"invalid local name {local!r}")
+        return tuple.__new__(cls, (prefix, local))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[str]) -> "Iri":
+        return cls(*iterable)
 
     @property
     def curie(self) -> str:
@@ -107,12 +117,22 @@ class Iri:
         return self.curie
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    """A UTF-8 literal value with an optional datatype tag."""
+class Literal(namedtuple("Literal", "text datatype", defaults=(None,))):
+    """A UTF-8 literal value with an optional datatype tag, an :class:`Iri`.
 
-    text: str
-    datatype: Iri | None = None
+    The check on the tag keeps a literal from equalling an IRI as a tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, text: str, datatype: Iri | None = None) -> "Literal":
+        if datatype is not None and not isinstance(datatype, Iri):
+            raise TypeError(f"a literal's datatype must be an Iri, not {type(datatype).__name__}")
+        return tuple.__new__(cls, (text, datatype))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Literal":
+        return cls(*iterable)
 
 
 Term = Iri | Literal
@@ -132,11 +152,10 @@ class Variable:
 PatternTerm = Iri | Literal | Variable
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    subject: Iri
-    predicate: Iri
-    object: Term
+class Triple(namedtuple("Triple", "subject predicate object")):
+    """One statement: an IRI subject and predicate, and an IRI or literal object."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -213,7 +232,8 @@ class Store:
 
     The namespace map always contains :data:`DEFAULT_NAMESPACES`; extra
     prefixes may be layered on top, and a declaration may override a default
-    expansion. Every triple is validated against the map at construction.
+    expansion. Every entry must be one an ``@prefix`` line can spell, and
+    every triple is validated against the map at construction.
     """
 
     triples: frozenset[Triple] = frozenset()
@@ -223,6 +243,8 @@ class Store:
         merged = dict(DEFAULT_NAMESPACES)
         if self.namespaces:
             merged.update(self.namespaces)
+        for prefix, expansion in merged.items():
+            check_namespace(prefix, expansion)
         object.__setattr__(self, "namespaces", merged)
         object.__setattr__(self, "triples", frozenset(self.triples))
         iris = [
@@ -376,7 +398,11 @@ def _position_index(triples: frozenset[Triple], position: str) -> dict:
 
 # A quoted string: `"`, then characters other than `"` and `\`, or the
 # escapes `\"`, `\\` and `\n`, then `"`. GSN statements share the grammar.
-_QUOTED_BODY = r'"([^"\\]*(?:\\["\\n][^"\\]*)*)'
+# `{0}` in a piece is what else it may not hold: nothing within one line,
+# `\n` across the lines of a whole file.
+_QUOTED = r'"([^"\\{0}]*(?:\\["\\n][^"\\{0}]*)*)'
+_IRI = r"<([^>{0}]*)>"
+_QUOTED_BODY = _QUOTED.format("")
 _QUOTED_BODY_RE = re.compile(_QUOTED_BODY)
 _ESCAPE_RE = re.compile(r"\\(.)")
 _UNESCAPED = {'"': '"', "\\": "\\", "n": "\n"}
@@ -412,7 +438,7 @@ def scan_quoted(
 # datatype fails to match, as does every other malformed term;
 # `_scan_error` then names the fault.
 _TERM = (
-    rf'[ \t]*(?:<([^>]*)>|{_QUOTED_BODY}"(?:\^\^<([^>]*)>|(?!\^\^))'
+    rf'[ \t]*(?:{_IRI.format("")}|{_QUOTED_BODY}"(?:\^\^{_IRI.format("")}|(?!\^\^))'
     r"|(\.)[ \t]*\Z|(\.)(?=[ \t])|(\Z)"
 )
 _STATEMENT_TOKEN_RE = re.compile(_TERM + ")")
@@ -485,6 +511,50 @@ def _scan_terms(line: str, lineno: int | None, iris: dict[str, Iri], *, pattern:
 
 _PREFIX_LINE_RE = re.compile(rf"^@prefix\s+({_PREFIX_RE.pattern}):\s+<({_EXPANSION_RE.pattern})>\s*\.?\s*$")
 
+# One match per line of a triple file. A statement that `_scan_terms` would
+# read as two IRIs and an IRI or literal object, with any whitespace but `\n`
+# around it, fills groups 1-5: subject, predicate, object IRI, literal body
+# and datatype. Every other line (blank, comment, `@prefix` or malformed)
+# matches only the catch-all `.*` and leaves them None.
+_ROW_IRI = _IRI.format(r"\n")
+_ROW_QUOTED = _QUOTED.format(r"\n")
+_ROW_RE = re.compile(
+    rf"^(?:[^\S\n]*{_ROW_IRI}[ \t]*{_ROW_IRI}[ \t]*"
+    rf'(?:{_ROW_IRI}|{_ROW_QUOTED}"(?:\^\^{_ROW_IRI}|(?!\^\^)))[ \t]*\.[^\S\n]*|.*)$',
+    re.M,
+)
+
+
+def _read_line(
+    raw: str, lineno: int, declared: dict[str, str], seen_in_file: dict[str, str], iris: dict[str, Iri]
+) -> Triple | None:
+    """The triple of one line of a triple file, or None for a blank, comment or
+    ``@prefix`` line; a declaration goes into ``declared`` and ``seen_in_file``.
+    """
+    line = raw.strip()
+    if not line or line.startswith("#"):
+        return None
+    if line.startswith("@prefix"):
+        match = _PREFIX_LINE_RE.match(line)
+        if not match:
+            raise TripleParseError("malformed @prefix declaration", lineno)
+        prefix, expansion = match.group(1), match.group(2)
+        if prefix in seen_in_file and seen_in_file[prefix] != expansion:
+            raise TripleParseError(f"prefix {prefix!r} redeclared with a different expansion", lineno)
+        seen_in_file[prefix] = expansion
+        declared[prefix] = expansion
+        return None
+    terms = _scan_terms(line, lineno, iris)
+    if len(terms) != 3:
+        raise TripleParseError(f"expected 3 terms, found {len(terms)}", lineno)
+    subject, predicate, obj = terms
+    if not isinstance(subject, Iri) or not isinstance(predicate, Iri):
+        raise TripleParseError("subject and predicate must be IRIs", lineno)
+    for iri in (subject, predicate, obj.datatype if isinstance(obj, Literal) else obj):
+        if iri is not None and iri.prefix not in declared:
+            raise TripleParseError(f"undeclared namespace prefix {iri.prefix!r}", lineno)
+    return Triple(subject, predicate, obj)
+
 
 def import_triples(text: str, namespaces: Mapping[str, str] | None = None) -> Store:
     """Parse the line-oriented statement format into a store.
@@ -492,37 +562,50 @@ def import_triples(text: str, namespaces: Mapping[str, str] | None = None) -> St
     Grammar per line: ``@prefix p: <expansion>`` headers, ``#`` comments,
     or ``<s> <p> (<o> | "literal") .`` statements. Prefixes must be
     declared (or defaulted) before use; errors carry the line number.
+
+    One pattern reads a well-formed statement whose CURIEs are all known.
+    A CURIE is parsed and checked against the prefixes declared so far when
+    first met, which holds for every later line too, as declarations only
+    add prefixes. Every other line, and every line that fails a check, is
+    read on its own by ``_read_line``, which names the fault.
     """
     declared = dict(DEFAULT_NAMESPACES)
     if namespaces:
         declared.update(namespaces)
     seen_in_file: dict[str, str] = {}
-    iris: dict[str, Iri] = {}
+    iris: dict[str, Iri] = {}  # CURIE text -> its one IRI object in this import
     triples: list[Triple] = []
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("@prefix"):
-            match = _PREFIX_LINE_RE.match(line)
-            if not match:
-                raise TripleParseError("malformed @prefix declaration", lineno)
-            prefix, expansion = match.group(1), match.group(2)
-            if prefix in seen_in_file and seen_in_file[prefix] != expansion:
-                raise TripleParseError(f"prefix {prefix!r} redeclared with a different expansion", lineno)
-            seen_in_file[prefix] = expansion
-            declared[prefix] = expansion
-            continue
-        terms = _scan_terms(line, lineno, iris)
-        if len(terms) != 3:
-            raise TripleParseError(f"expected 3 terms, found {len(terms)}", lineno)
-        subject, predicate, obj = terms
-        if not isinstance(subject, Iri) or not isinstance(predicate, Iri):
-            raise TripleParseError("subject and predicate must be IRIs", lineno)
-        for iri in (subject, predicate, obj.datatype if isinstance(obj, Literal) else obj):
-            if iri is not None and iri.prefix not in declared:
-                raise TripleParseError(f"undeclared namespace prefix {iri.prefix!r}", lineno)
-        triples.append(Triple(subject, predicate, obj))
+
+    def first_sight(curie: str) -> Iri | None:
+        try:
+            iri = Iri.parse(curie)
+        except ValueError:
+            return None
+        if iri.prefix not in declared:
+            return None
+        iris[curie] = iri
+        return iri
+
+    # tuple.__new__ builds a Literal or Triple without the Python frame of its constructor.
+    known, new, append = iris.get, tuple.__new__, triples.append
+    for lineno, row in enumerate(_ROW_RE.finditer(text), 1):
+        s, p, o, body, dt = row.groups()
+        if s is not None:
+            subject = known(s) or first_sight(s)
+            predicate = known(p) or first_sight(p)
+            if o is not None:
+                obj = known(o) or first_sight(o)
+            elif dt is None:
+                obj = new(Literal, (_unescape(body), None))
+            else:
+                datatype = known(dt) or first_sight(dt)
+                obj = datatype and new(Literal, (_unescape(body), datatype))
+            if subject and predicate and obj:
+                append(new(Triple, (subject, predicate, obj)))
+                continue
+        triple = _read_line(row.group(), lineno, declared, seen_in_file, iris)
+        if triple is not None:
+            append(triple)
     return Store(frozenset(triples), declared)
 
 

@@ -576,6 +576,27 @@ def test_namespace_env_var_rejects_expansions_no_prefix_line_can_spell(capsys, t
         assert err == f"error: invalid expansion {expansion!r} for namespace prefix 'ex'\n"
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"1x": "https://example.org/ns/x#"}, "invalid namespace prefix '1x'"),
+        ({"ex": "http://a b/"}, "invalid expansion 'http://a b/' for namespace prefix 'ex'"),
+    ],
+)
+def test_store_reading_commands_report_a_bad_namespace_entry_once(capsys, tmp_path, monkeypatch, entry, message):
+    namespaces = tmp_path / "ns.json"
+    namespaces.write_text(json.dumps(entry), encoding="utf-8")
+    monkeypatch.setenv("EUAIA_ASSURE_NAMESPACES", str(namespaces))
+    for argv in (
+        ("coverage", "report", LINKS),
+        ("coverage", "trace", LINKS, "--attack", "atk:charCombo"),
+        ("triples", "query", LINKS, "?s ?p ?o"),
+        ("triples", "export", LINKS),
+        ("factsheet", "render", "--store", LINKS, "--gsn", GSN),
+    ):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
+
+
 def test_namespace_env_var_import_output_reads_back_byte_for_byte(capsys, tmp_path, monkeypatch):
     namespaces = tmp_path / "ns.json"
     namespaces.write_text('{"ex": "http://example.org/a%20b#"}', encoding="utf-8")

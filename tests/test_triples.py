@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from euaia_assurance import triples
 from euaia_assurance.triples import (
     DEFAULT_NAMESPACES,
     Iri,
@@ -25,6 +27,7 @@ from euaia_assurance.triples import (
 )
 
 from char_scanner import _scan_terms as char_scan_terms
+from line_import import import_triples_by_line
 
 
 def iri(curie: str) -> Iri:
@@ -60,6 +63,118 @@ def test_iri_expand():
 def test_iri_rejects_malformed(bad):
     with pytest.raises(ValueError):
         Iri.parse(bad)
+
+
+_BAD_NAMES = [
+    ("1a", "x"), ("", "x"), ("a b", "x"), ("rdf\n", "type"), ("a", ""), ("a", "x y"), ("a", "type\n"), ("a", ".x")
+]
+
+
+@pytest.mark.parametrize("prefix, local", _BAD_NAMES)
+def test_no_path_builds_an_iri_with_a_bad_name(prefix, local):
+    good = Iri("rdf", "type")
+    builders = [
+        lambda: Iri(prefix, local),
+        lambda: Iri(prefix=prefix, local=local),
+        lambda: Iri.parse(f"{prefix}:{local}"),
+        lambda: Iri._make([prefix, local]),
+        lambda: good._replace(prefix=prefix, local=local),
+    ]
+    if hasattr(copy, "replace"):  # Python 3.13+
+        builders.append(lambda: copy.replace(good, prefix=prefix, local=local))
+    for build in builders:
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_iri_helpers_build_checked_iris():
+    term = Iri("rdf", "type")
+    assert Iri._make(["gsn", "G1"]) == Iri("gsn", "G1")
+    assert type(Iri._make(["gsn", "G1"])) is Iri
+    assert term._replace(local="first") == Iri("rdf", "first")
+    with pytest.raises(TypeError):
+        Iri._make(["rdf"])
+    with pytest.raises(ValueError):
+        term._replace(other="x")
+
+
+def test_a_literal_datatype_is_an_iri():
+    builders = [
+        lambda: Literal("type", "rdf"),
+        lambda: Literal(text="type", datatype=("rdf", "type")),
+        lambda: Literal._make(["type", "rdf"]),
+        lambda: Literal("x")._replace(datatype="rdf:type"),
+    ]
+    for build in builders:
+        with pytest.raises(TypeError, match="a literal's datatype must be an Iri"):
+            build()
+    assert Literal._make(["5", Iri("rdf", "int")]) == Literal("5", Iri("rdf", "int"))
+
+
+def test_terms_keep_their_fields_and_repr():
+    term = Iri("rdf", "type")
+    literal = Literal("5", term)
+    triple = Triple(term, term, literal)
+    assert repr(term) == "Iri(prefix='rdf', local='type')"
+    assert repr(Literal("x")) == "Literal(text='x', datatype=None)"
+    assert repr(triple) == f"Triple(subject={term!r}, predicate={term!r}, object={literal!r})"
+    assert (literal.text, literal.datatype, Literal("x").datatype) == ("5", term, None)
+    assert (triple.subject, triple.predicate, triple.object) == (term, term, literal)
+    assert Literal(text="5", datatype=term) == literal
+    with pytest.raises(AttributeError):
+        term.prefix = "gsn"
+    with pytest.raises(AttributeError):
+        term.extra = 1
+
+
+_NAME = st.from_regex(r"[a-z][a-z0-9]{0,3}", fullmatch=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_NAME, _NAME, st.booleans())
+def test_terms_never_equal_across_kinds(prefix, local, typed):
+    iri_term = Iri(prefix, local)
+    terms = [
+        iri_term,
+        Literal(f"{prefix}:{local}"),
+        Literal(prefix, iri_term if typed else None),
+        Literal(local, iri_term),
+        Variable(prefix),
+        Variable(local),
+    ]
+    for left in terms:
+        for right in terms:
+            if type(left) is not type(right):
+                assert left != right and not left == right, (left, right)
+    assert Triple(iri_term, iri_term, iri_term) != Triple(iri_term, iri_term, terms[1])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Store(frozenset(), {"ex": "http://a b/"}),
+         "invalid expansion 'http://a b/' for namespace prefix 'ex'"),
+        (lambda: Store(namespaces={"gsn": ""}), "invalid expansion '' for namespace prefix 'gsn'"),
+        (lambda: Store(namespaces={"rdf\n": "http://x/"}), "invalid namespace prefix 'rdf\\n'"),
+        (lambda: import_triples("", namespaces={"1x": "y"}), "invalid namespace prefix '1x'"),
+        (lambda: import_triples("<atk:a> <rdf:type> <assures:Attack> .", {"ex": "a>b"}),
+         "invalid expansion 'a>b' for namespace prefix 'ex'"),
+    ],
+)
+def test_store_rejects_namespace_maps_no_prefix_line_can_spell(build, message):
+    with pytest.raises(NamespaceError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.text(alphabet="ab1_-\n", max_size=3), st.text(alphabet="htp:/a b<>#\t", max_size=6)))
+def test_every_store_exports_a_text_that_reads_back(namespaces):
+    try:
+        store = Store(frozenset(), namespaces)
+    except NamespaceError:
+        return
+    assert import_triples(export_triples(store)) == store
 
 
 def test_variable_name_rules():
@@ -528,3 +643,99 @@ def test_parse_pattern_raises_only_parse_errors(text):
         parse_pattern(text)
     except TripleParseError:
         pass
+
+
+# ----------------------------------------------------------------------
+# the row lexer of import_triples against the line-by-line import it replaced
+
+_LINE_ENDS = st.text(alphabet=" \t\r\x0b\x0c\x1c\x85\xa0\u2003\u3000", max_size=3)
+_GAPS = st.text(alphabet=" \t", max_size=3)
+_GOOD_CURIES = st.sampled_from(["rdf:type", "atk:a1", "gsn:G1", "gsn:Sn-1.b", "lab:x", "lab:y_2", "src:0"])
+_ALL_CURIES = st.one_of(_GOOD_CURIES, st.sampled_from(["late:x", "mystery:p", "1a:x", "a:", "a b:x", ""]))
+_GOOD_BODIES = st.lists(
+    st.one_of(
+        st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters='"\\\n'), max_size=5),
+        st.sampled_from(['\\"', "\\\\", "\\n"]),
+    ),
+    max_size=4,
+).map("".join)
+
+
+def _statements(curies):
+    iris = curies.map(lambda curie: f"<{curie}>")
+    datatypes = st.one_of(st.just(""), iris.map(lambda iri: f"^^{iri}"))
+    objects = st.one_of(iris, st.tuples(_GOOD_BODIES, datatypes).map(lambda parts: f'"{parts[0]}"{parts[1]}'))
+    parts = st.tuples(_LINE_ENDS, iris, _GAPS, iris, _GAPS, objects, _GAPS, _LINE_ENDS)
+    return parts.map(lambda p: f"{p[0]}{p[1]}{p[2]}{p[3]}{p[4]}{p[5]}{p[6]}.{p[7]}")
+
+
+_LAB = "@prefix lab: <https://example.org/lab#>"
+_QUIET_LINES = st.one_of(
+    _LINE_ENDS,
+    st.tuples(_LINE_ENDS, st.text(max_size=12).filter(lambda c: "\n" not in c)).map(lambda p: f"{p[0]}#{p[1]}"),
+    st.sampled_from([_LAB, f"  {_LAB} .", "@prefix gsn: <https://example.org/other#>"]),
+)
+# Valid files: `lab:` is declared before any statement.
+_VALID_TEXTS = st.tuples(
+    st.lists(_QUIET_LINES, max_size=3),
+    st.lists(st.one_of(_statements(_GOOD_CURIES), _QUIET_LINES), max_size=12),
+    st.sampled_from(["", "\n", "\r\n"]),
+).map(lambda p: "\n".join([*p[0], _LAB, *p[1]]) + p[2])
+_ANY_LINES = st.one_of(
+    _statements(_ALL_CURIES),
+    _statements(_GOOD_CURIES).map(lambda line: line.replace(" ", "\xa0", 1)),
+    _QUIET_LINES,
+    _FILE_LINES,
+    st.sampled_from(["@prefix late: <https://example.org/late#>", "@prefix lab: <https://example.org/other#>"]),
+)
+_ANY_TEXTS = st.tuples(st.lists(_ANY_LINES, max_size=10), st.sampled_from(["", "\n"])).map(
+    lambda p: "\n".join(p[0]) + p[1]
+)
+_EXTRA_NAMESPACES = st.sampled_from([None, {}, {"lab": "https://example.org/lab#"}, {"late": "https://l/"}])
+
+
+def _import_outcome(read, text, namespaces):
+    try:
+        store = read(text, namespaces)
+    except ValueError as exc:
+        return ("error", type(exc).__name__, str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
+    return ("store", sorted(map(repr, store.triples)), store.namespaces)
+
+
+def _one_object_per_curie(store: Store) -> bool:
+    ids: dict[str, set[int]] = {}
+    for triple in store.triples:
+        for term in (triple.subject, triple.predicate, triple.object, getattr(triple.object, "datatype", None)):
+            if isinstance(term, Iri):
+                ids.setdefault(term.curie, set()).add(id(term))
+    return all(len(found) == 1 for found in ids.values())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_ANY_TEXTS, _VALID_TEXTS), _EXTRA_NAMESPACES)
+@example("<atk:a> <rdf:type> <late:x> .\n@prefix late: <https://l/>\n<atk:a> <rdf:type> <late:x> .", None)
+@example("@prefix late: <https://l/>\n<atk:a> <rdf:type> <late:x> .\n<late:x> <rdf:type> <gsn:G1> .", None)
+@example('<atk:a>\t<rdf:type>  "a\\"b\\n"^^<lab:t> .\u3000\r\n<atk:a> <rdf:type> "x"^^<lab:t> .', {"lab": "https://l/"})
+@example("<atk:a> <rdf:type> <a b:x> .\n<atk:a> <rdf:type> <> .", None)
+@example("\n\n<atk:a> <rdf:type> <gsn:G1> .", None)
+def test_row_lexer_agrees_with_the_line_by_line_import(text, namespaces):
+    new = _import_outcome(import_triples, text, namespaces)
+    assert new == _import_outcome(import_triples_by_line, text, namespaces)
+    if new[0] == "store":
+        assert _one_object_per_curie(import_triples(text, namespaces))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VALID_TEXTS)
+def test_valid_files_never_reach_the_line_scanner(text):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _scan_terms(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(triples, "_scan_terms", counted)
+        store = import_triples(text)
+    assert calls == []
+    assert store == import_triples_by_line(text)

@@ -3,9 +3,11 @@
 12,500, 25,000 and 50,000 statements, ``train_dynamic`` with bigrams on
 1,000, 2,000 and 4,000 generated prompts per class, ``classify_static``
 and ``score`` over 12,500, 25,000 and 50,000 generated prompts, and
-``coverage_report`` and ``causal_trace`` on audit stores generated with 200,
-400 and 800 nodes per argument, and the start-up time of short commands, for
-one or more source trees, and write the records as JSON.
+``coverage_report``, ``causal_trace`` and the case-audit 3-pattern
+``Store.query`` on audit stores generated with 200, 400 and 800 nodes per
+argument (about 13,000, 26,000 and 50,000 statements), and the start-up time
+of short commands, for one or more source trees, and write the records as
+JSON.
 
     python3 tools/bench_stages.py --tree before=../old-checkout --tree after=. -o BENCH_7.json
 
@@ -24,7 +26,8 @@ the workload's number of prompts per class. The coverage stages read the
 ``store.ttl`` and ``links.ttl`` that ``case_audit`` writes, merged as the
 CLI merges them, and each run gets a new ``Store`` built outside the timed
 call, so that the time includes the indexes the analysis builds; the trace
-follows the case's planted attack. The start-up stage spawns ``python -c pass``
+follows the case's planted attack, and the query stage's size is the
+store's number of statements. The start-up stage spawns ``python -c pass``
 and ``python -m euaia_assurance`` for ``duties list``, ``gsn validate`` on the
 fixture argument and ``triples query`` on a fixture triple file, in turn,
 ``STARTUP_RUNS`` times each (``--repeats`` does not apply). The package runs
@@ -163,7 +166,7 @@ def _measure(repeats: int) -> list[dict]:
     from euaia_assurance.duties import load_registry
     from euaia_assurance.gsn import parse_gsn, validate
     from euaia_assurance.prompt_filter import ScriptClass, Verdict, classify_static, score, train_dynamic
-    from euaia_assurance.triples import Iri, Store, import_triples
+    from euaia_assurance.triples import Iri, Store, import_triples, parse_pattern
 
     records = _startup()
     for size in GSN_SIZES:
@@ -221,7 +224,9 @@ def _measure(repeats: int) -> list[dict]:
     for size in AUDIT_SIZES:
         triples, namespaces, plan = _audit_case(size)
         attack = Iri.parse(plan.attack)
+        patterns = [parse_pattern(pattern) for pattern in plan.query]
         times = {"coverage_report": [], "causal_trace": []}
+        queried = []
         for _ in range(repeats):
             store = Store(triples, namespaces)
             start = time.perf_counter()
@@ -231,10 +236,16 @@ def _measure(repeats: int) -> list[dict]:
             start = time.perf_counter()
             traces = causal_trace(store, attack)
             times["causal_trace"].append(time.perf_counter() - start)
+            store = Store(triples, namespaces)
+            start = time.perf_counter()
+            found = store.query(patterns)
+            queried.append(time.perf_counter() - start)
             statuses = {status.duty_id: status.status.value for status in report}
-            if statuses != plan.statuses or len(traces) != plan.chains:
-                raise SystemExit(f"{size}-node audit case: wrong statuses or {len(traces)} of {plan.chains} chains")
+            if statuses != plan.statuses or len(traces) != plan.chains or not found:
+                raise SystemExit(f"{size}-node audit case: wrong statuses, {len(traces)} of {plan.chains} chains"
+                                 f" or {len(found)} query results")
         records.extend(_record(stage, size, "nodes per argument", samples) for stage, samples in times.items())
+        records.append(_record("query", len(triples), "statements", queried))
     return records
 
 
