@@ -117,7 +117,7 @@ class Iri(namedtuple("Iri", "prefix local")):
         return self.curie
 
 
-class Literal(namedtuple("Literal", "text datatype", defaults=(None,))):
+class Literal(namedtuple("Literal", "text datatype")):
     """A UTF-8 literal value with an optional datatype tag, an :class:`Iri`.
 
     The check on the tag keeps a literal from equalling an IRI as a tuple.
