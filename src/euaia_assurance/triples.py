@@ -606,7 +606,13 @@ def import_triples(text: str, namespaces: Mapping[str, str] | None = None) -> St
         triple = _read_line(row.group(), lineno, declared, seen_in_file, iris)
         if triple is not None:
             append(triple)
-    return Store(frozenset(triples), declared)
+    for prefix, expansion in declared.items():
+        check_namespace(prefix, expansion)
+    # Each CURIE was checked against `declared` when first met, so the store
+    # is made without its constructor's second walk over the triples.
+    store = object.__new__(Store)
+    store.__dict__.update(triples=frozenset(triples), namespaces=declared)
+    return store
 
 
 def export_triples(store: Store) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from euaia_assurance import cli
 from euaia_assurance.cli import main
-from euaia_assurance.triples import import_triples
+from euaia_assurance.triples import Store, import_triples
 
 from conftest import FIXTURES
 
@@ -597,6 +599,27 @@ def test_store_reading_commands_report_a_bad_namespace_entry_once(capsys, tmp_pa
         assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "{path}: EUAIA_ASSURE_NAMESPACES must point to a JSON object of prefix -> IRI"),
+        ('"ex"', "{path}: EUAIA_ASSURE_NAMESPACES must point to a JSON object of prefix -> IRI"),
+        ('{"lab": "https://example.org/ns/lab#", "ex": 1}',
+         "{path}: the IRI of namespace prefix 'ex' must be a JSON string"),
+        ('{"ex": ["https://example.org/ns/ex#"]}', "{path}: the IRI of namespace prefix 'ex' must be a JSON string"),
+        # JSON spells every key as a string, so a bare key is a located syntax error
+        ('{1: "https://example.org/ns/ex#"}',
+         "line 1, column 2: invalid JSON in {path}: Expecting property name enclosed in double quotes"),
+    ],
+)
+def test_namespace_file_structure_errors_name_the_file_and_the_entry(capsys, tmp_path, monkeypatch, text, message):
+    namespaces = tmp_path / "ns.json"
+    namespaces.write_text(text, encoding="utf-8")
+    monkeypatch.setenv("EUAIA_ASSURE_NAMESPACES", str(namespaces))
+    for argv in (("triples", "export", LINKS), ("gsn", "triples", GSN)):
+        assert run(capsys, *argv) == (1, "", f"error: {message.format(path=namespaces)}\n"), argv
+
+
 def test_namespace_env_var_import_output_reads_back_byte_for_byte(capsys, tmp_path, monkeypatch):
     namespaces = tmp_path / "ns.json"
     namespaces.write_text('{"ex": "http://example.org/a%20b#"}', encoding="utf-8")
@@ -680,3 +703,68 @@ def test_filter_train_rejects_a_non_finite_alpha_and_writes_no_model(tmp_path, c
     assert (code, out) == (1, "")
     assert err == "error: smoothing alpha must be positive and finite\n"
     assert not model.exists()
+
+
+# ----------------------------------------------------------------------
+# the cyclic garbage collector and the one prefix check per command
+
+
+@pytest.fixture()
+def collecting():
+    """The collector on, as a test session runs, and on again afterwards."""
+    gc.enable()
+    yield
+    gc.enable()
+
+
+def test_commands_run_without_the_collector(capsys, collecting, monkeypatch, store_ttl):
+    seen = []
+
+    def recorded(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return import_triples(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "import_triples", recorded)
+    assert run(capsys, "coverage", "report", store_ttl, LINKS)[0] == 0
+    assert seen == [False, False]
+    assert gc.isenabled()
+
+
+def test_the_collector_comes_back_on_every_exit(capsys, collecting, monkeypatch, tmp_path):
+    bad = tmp_path / "bad.ttl"
+    bad.write_text("<atk:a> <rdf:type> .\n", encoding="utf-8")
+    for argv, status in ((["triples", "export", LINKS], 0), (["triples", "export", str(bad)], 1), (["gsn"], 2)):
+        assert run(capsys, *argv)[0] == status
+        assert gc.isenabled(), argv
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("not caught by main")
+
+    monkeypatch.setattr(cli, "import_triples", broken)
+    with pytest.raises(RuntimeError):
+        main(["triples", "export", LINKS])
+    assert gc.isenabled()
+
+
+def test_a_caller_that_turned_the_collector_off_finds_it_off(capsys, collecting):
+    gc.disable()
+    for argv, status in ((["triples", "export", LINKS], 0), (["no-such-command"], 2)):
+        assert run(capsys, *argv)[0] == status
+        assert not gc.isenabled(), argv
+
+
+def test_a_command_checks_each_triple_of_its_store_once(capsys, monkeypatch, store_ttl):
+    """Count the triples each Store build checks, as the benchmark tracer does."""
+    texts = [Path(path).read_text(encoding="utf-8") for path in (store_ttl, LINKS)]
+    merged = import_triples(texts[0]).triples | import_triples(texts[1]).triples
+    checked = []
+    original = Store.__post_init__
+
+    def counted(store):
+        original(store)
+        checked.append(len(store.triples))
+
+    monkeypatch.setattr(Store, "__post_init__", counted)
+    code, _, err = run(capsys, "coverage", "report", store_ttl, LINKS)
+    assert code == 0, err
+    assert checked == [len(merged)]

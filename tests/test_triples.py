@@ -725,6 +725,20 @@ def test_row_lexer_agrees_with_the_line_by_line_import(text, namespaces):
         assert _one_object_per_curie(import_triples(text, namespaces))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_ANY_TEXTS, _VALID_TEXTS), _EXTRA_NAMESPACES)
+def test_an_imported_store_passes_the_checked_constructor(text, namespaces):
+    """The import skips the constructor's walk over the triples; building the
+    same store through it must accept it and change nothing."""
+    try:
+        store = import_triples(text, namespaces)
+    except ValueError:
+        return
+    rebuilt = Store(store.triples, store.namespaces)
+    assert rebuilt == store
+    assert list(rebuilt.namespaces.items()) == list(store.namespaces.items())
+
+
 @settings(max_examples=200, deadline=None)
 @given(_VALID_TEXTS)
 def test_valid_files_never_reach_the_line_scanner(text):
