@@ -711,7 +711,7 @@ def test_filter_train_rejects_a_non_finite_alpha_and_writes_no_model(tmp_path, c
 
 @pytest.fixture()
 def collecting():
-    """The collector on, as a test session runs, and on again afterwards."""
+    """The collector on, as pytest runs tests, and on again afterwards."""
     gc.enable()
     yield
     gc.enable()

@@ -74,6 +74,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -327,19 +328,20 @@ def _serve() -> None:
     Only the inputs of the group and size last asked for are kept; they are
     dropped, and their files removed, before the next ones are built.
     """
-    channel, sys.stdout = sys.stdout, sys.stderr  # stray prints must not reach the driver
+    channel, sys.stdout = sys.stdout, sys.stderr  # stray prints must not reach the coordinator
     current, inputs, stack = None, None, contextlib.ExitStack()
     for line in sys.stdin:
         group, size = json.loads(line)
-        prepare, run, _ = GROUPS[group]
         try:
+            prepare, run, _ = GROUPS[group]
             if current != (group, size):
                 inputs = current = None
                 stack.close()
                 gc.collect()
                 inputs, current = prepare(size, stack), (group, size)
             reply = run(inputs, size)
-        except Exception as exc:  # reported to the driver, which stops
+        except Exception as exc:  # reported to the coordinator, which stops
+            traceback.print_exc()
             reply = {"error": f"{type(exc).__name__}: {exc}"}
         channel.write(json.dumps(reply) + "\n")
         channel.flush()
@@ -347,12 +349,12 @@ def _serve() -> None:
 
 
 # ----------------------------------------------------------------------
-# driver side
+# coordinator side: one worker per tree, the trees taking turns
 
 
 class _Worker:
     def __init__(self, label: str, tree: Path):
-        self.label, self.tree = label, tree
+        self.label = label
         env = {k: v for k, v in os.environ.items() if k != "EUAIA_ASSURE_NAMESPACES"}
         self.process = subprocess.Popen(
             [sys.executable, __file__, "--worker"], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
