@@ -215,7 +215,12 @@ def _cmd_triples_export(args: argparse.Namespace) -> int:
 
 def _cmd_triples_query(args: argparse.Namespace) -> int:
     store = _read_store([args.file])
-    patterns = [parse_pattern(text) for text in args.patterns]
+    patterns = []
+    for number, text in enumerate(args.patterns, 1):
+        try:
+            patterns.append(parse_pattern(text))
+        except InputError as exc:
+            raise InputError(f"pattern {number}: {exc}") from None
     for binding in store.query(patterns):
         if not binding:
             print("true")

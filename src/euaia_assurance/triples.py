@@ -397,13 +397,14 @@ def _position_index(triples: frozenset[Triple], position: str) -> dict:
 # file format
 
 # A quoted string: `"`, then characters other than `"` and `\`, or the
-# escapes `\"`, `\\` and `\n`, then `"`. GSN statements share the grammar.
-# `{0}` in a piece is what else it may not hold: nothing within one line,
-# `\n` across the lines of a whole file.
+# escapes `\"`, `\\` and `\n`, then `"`; GSN statements share the grammar.
+# A literal adds an optional ^^<datatype>, and fails to match when a '^^'
+# that opens none follows it. `{0}` in a piece is what else it may not hold:
+# nothing within one line, `\n` across the lines of a whole file.
 _QUOTED = r'"([^"\\{0}]*(?:\\["\\n][^"\\{0}]*)*)'
 _IRI = r"<([^>{0}]*)>"
-_QUOTED_BODY = _QUOTED.format("")
-_QUOTED_BODY_RE = re.compile(_QUOTED_BODY)
+_LITERAL = _QUOTED + r'"(?:\^\^' + _IRI + r"|(?!\^\^))"
+_QUOTED_BODY_RE = re.compile(_QUOTED.format(""))
 _ESCAPE_RE = re.compile(r"\\(.)")
 _UNESCAPED = {'"': '"', "\\": "\\", "n": "\n"}
 
@@ -433,25 +434,21 @@ def scan_quoted(
 # One term at a position, after spaces and tabs. The group that matched
 # names the term: 1 <iri>, 2 literal, 3 its ^^<datatype>, 4 the
 # terminating '.' at the end of the line, 5 a '.' that more text follows,
-# 6 the end of the line, and in patterns also 7 ?variable and 8 a bare
-# CURIE. A literal directly followed by a '^^' that does not open a
-# datatype fails to match, as does every other malformed term;
+# 6 the end of the line, 7 ?variable and 8 a bare CURIE; a statement
+# rejects the last two. A malformed term fails to match, and
 # `_scan_error` then names the fault.
-_TERM = (
-    rf'[ \t]*(?:{_IRI.format("")}|{_QUOTED_BODY}"(?:\^\^{_IRI.format("")}|(?!\^\^))'
-    r"|(\.)[ \t]*\Z|(\.)(?=[ \t])|(\Z)"
+_TERM_RE = re.compile(
+    rf"[ \t]*(?:{_IRI}|{_LITERAL}|(\.)[ \t]*\Z|(\.)(?=[ \t])|(\Z)"
+    r'|\?([A-Za-z_][A-Za-z0-9_]*)|([^\s<"?]\S*))'.format("")
 )
-_STATEMENT_TOKEN_RE = re.compile(_TERM + ")")
-_PATTERN_TOKEN_RE = re.compile(_TERM + r'|\?([A-Za-z_][A-Za-z0-9_]*)|([^\s<"?]\S*))')
 _BLANKS_RE = re.compile(r"[ \t]*")
 
 
-def _parse_iri(match: re.Match, group: int, iris: dict[str, Iri], lineno: int | None) -> Iri:
+def _parse_iri(match: re.Match, group: int, lineno: int | None) -> Iri:
     try:
-        iri = iris[match.group(group)] = Iri.parse(match.group(group))
+        return Iri.parse(match.group(group))
     except ValueError as exc:
         raise TripleParseError(str(exc), lineno, match.start(group) + 1) from None
-    return iri
 
 
 def _scan_error(line: str, pos: int, lineno: int | None, after_dot: bool, pattern: bool) -> TripleParseError:
@@ -472,28 +469,25 @@ def _scan_error(line: str, pos: int, lineno: int | None, after_dot: bool, patter
     return TripleParseError(f"unexpected character {c!r}", lineno, i + 1)
 
 
-def _scan_terms(line: str, lineno: int | None, iris: dict[str, Iri], *, pattern: bool = False) -> list[PatternTerm]:
+def _scan_terms(line: str, lineno: int | None, *, pattern: bool = False) -> list[PatternTerm]:
     """The terms of one statement line, or of one query pattern.
 
     A statement must end with ' .'; a pattern may also hold ``?variables``
-    and bare CURIEs, and its dot is optional. ``iris`` maps CURIE text to
-    the IRI already parsed from it, and gains every new one.
+    and bare CURIEs, and its dot is optional.
     """
-    token = (_PATTERN_TOKEN_RE if pattern else _STATEMENT_TOKEN_RE).match
     terms: list[PatternTerm] = []
     pos = 0
     while True:
-        match = token(line, pos)
-        if match is None:
+        match = _TERM_RE.match(line, pos)
+        if match is None or match.lastindex > 6 and not pattern:
             raise _scan_error(line, pos, lineno, False, pattern)
         kind = match.lastindex
         if kind == 1:
-            terms.append(iris.get(match.group(1)) or _parse_iri(match, 1, iris, lineno))
+            terms.append(_parse_iri(match, 1, lineno))
         elif kind == 2:
             terms.append(Literal(_unescape(match.group(2))))
         elif kind == 3:
-            datatype = iris.get(match.group(3)) or _parse_iri(match, 3, iris, lineno)
-            terms.append(Literal(_unescape(match.group(2)), datatype))
+            terms.append(Literal(_unescape(match.group(2)), _parse_iri(match, 3, lineno)))
         elif kind == 4:
             return terms
         elif kind == 5:
@@ -505,46 +499,33 @@ def _scan_terms(line: str, lineno: int | None, iris: dict[str, Iri], *, pattern:
         elif kind == 7:
             terms.append(Variable(match.group(7)))
         else:
-            terms.append(iris.get(match.group(8)) or _parse_iri(match, 8, iris, lineno))
+            terms.append(_parse_iri(match, 8, lineno))
         pos = match.end()
 
 
-_PREFIX_LINE_RE = re.compile(rf"^@prefix\s+({_PREFIX_RE.pattern}):\s+<({_EXPANSION_RE.pattern})>\s*\.?\s*$")
-
-# One match per line of a triple file. A statement that `_scan_terms` would
-# read as two IRIs and an IRI or literal object, with any whitespace but `\n`
-# around it, fills groups 1-5: subject, predicate, object IRI, literal body
-# and datatype. Every other line (blank, comment, `@prefix` or malformed)
-# matches only the catch-all `.*` and leaves them None.
-_ROW_IRI = _IRI.format(r"\n")
-_ROW_QUOTED = _QUOTED.format(r"\n")
+# One match per line of a triple file, by the first branch that takes it
+# whole: a statement `_scan_terms` would read as two IRIs and an IRI or
+# literal object fills groups 1-5 (subject, predicate, object IRI, literal
+# body, datatype), an `@prefix` line 6-7 (prefix, expansion), a blank or
+# comment line none, and any other line 8. Each branch owns its whitespace,
+# which keeps the time to reject a line linear in its length.
 _ROW_RE = re.compile(
-    rf"^(?:[^\S\n]*{_ROW_IRI}[ \t]*{_ROW_IRI}[ \t]*"
-    rf'(?:{_ROW_IRI}|{_ROW_QUOTED}"(?:\^\^{_ROW_IRI}|(?!\^\^)))[ \t]*\.[^\S\n]*|.*)$',
+    rf"^(?:[^\S\n]*{_IRI}[ \t]*{_IRI}[ \t]*(?:{_IRI}|{_LITERAL})[ \t]*\.[^\S\n]*"
+    rf"|[^\S\n]*@prefix[^\S\n]+({_PREFIX_RE.pattern}):[^\S\n]+<({_EXPANSION_RE.pattern})>[^\S\n]*(?:\.[^\S\n]*)?"
+    r"|[^\S\n]*(?:#.*)?|(.*))$".format(r"\n"),
     re.M,
 )
 
 
-def _read_line(
-    raw: str, lineno: int, declared: dict[str, str], seen_in_file: dict[str, str], iris: dict[str, Iri]
-) -> Triple | None:
-    """The triple of one line of a triple file, or None for a blank, comment or
-    ``@prefix`` line; a declaration goes into ``declared`` and ``seen_in_file``.
+def _read_line(raw: str, lineno: int, declared: Mapping[str, str]) -> Triple:
+    """The triple of a line the row pattern rejected: a malformed ``@prefix``
+    line or statement. A statement this accepts would match the row pattern,
+    so it raises the error that names the line's first fault.
     """
     line = raw.strip()
-    if not line or line.startswith("#"):
-        return None
     if line.startswith("@prefix"):
-        match = _PREFIX_LINE_RE.match(line)
-        if not match:
-            raise TripleParseError("malformed @prefix declaration", lineno)
-        prefix, expansion = match.group(1), match.group(2)
-        if prefix in seen_in_file and seen_in_file[prefix] != expansion:
-            raise TripleParseError(f"prefix {prefix!r} redeclared with a different expansion", lineno)
-        seen_in_file[prefix] = expansion
-        declared[prefix] = expansion
-        return None
-    terms = _scan_terms(line, lineno, iris)
+        raise TripleParseError("malformed @prefix declaration", lineno)
+    terms = _scan_terms(line, lineno)
     if len(terms) != 3:
         raise TripleParseError(f"expected 3 terms, found {len(terms)}", lineno)
     subject, predicate, obj = terms
@@ -563,11 +544,11 @@ def import_triples(text: str, namespaces: Mapping[str, str] | None = None) -> St
     or ``<s> <p> (<o> | "literal") .`` statements. Prefixes must be
     declared (or defaulted) before use; errors carry the line number.
 
-    One pattern reads a well-formed statement whose CURIEs are all known.
-    A CURIE is parsed and checked against the prefixes declared so far when
-    first met, which holds for every later line too, as declarations only
-    add prefixes. Every other line, and every line that fails a check, is
-    read on its own by ``_read_line``, which names the fault.
+    One pattern reads every line. A CURIE is parsed and checked against the
+    prefixes declared so far when first met, which holds for every later
+    line too, as declarations only add prefixes. A line the pattern rejects,
+    and a statement that fails a check, is read on its own by
+    ``_read_line``, which names the fault.
     """
     declared = dict(DEFAULT_NAMESPACES)
     if namespaces:
@@ -589,7 +570,7 @@ def import_triples(text: str, namespaces: Mapping[str, str] | None = None) -> St
     # tuple.__new__ builds a Literal or Triple without the Python frame of its constructor.
     known, new, append = iris.get, tuple.__new__, triples.append
     for lineno, row in enumerate(_ROW_RE.finditer(text), 1):
-        s, p, o, body, dt = row.groups()
+        s, p, o, body, dt, prefix, expansion, other = row.groups()
         if s is not None:
             subject = known(s) or first_sight(s)
             predicate = known(p) or first_sight(p)
@@ -603,9 +584,14 @@ def import_triples(text: str, namespaces: Mapping[str, str] | None = None) -> St
             if subject and predicate and obj:
                 append(new(Triple, (subject, predicate, obj)))
                 continue
-        triple = _read_line(row.group(), lineno, declared, seen_in_file, iris)
-        if triple is not None:
-            append(triple)
+        elif prefix is not None:
+            if seen_in_file.setdefault(prefix, expansion) != expansion:
+                raise TripleParseError(f"prefix {prefix!r} redeclared with a different expansion", lineno)
+            declared[prefix] = expansion
+            continue
+        elif other is None:  # a blank or comment line
+            continue
+        append(_read_line(row.group(), lineno, declared))
     for prefix, expansion in declared.items():
         check_namespace(prefix, expansion)
     # Each CURIE was checked against `declared` when first met, so the store
@@ -628,7 +614,7 @@ def parse_pattern(text: str) -> TriplePattern:
     Terms may be ``?variables``, bare CURIEs, ``<curie>`` or ``"literals"``;
     the terminating dot is optional.
     """
-    terms = _scan_terms(text, None, {}, pattern=True)
+    terms = _scan_terms(text, None, pattern=True)
     if len(terms) != 3:
         raise TripleParseError(f"expected 3 terms in pattern, found {len(terms)}")
     return TriplePattern(*terms)

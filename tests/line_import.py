@@ -2,26 +2,23 @@
 replaced, kept as a differential oracle.
 
 It strips each line of the text, skips blanks and comments, reads
-``@prefix`` lines, and hands every other line to ``_scan_terms``, then
-checks the term count, the IRI positions and the declared prefixes, in
-that order. The replacement must give the same triples and namespaces,
-or raise the same message at the same line and column, on every input.
+``@prefix`` lines with the declaration pattern it used, and hands every
+other line to the character scanner of ``char_scanner``, then checks the
+term count, the IRI positions and the declared prefixes, in that order.
+The replacement must give the same triples and namespaces, or raise the
+same message at the same line and column, on every input.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Mapping
 
-from euaia_assurance.triples import (
-    _PREFIX_LINE_RE,
-    DEFAULT_NAMESPACES,
-    Iri,
-    Literal,
-    Store,
-    Triple,
-    TripleParseError,
-    _scan_terms,
-)
+from euaia_assurance.triples import DEFAULT_NAMESPACES, Iri, Literal, Store, Triple, TripleParseError
+
+from char_scanner import _scan_terms
+
+_PREFIX_LINE_RE = re.compile(r"^@prefix\s+([A-Za-z][A-Za-z0-9_-]*):\s+<([^<>\s]+)>\s*\.?\s*$")
 
 
 def import_triples_by_line(text: str, namespaces: Mapping[str, str] | None = None) -> Store:
@@ -29,7 +26,6 @@ def import_triples_by_line(text: str, namespaces: Mapping[str, str] | None = Non
     if namespaces:
         declared.update(namespaces)
     seen_in_file: dict[str, str] = {}
-    iris: dict[str, Iri] = {}
     triples: list[Triple] = []
     for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
@@ -45,7 +41,7 @@ def import_triples_by_line(text: str, namespaces: Mapping[str, str] | None = Non
             seen_in_file[prefix] = expansion
             declared[prefix] = expansion
             continue
-        terms = _scan_terms(line, lineno, iris)
+        terms = _scan_terms(line, lineno)
         if len(terms) != 3:
             raise TripleParseError(f"expected 3 terms, found {len(terms)}", lineno)
         subject, predicate, obj = terms

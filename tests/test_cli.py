@@ -167,7 +167,7 @@ def test_triples_export_canonicalizes(tmp_path, capsys):
 
 
 def test_triples_import_merges(store_ttl):
-    store = import_triples(open(store_ttl, encoding="utf-8").read())
+    store = import_triples(Path(store_ttl).read_text(encoding="utf-8"))
     assert len(store) == 135  # registry 98 + argument 30 + links 7
 
 
@@ -214,7 +214,12 @@ def test_triples_query_malformed_pattern_exits_one(capsys, store_ttl, pattern):
 
 def test_triples_query_pattern_error_names_its_column(capsys, store_ttl):
     code, out, err = run(capsys, "triples", "query", store_ttl, "?s <rdf:type ?o")
-    assert (code, out, err) == (1, "", "error: column 4: unterminated '<'\n")
+    assert (code, out, err) == (1, "", "error: pattern 1: column 4: unterminated '<'\n")
+
+
+def test_triples_query_names_the_pattern_that_failed(capsys, store_ttl):
+    code, out, err = run(capsys, "triples", "query", store_ttl, "?a ?b ?c", "?a rdf:type x y", "?a ?b ?c")
+    assert (code, out, err) == (1, "", "error: pattern 2: column 13: not a prefix:local CURIE: 'x'\n")
 
 
 def test_triples_query_iri_with_a_trailing_newline_exits_one(capsys, store_ttl):
@@ -228,7 +233,7 @@ def test_triples_query_iri_with_a_trailing_newline_exits_one(capsys, store_ttl):
 
 
 def test_filter_train_reports_threshold(capsys, toy_model_file):
-    header = json.loads(open(toy_model_file, encoding="utf-8").readline())
+    header = json.loads(Path(toy_model_file).read_text(encoding="utf-8").split("\n", 1)[0])
     assert header["format"] == "charfilter/1"
     assert header["provenance"]["corpora"] == ["toy-adversarial", "toy-benign"]
 

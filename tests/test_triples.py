@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -504,6 +505,22 @@ def test_import_rejects_malformed_statements(line, fragment):
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("@prefix a: <https://e/>" + " " * 100_000 + "x", "line 1: malformed @prefix declaration"),
+        (" " * 100_000 + "x", "line 1, column 1: unexpected character 'x'"),
+    ],
+    ids=["prefix", "blank"],
+)
+def test_a_long_blank_run_before_a_stray_character_is_rejected_in_linear_time(text, message):
+    start = time.perf_counter()
+    with pytest.raises(TripleParseError) as exc:
+        import_triples(text)
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == message
+
+
 def test_parse_error_reports_later_line_numbers():
     text = "<atk:a> <rdf:type> <assures:Attack> .\n<atk:b> <rdf:type> .\n"
     with pytest.raises(TripleParseError) as exc:
@@ -607,14 +624,14 @@ def _outcome(scan, *args, **kwargs):
 @example('<a:b> <c:d> "x"^^<e:f', False)
 def test_lexer_agrees_with_the_character_scanner(line, pattern):
     if pattern:
-        new = _outcome(_scan_terms, line, None, {}, pattern=True)
+        new = _outcome(_scan_terms, line, None, pattern=True)
         try:
             old = _outcome(char_scan_terms, line, None, allow_variables=True, allow_bare=True, require_dot=False)
         except AttributeError:  # the old bare-token match met whitespace other than space or tab
             assert new[0] == "error" and new[1].startswith(f"column {new[3]}: unexpected character")
             return
     else:
-        new = _outcome(_scan_terms, line, 7, {})
+        new = _outcome(_scan_terms, line, 7)
         old = _outcome(char_scan_terms, line, 7)
     assert new == old
 
@@ -720,8 +737,24 @@ def _one_object_per_curie(store: Store) -> bool:
 @example('<atk:a>\t<rdf:type>  "a\\"b\\n"^^<lab:t> .\u3000\r\n<atk:a> <rdf:type> "x"^^<lab:t> .', {"lab": "https://l/"})
 @example("<atk:a> <rdf:type> <a b:x> .\n<atk:a> <rdf:type> <> .", None)
 @example("\n\n<atk:a> <rdf:type> <gsn:G1> .", None)
+@example("@prefix bad", None)
+@example("@prefix lab: <https://a/>\n@prefix lab: <https://b/>", None)
+@example("?x <rdf:type> <gsn:G1> .", None)
+@example("atk:a <rdf:type> <gsn:G1> .", None)
+@example("<atk:a> <rdf:type> .", None)
+@example('"s" <rdf:type> <gsn:G1> .', None)
+@example("<a:b> <c:d> <e:f> . x", None)
 def test_row_lexer_agrees_with_the_line_by_line_import(text, namespaces):
-    new = _import_outcome(import_triples, text, namespaces)
+    accepted, read = [], triples._read_line
+
+    def read_line(*args):
+        accepted.append(read(*args))  # reached only if the line reader accepts the line
+        return accepted[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(triples, "_read_line", read_line)
+        new = _import_outcome(import_triples, text, namespaces)
+    assert accepted == []
     assert new == _import_outcome(import_triples_by_line, text, namespaces)
     if new[0] == "store":
         assert _one_object_per_curie(import_triples(text, namespaces))
@@ -744,14 +777,19 @@ def test_an_imported_store_passes_the_checked_constructor(text, namespaces):
 @settings(max_examples=200, deadline=None)
 @given(_VALID_TEXTS)
 def test_valid_files_never_reach_the_line_scanner(text):
+    """Blank, comment and ``@prefix`` lines stay on the row pattern too."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return _scan_terms(*args, **kwargs)
+    def counted(read):
+        def call(*args, **kwargs):
+            calls.append(args)
+            return read(*args, **kwargs)
+
+        return call
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(triples, "_scan_terms", counted)
+        patch.setattr(triples, "_scan_terms", counted(_scan_terms))
+        patch.setattr(triples, "_read_line", counted(triples._read_line))
         store = import_triples(text)
     assert calls == []
     assert store == import_triples_by_line(text)

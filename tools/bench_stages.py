@@ -52,9 +52,17 @@ checkout; the interpreter's own cached bytecode is read as usual. (An empty
 ``PYTHONPYCACHEPREFIX`` would hide that too: ``python -c pass`` then
 compiles what ``site`` imports and takes several times as long, which
 buries the package's share.) A record holds the stage, the size and its
-unit, the median and minimum seconds over its runs, the Python version, the
-tree's git commit (or null) and a digest of its ``src/euaia_assurance``,
-which identifies uncommitted trees too.
+unit, the median and minimum seconds over its runs, the seconds of each run
+in run order, the Python version, the tree's git commit (or null) and a
+digest of its ``src/euaia_assurance``, which identifies uncommitted trees
+too.
+
+Run ``i`` of every tree at a stage and size falls in the same round, so the
+runs pair up. For each tree after the first, the standard error gets one
+line per stage and size: the median over the rounds of the ratio of that
+tree's seconds to the first tree's, and the number of rounds it was faster.
+A shared machine's drift moves both runs of a round alike, so the paired
+ratio resolves changes smaller than the spread of either tree's runs.
 """
 
 from __future__ import annotations
@@ -383,7 +391,18 @@ def _record(stage: str, size: int, unit: str, samples: list[float]) -> dict:
         "repeats": len(samples),
         "median_s": round(statistics.median(samples), 6),
         "min_s": round(min(samples), 6),
+        "samples_s": [round(seconds, 6) for seconds in samples],
     }
+
+
+def _report_pairs(samples: dict[str, dict[tuple, list[float]]], base: str, other: str) -> None:
+    """Print the paired per-round comparison of tree ``other`` against tree ``base``."""
+    for (stage, size, unit), before in samples[base].items():
+        after = samples[other][(stage, size, unit)]
+        ratio = statistics.median(b / a for a, b in zip(before, after))
+        faster = sum(b < a for a, b in zip(before, after))
+        print(f"{stage} at {size} {unit}: {other}/{base} median ratio {ratio:.3f},"
+              f" {other} faster in {faster} of {len(before)} rounds", file=sys.stderr)
 
 
 def _measure(workers: list[_Worker], repeats: int) -> dict[str, dict[tuple, list[float]]]:
@@ -441,6 +460,8 @@ def main() -> int:
     finally:
         for worker in workers:
             worker.close()
+    for label, _ in trees[1:]:
+        _report_pairs(samples, trees[0][0], label)
     records = []
     for label, tree in trees:
         identity = {
