@@ -233,7 +233,7 @@ def test_triples_query_iri_with_a_trailing_newline_exits_one(capsys, store_ttl):
 
 
 def test_filter_train_reports_threshold(capsys, toy_model_file):
-    header = json.loads(Path(toy_model_file).read_text(encoding="utf-8").split("\n", 1)[0])
+    header = json.loads(Path(toy_model_file).read_text(encoding="utf-8").splitlines()[0])
     assert header["format"] == "charfilter/1"
     assert header["provenance"]["corpora"] == ["toy-adversarial", "toy-benign"]
 

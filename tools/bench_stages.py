@@ -61,8 +61,8 @@ Run ``i`` of every tree at a stage and size falls in the same round, so the
 runs pair up. For each tree after the first, the standard error gets one
 line per stage and size: the median over the rounds of the ratio of that
 tree's seconds to the first tree's, and the number of rounds it was faster.
-A shared machine's drift moves both runs of a round alike, so the paired
-ratio resolves changes smaller than the spread of either tree's runs.
+Drift of a shared machine that outlasts a round cancels in the ratio, where
+it would stay in each tree's median.
 """
 
 from __future__ import annotations
