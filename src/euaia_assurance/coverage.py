@@ -13,9 +13,8 @@ auditor can verify the chain statement by statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import vocab
 from .triples import Iri, Store, Term, Triple, serialize_triple
@@ -38,16 +37,14 @@ class CoverageStatus(Enum):
     CONTESTED = "contested"
 
 
-@dataclass(frozen=True)
-class DutyStatus:
+class DutyStatus(NamedTuple):
     duty_id: int
     status: CoverageStatus
     supporting_solutions: tuple[str, ...]
     counterclaims: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CausalTrace:
+class CausalTrace(NamedTuple):
     """An attack-to-duty chain whose hops are verbatim store triples."""
 
     hops: tuple[Triple, ...]

@@ -9,10 +9,9 @@ loaded structure is immutable and safe for concurrent reads.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from . import vocab
 from .vocab import StakeholderCode
@@ -53,8 +52,7 @@ class RegistryError(ValueError):
     """Embedded duty data failed validation at load time."""
 
 
-@dataclass(frozen=True)
-class ArticleRef:
+class ArticleRef(NamedTuple):
     """One article citation, down to the paragraph where the Act has one."""
 
     article: int
@@ -68,8 +66,7 @@ class ArticleRef:
         return f"{self.article}.{self.paragraph}"
 
 
-@dataclass(frozen=True)
-class Duty:
+class Duty(NamedTuple):
     id: int
     citation: str
     article_refs: tuple[ArticleRef, ...]
@@ -265,8 +262,7 @@ def _parse_citation(citation: str, duty_id: int) -> tuple[ArticleRef, ...]:
     return tuple(ArticleRef(article, p, annex) for p in paragraphs)
 
 
-@dataclass(frozen=True)
-class DutyRegistry:
+class DutyRegistry(NamedTuple):
     """All 23 duties, ordered by id."""
 
     duties: tuple[Duty, ...]
@@ -342,6 +338,8 @@ def registry_to_triples(registry: DutyRegistry) -> list[Triple]:
 
 def registry_to_jsonl(registry: DutyRegistry, duties: tuple[Duty, ...] | None = None) -> str:
     """JSON Lines export, one duty per line, stable field order."""
+    import json  # here, so that only this export loads it
+
     lines = []
     for duty in registry.duties if duties is None else duties:
         record = {

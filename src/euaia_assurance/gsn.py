@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import graphlib
 import re
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import vocab
 from .triples import InputError, Iri, Literal, Triple, escape_quoted, scan_quoted
@@ -82,32 +82,33 @@ LEGAL_EDGES: dict[GsnRelation, frozenset[tuple[GsnNodeKind, GsnNodeKind]]] = {
 }
 
 
-@dataclass(frozen=True)
-class GsnNode:
-    id: str
-    kind: GsnNodeKind
-    statement: str
-    undeveloped: bool = False
+class GsnNode(namedtuple("GsnNode", "id kind statement undeveloped")):
+    """One node. Every way of building one (the constructor, ``_make``,
+    ``_replace`` and, from Python 3.13, ``copy.replace``) checks it.
+    """
 
-    def __post_init__(self) -> None:
-        prefix = ID_PREFIXES[self.kind]
-        suffix = self.id[len(prefix):]
-        if not self.id.startswith(prefix) or not re.fullmatch(r"[1-9][0-9]*", suffix):
-            raise GsnError(
-                f"node id {self.id!r} must be {prefix!r} followed by a positive integer"
-            )
-        if not self.statement:
-            raise GsnError(f"node {self.id}: statement must be non-empty")
-        if self.undeveloped and self.kind is not GsnNodeKind.GOAL:
-            raise GsnError(f"node {self.id}: only goals can be marked undeveloped")
+    __slots__ = ()
+
+    def __new__(cls, id: str, kind: GsnNodeKind, statement: str, undeveloped: bool = False) -> "GsnNode":
+        prefix = ID_PREFIXES[kind]
+        if not id.startswith(prefix) or not re.fullmatch(r"[1-9][0-9]*", id[len(prefix):]):
+            raise GsnError(f"node id {id!r} must be {prefix!r} followed by a positive integer")
+        if not statement:
+            raise GsnError(f"node {id}: statement must be non-empty")
+        if undeveloped and kind is not GsnNodeKind.GOAL:
+            raise GsnError(f"node {id}: only goals can be marked undeveloped")
+        return tuple.__new__(cls, (id, kind, statement, undeveloped))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "GsnNode":
+        return cls(*iterable)
 
     @property
     def sort_key(self) -> tuple[int, int]:
         return (_KIND_ORDER[self.kind], int(self.id[len(ID_PREFIXES[self.kind]):]))
 
 
-@dataclass(frozen=True)
-class GsnEdge:
+class GsnEdge(NamedTuple):
     source: str
     target: str
     relation: GsnRelation
@@ -118,8 +119,7 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: Severity
     subject: str
     message: str
@@ -133,13 +133,11 @@ def _edge_key(edge: GsnEdge) -> str:
     return f"edge {edge.source} -> {edge.target} {edge.relation.value}"
 
 
-@dataclass(frozen=True)
-class GsnArgument:
-    """An immutable argument graph with canonical node and edge order."""
-
-    nodes: tuple[GsnNode, ...] = ()
-    edges: tuple[GsnEdge, ...] = ()
-    duty_link: str | None = None
+class GsnArgument(namedtuple("GsnArgument", "nodes edges duty_link", defaults=((), (), None))):
+    """An immutable argument graph with canonical node and edge order: a
+    tuple of ``nodes``, ``edges`` and ``duty_link``, with an instance
+    ``__dict__`` for its cached indexes.
+    """
 
     @cached_property
     def _by_id(self) -> dict[str, GsnNode]:
@@ -182,7 +180,7 @@ class GsnArgument:
         )
 
     def with_duty_link(self, duty_iri: str) -> "GsnArgument":
-        return replace(self, duty_link=duty_iri)
+        return self._replace(duty_link=duty_iri)
 
     def supported_children(self, node_id: str) -> list[str]:
         return list(self._children.get(node_id, ()))

@@ -17,16 +17,14 @@ unseen characters. Training, scoring and evaluation are deterministic.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain, groupby, repeat
 from operator import add, itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import vocab
 from .vocab import ScriptClass
@@ -119,14 +117,12 @@ def classify_static(
 # ----------------------------------------------------------------------
 # dynamic model
 
-@dataclass(frozen=True)
-class ModelProvenance:
+class ModelProvenance(NamedTuple):
     corpora: tuple[str, ...]
     trained_at: str | None = None
 
 
-@dataclass(frozen=True)
-class FilterModel:
+class FilterModel(NamedTuple):
     llr: Mapping[str, float]
     alpha: float
     vocab_size: int
@@ -198,10 +194,8 @@ def train_dynamic(
             Counter(chain.from_iterable(map(add, p, p[1:]) for p in benign)),
             alpha,
         )
-        model = replace(
-            model, bigram_llr=bi_table, bigram_vocab_size=bi_v, bigram_oov_score=bi_oov
-        )
-    return replace(model, threshold=_youden_threshold(model, adversarial, benign))
+        model = model._replace(bigram_llr=bi_table, bigram_vocab_size=bi_v, bigram_oov_score=bi_oov)
+    return model._replace(threshold=_youden_threshold(model, adversarial, benign))
 
 
 def _youden_threshold(
@@ -245,8 +239,7 @@ def classify_dynamic(model: FilterModel, prompt: str) -> Verdict:
 # ----------------------------------------------------------------------
 # evaluation
 
-@dataclass(frozen=True)
-class FilterMetrics:
+class FilterMetrics(NamedTuple):
     true_positive_rate: float
     false_positive_rate: float
     precision: float
@@ -333,6 +326,8 @@ def save_model(model: FilterModel) -> str:
     """Versioned JSON Lines: a header record, then one record per character
     (code point and llr, 6 decimal places, sorted by code point).
     """
+    import json  # here, so that only commands that write a model load it
+
     provenance = {"corpora": list(model.provenance.corpora), "trained_at": model.provenance.trained_at}
     header: dict = {
         "format": MODEL_FORMAT,

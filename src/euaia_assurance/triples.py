@@ -13,12 +13,10 @@ threads.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 # Namespaces every store knows about, whatever else the caller declares.
 DEFAULT_NAMESPACES: dict[str, str] = {
@@ -69,6 +67,8 @@ def load_json(text: str, what: str, line: int = 1, error: type = InputError) -> 
     """The JSON value of ``text``, whose first line is ``line``. A text that
     does not parse raises ``error`` at its position as ``what: reason``.
     """
+    import json  # here, so that only commands that read JSON load it
+
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -138,15 +138,22 @@ class Literal(namedtuple("Literal", "text datatype")):
 Term = Iri | Literal
 
 
-@dataclass(frozen=True)
-class Variable:
-    """A named placeholder in a pattern. Shared names join across patterns."""
+class Variable(namedtuple("Variable", "name")):
+    """A named placeholder in a pattern. Shared names join across patterns.
 
-    name: str
+    Every way of building one, as for :class:`Iri`, checks the name.
+    """
 
-    def __post_init__(self) -> None:
-        if not _VARIABLE_RE.fullmatch(self.name):
-            raise ValueError(f"invalid variable name {self.name!r}")
+    __slots__ = ()
+
+    def __new__(cls, name: str) -> "Variable":
+        if not _VARIABLE_RE.fullmatch(name):
+            raise ValueError(f"invalid variable name {name!r}")
+        return tuple.__new__(cls, (name,))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[str]) -> "Variable":
+        return cls(*iterable)
 
 
 PatternTerm = Iri | Literal | Variable
@@ -158,14 +165,13 @@ class Triple(namedtuple("Triple", "subject predicate object")):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TriplePattern:
+class TriplePattern(NamedTuple):
     subject: PatternTerm
     predicate: PatternTerm
     object: PatternTerm
 
     def variables(self) -> set[str]:
-        return {t.name for t in (self.subject, self.predicate, self.object) if isinstance(t, Variable)}
+        return {t.name for t in self if isinstance(t, Variable)}
 
 
 Binding = dict[str, Term]
@@ -201,11 +207,7 @@ def _binding_key(binding: Binding) -> str:
 
 def _unify(pattern: TriplePattern, triple: Triple) -> Binding | None:
     binding: Binding = {}
-    for pat, val in (
-        (pattern.subject, triple.subject),
-        (pattern.predicate, triple.predicate),
-        (pattern.object, triple.object),
-    ):
+    for pat, val in zip(pattern, triple):
         if isinstance(pat, Variable):
             bound = binding.get(pat.name)
             if bound is None:
@@ -223,21 +225,24 @@ def _substitute(pattern: TriplePattern, binding: Binding) -> TriplePattern:
             return binding[term.name]
         return term
 
-    return TriplePattern(sub(pattern.subject), sub(pattern.predicate), sub(pattern.object))
+    return TriplePattern(*map(sub, pattern))
 
 
-@dataclass(frozen=True)
 class Store:
     """An immutable set of triples plus the namespace map they resolve against.
 
     The namespace map always contains :data:`DEFAULT_NAMESPACES`; extra
     prefixes may be layered on top, and a declaration may override a default
     expansion. Every entry must be one an ``@prefix`` line can spell, and
-    every triple is validated against the map at construction.
+    every triple is validated against the map at construction. Its fields
+    ``triples`` and ``namespaces`` are read-only, and a store is unhashable.
     """
 
-    triples: frozenset[Triple] = frozenset()
-    namespaces: Mapping[str, str] = None  # type: ignore[assignment]
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, triples: Iterable[Triple] = frozenset(), namespaces: Mapping[str, str] | None = None):
+        self.__dict__.update(triples=triples, namespaces=namespaces)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         merged = dict(DEFAULT_NAMESPACES)
@@ -245,20 +250,28 @@ class Store:
             merged.update(self.namespaces)
         for prefix, expansion in merged.items():
             check_namespace(prefix, expansion)
-        object.__setattr__(self, "namespaces", merged)
-        object.__setattr__(self, "triples", frozenset(self.triples))
-        iris = [
-            term if isinstance(term, Iri) else term.datatype
-            for t in self.triples
-            for term in (t.subject, t.predicate, t.object)
-        ]
+        self.__dict__.update(namespaces=merged, triples=frozenset(self.triples))
+        iris = [term if isinstance(term, Iri) else term.datatype for t in self.triples for term in t]
         undeclared = {iri.prefix for iri in iris if iri is not None}.difference(merged)
         if undeclared:  # name the first offending triple
             for t in self.triples:
-                for term in (t.subject, t.predicate, t.object):
+                for term in t:
                     iri = term if isinstance(term, Iri) else term.datatype
                     if iri is not None and iri.prefix in undeclared:
                         raise NamespaceError(f"undeclared namespace prefix {iri.prefix!r} in {serialize_triple(t)}")
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r} of an immutable store")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.triples, self.namespaces) == (other.triples, other.namespaces)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(triples={self.triples!r}, namespaces={self.namespaces!r})"
 
     # ------------------------------------------------------------------
     # container conveniences
@@ -319,11 +332,7 @@ class Store:
         triple when it binds none. Only the indexes of bound positions are built.
         """
         best: Iterable[Triple] = self.triples
-        for term, index in (
-            (pattern.subject, "_by_subject"),
-            (pattern.predicate, "_by_predicate"),
-            (pattern.object, "_by_object"),
-        ):
+        for term, index in zip(pattern, ("_by_subject", "_by_predicate", "_by_object")):
             if not isinstance(term, Variable):
                 found = getattr(self, index).get(term, ())
                 if len(found) <= len(best):
@@ -469,14 +478,13 @@ def _scan_error(line: str, pos: int, lineno: int | None, after_dot: bool, patter
     return TripleParseError(f"unexpected character {c!r}", lineno, i + 1)
 
 
-def _scan_terms(line: str, lineno: int | None, *, pattern: bool = False) -> list[PatternTerm]:
-    """The terms of one statement line, or of one query pattern.
+def _scan_terms(line: str, lineno: int | None, *, pattern: bool = False, pos: int = 0) -> list[PatternTerm]:
+    """The terms of one statement line from ``pos`` on, or of one query pattern.
 
     A statement must end with ' .'; a pattern may also hold ``?variables``
     and bare CURIEs, and its dot is optional.
     """
     terms: list[PatternTerm] = []
-    pos = 0
     while True:
         match = _TERM_RE.match(line, pos)
         if match is None or match.lastindex > 6 and not pattern:
@@ -522,10 +530,11 @@ def _read_line(raw: str, lineno: int, declared: Mapping[str, str]) -> Triple:
     line or statement. A statement this accepts would match the row pattern,
     so it raises the error that names the line's first fault.
     """
-    line = raw.strip()
-    if line.startswith("@prefix"):
+    line = raw.rstrip()
+    start = len(line) - len(line.lstrip())  # columns count from the start of the line
+    if line.startswith("@prefix", start):
         raise TripleParseError("malformed @prefix declaration", lineno)
-    terms = _scan_terms(line, lineno)
+    terms = _scan_terms(line, lineno, pos=start)
     if len(terms) != 3:
         raise TripleParseError(f"expected 3 terms, found {len(terms)}", lineno)
     subject, predicate, obj = terms

@@ -3,8 +3,10 @@ replaced, kept as a differential oracle.
 
 It strips each line of the text, skips blanks and comments, reads
 ``@prefix`` lines with the declaration pattern it used, and hands every
-other line to the character scanner of ``char_scanner``, then checks the
-term count, the IRI positions and the declared prefixes, in that order.
+other line to the character scanner of ``char_scanner``, with its leading
+whitespace turned into spaces so that columns count from the start of the
+line. Then it checks the term count, the IRI positions and the declared
+prefixes, in that order.
 The replacement must give the same triples and namespaces, or raise the
 same message at the same line and column, on every input.
 """
@@ -41,7 +43,7 @@ def import_triples_by_line(text: str, namespaces: Mapping[str, str] | None = Non
             seen_in_file[prefix] = expansion
             declared[prefix] = expansion
             continue
-        terms = _scan_terms(line, lineno)
+        terms = _scan_terms(" " * (len(raw) - len(raw.lstrip())) + line, lineno)
         if len(terms) != 3:
             raise TripleParseError(f"expected 3 terms, found {len(terms)}", lineno)
         subject, predicate, obj = terms

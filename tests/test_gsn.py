@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 
@@ -92,6 +93,43 @@ def test_undeveloped_only_on_goals():
     for kind in (K.STRATEGY, K.SOLUTION, K.CONTEXT, K.JUSTIFICATION, K.COUNTERCLAIM):
         with pytest.raises(GsnError):
             node(kind, undeveloped=True)
+
+
+_BAD_NODES = [
+    ("G0", K.GOAL, "x", False),
+    ("Sn1", K.GOAL, "x", False),
+    ("G1", K.GOAL, "", False),
+    ("Sn1", K.SOLUTION, "x", True),
+]
+
+
+@pytest.mark.parametrize("fields", _BAD_NODES)
+def test_no_path_builds_a_bad_node(fields):
+    good = GsnNode("G1", K.GOAL, "x")
+    names = ("id", "kind", "statement", "undeveloped")
+    builders = [
+        lambda: GsnNode(*fields),
+        lambda: GsnNode(**dict(zip(names, fields))),
+        lambda: GsnNode._make(fields),
+        lambda: good._replace(**dict(zip(names, fields))),
+    ]
+    if hasattr(copy, "replace"):  # Python 3.13+
+        builders.append(lambda: copy.replace(good, **dict(zip(names, fields))))
+    for build in builders:
+        with pytest.raises(GsnError):
+            build()
+
+
+def test_node_helpers_build_checked_nodes():
+    goal = GsnNode("G1", K.GOAL, "x")
+    assert GsnNode._make(["G1", K.GOAL, "x", False]) == goal
+    assert type(GsnNode._make(["G1", K.GOAL, "x", False])) is GsnNode
+    assert goal._replace(undeveloped=True) == GsnNode("G1", K.GOAL, "x", True)
+    assert repr(goal) == "GsnNode(id='G1', kind=<GsnNodeKind.GOAL: 'goal'>, statement='x', undeveloped=False)"
+    with pytest.raises(TypeError):
+        GsnNode._make(["G1", K.GOAL])
+    with pytest.raises(AttributeError):
+        goal.statement = "y"
 
 
 def test_duplicate_node_id_rejected():

@@ -63,12 +63,14 @@ def _fresh(code: str, *args: str) -> str:
 
 
 FOOTPRINT = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from euaia_assurance import cli
 with contextlib.redirect_stdout(io.StringIO()):
     status = cli.main(sys.argv[1:])
-loaded = sorted(m.rpartition(".")[2] for m in sys.modules if m.startswith("euaia_assurance."))
-print(json.dumps({"status": status, "loaded": loaded}))
+modules = sorted(sys.modules)  # taken before this snippet's own json import
+import json
+loaded = [m.rpartition(".")[2] for m in modules if m.startswith("euaia_assurance.")]
+print(json.dumps({"status": status, "loaded": loaded, "modules": modules}))
 """
 
 
@@ -102,6 +104,9 @@ def _commands(case) -> list[tuple[list[str], set[str], set[str]]]:
         (["filter", "eval", "--model", case["model"], "--corpus", case["labeled"]], {"prompt_filter"}, not_gsn),
         (["triples", "query", case["store"], "?s <rdf:type> ?o"], set(), HANDLER_MODULES),
         (["triples", "export", case["store"]], set(), HANDLER_MODULES),
+        (["triples", "import", *case["ttl"], "--with-registry", "-o", os.devnull], {"duties"}, not_gsn - {"duties"}),
+        (["coverage", "report", case["store"]], {"coverage", "duties"}, {"prompt_filter", "factsheet", "gsn"}),
+        (["duties", "list"], {"duties"}, not_gsn - {"duties"}),
         (["factsheet", "render", *(f"--store={path}" for path in case["ttl"]), "--gsn", GSN],
          {"factsheet", "coverage", "gsn", "duties"}, {"prompt_filter"}),
         (["factsheet", "render", *(f"--store={path}" for path in case["ttl"]), "--gsn", GSN, "--model", case["model"],
@@ -114,13 +119,27 @@ def test_importing_the_package_loads_no_submodule():
     assert _fresh(code).strip() == "[]"
 
 
-def test_each_command_loads_only_the_modules_it_runs(case):
-    for argv, needed, unused in _commands(case):
-        result = json.loads(_fresh(FOOTPRINT, *argv))
+@pytest.fixture(scope="module")
+def footprints(case):
+    """Each command of ``_commands`` with what it loaded in a fresh interpreter."""
+    return [(argv, needed, unused, json.loads(_fresh(FOOTPRINT, *argv))) for argv, needed, unused in _commands(case)]
+
+
+def test_each_command_loads_only_the_modules_it_runs(footprints):
+    for argv, needed, unused, result in footprints:
         assert result["status"] == 0, argv
         loaded = set(result["loaded"])
         assert needed <= loaded, (argv, loaded)
         assert not unused & loaded, (argv, loaded)
+
+
+def test_no_command_loads_dataclasses_and_only_model_commands_load_json(footprints):
+    """The records are tuples, so no command needs ``dataclasses`` or its
+    ``inspect`` chain; ``json`` is loaded only to read or write a model."""
+    for argv, _, _, result in footprints:
+        modules = set(result["modules"])
+        assert not {"dataclasses", "inspect"} & modules, argv
+        assert ("json" in modules) == ("--model" in argv or argv[:2] == ["filter", "train"]), argv
 
 
 TRACED = """

@@ -130,6 +130,51 @@ def test_terms_keep_their_fields_and_repr():
         term.extra = 1
 
 
+@pytest.mark.parametrize("name", ["", "1x", "a b", "a-b", "x\n", "?x"])
+def test_no_path_builds_a_variable_with_a_bad_name(name):
+    good = Variable("x")
+    builders = [
+        lambda: Variable(name),
+        lambda: Variable(name=name),
+        lambda: Variable._make([name]),
+        lambda: good._replace(name=name),
+    ]
+    if hasattr(copy, "replace"):  # Python 3.13+
+        builders.append(lambda: copy.replace(good, name=name))
+    for build in builders:
+        with pytest.raises(ValueError, match="invalid variable name"):
+            build()
+
+
+def test_variable_helpers_build_checked_variables():
+    assert Variable._make(["y"]) == Variable("y")
+    assert type(Variable._make(["y"])) is Variable
+    assert type(Variable("x")._replace(name="y")) is Variable
+    assert repr(Variable("x")) == "Variable(name='x')"
+    with pytest.raises(TypeError):
+        Variable._make(["x", "y"])
+    with pytest.raises(AttributeError):
+        Variable("x").name = "y"
+
+
+def test_a_store_is_read_only_and_unhashable():
+    store = Store(frozenset({t("atk:a", "rdf:type", "gsn:G1")}))
+    for assign in (
+        lambda: setattr(store, "triples", frozenset()),
+        lambda: setattr(store, "namespaces", {}),
+        lambda: setattr(store, "extra", 1),
+        lambda: delattr(store, "triples"),
+    ):
+        with pytest.raises(AttributeError, match="immutable store"):
+            assign()
+    assert len(store) == 1 and store.namespaces == DEFAULT_NAMESPACES
+    with pytest.raises(TypeError):
+        hash(store)
+    assert store == Store(store.triples) and store != Store()
+    assert store != (store.triples, store.namespaces)
+    assert repr(Store()) == f"Store(triples=frozenset(), namespaces={DEFAULT_NAMESPACES!r})"
+
+
 _NAME = st.from_regex(r"[a-z][a-z0-9]{0,3}", fullmatch=True)
 
 
@@ -509,7 +554,7 @@ def test_import_rejects_malformed_statements(line, fragment):
     "text, message",
     [
         ("@prefix a: <https://e/>" + " " * 100_000 + "x", "line 1: malformed @prefix declaration"),
-        (" " * 100_000 + "x", "line 1, column 1: unexpected character 'x'"),
+        (" " * 100_000 + "x", "line 1, column 100001: unexpected character 'x'"),
     ],
     ids=["prefix", "blank"],
 )
@@ -518,6 +563,21 @@ def test_a_long_blank_run_before_a_stray_character_is_rejected_in_linear_time(te
     with pytest.raises(TripleParseError) as exc:
         import_triples(text)
     assert time.perf_counter() - start < 1
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("   <atk:a <rdf:type> <gsn:G1> .", "line 1, column 5: invalid local name 'a <rdf:type'"),
+        ('\t\t<atk:a> <rdf:type> "x\\q" .', "line 1, column 24: unknown escape \\q"),
+        ("\u3000<atk:a> <rdf:type> x .", "line 1, column 21: unexpected character 'x'"),
+        ("  <atk:a> <rdf:type> <gsn:G1>  ", "line 1, column 29: statement must end with ' .'"),
+    ],
+)
+def test_error_columns_count_from_the_start_of_the_line(text, message):
+    with pytest.raises(TripleParseError) as exc:
+        import_triples(text)
     assert str(exc.value) == message
 
 

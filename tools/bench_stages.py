@@ -11,6 +11,11 @@ start-up time of short commands, for one or more source trees, and write
 the records as JSON.
 
     python3 tools/bench_stages.py --tree before=../old-checkout --tree after=. -o BENCH_11.json
+    python3 tools/bench_stages.py --tree now=. --group startup --group store -o /dev/null
+
+``--group`` (repeatable) measures only the named groups of stages:
+``startup``, ``gsn``, ``store``, ``train``, ``prompts``, ``audit`` and
+``audit commands``; by default every group is measured.
 
 Each tree is measured by its own long-lived worker process with
 ``PYTHONPATH=<tree>/src``, so no two trees share imported modules. The
@@ -43,9 +48,10 @@ statements. The ``audit commands`` stage runs ``coverage report``,
 on the files ``case_audit`` writes, as the case-audit workload does, and
 times the four together; each must exit 0. The start-up stage spawns
 ``python -c pass`` and ``python -m euaia_assurance`` for ``duties list``,
-``gsn validate`` on the fixture argument and ``triples query`` on a fixture
-triple file, in turn, ``STARTUP_RUNS`` times each (``--repeats`` does not
-apply). The package runs from a copy of its ``.py`` files with
+``gsn validate`` and ``gsn triples`` on the fixture argument, ``triples
+import --with-registry`` of the fixture triple files and ``triples query``
+on one of them, in turn, ``STARTUP_RUNS`` times each (``--repeats`` does
+not apply). The package runs from a copy of its ``.py`` files with
 ``PYTHONDONTWRITEBYTECODE=1``, so no cached bytecode of the tree is read and
 every command compiles the package modules it imports, as in a fresh
 checkout; the interpreter's own cached bytecode is read as usual. (An empty
@@ -60,7 +66,8 @@ too.
 Run ``i`` of every tree at a stage and size falls in the same round, so the
 runs pair up. For each tree after the first, the standard error gets one
 line per stage and size: the median over the rounds of the ratio of that
-tree's seconds to the first tree's, and the number of rounds it was faster.
+tree's seconds to the first tree's, the quartiles of those ratios, and the
+number of rounds it was faster.
 Drift of a shared machine that outlasts a round cancels in the ratio, where
 it would stay in each tree's median.
 """
@@ -98,6 +105,9 @@ STARTUP_COMMANDS = {
     "python -c pass": ["-c", "pass"],
     "duties list": ["-m", "euaia_assurance", "duties", "list"],
     "gsn validate": ["-m", "euaia_assurance", "gsn", "validate", str(FIXTURES / "art15-5.gsn")],
+    "gsn triples": ["-m", "euaia_assurance", "gsn", "triples", str(FIXTURES / "art15-5.gsn")],
+    "triples import": ["-m", "euaia_assurance", "triples", "import", str(FIXTURES / "knowledge-links.ttl"),
+                       str(FIXTURES / "dynamic-links.ttl"), "--with-registry"],
     "triples query": ["-m", "euaia_assurance", "triples", "query", str(FIXTURES / "knowledge-links.ttl"),
                       "?s <rdf:type> ?o"],
 }
@@ -399,16 +409,19 @@ def _report_pairs(samples: dict[str, dict[tuple, list[float]]], base: str, other
     """Print the paired per-round comparison of tree ``other`` against tree ``base``."""
     for (stage, size, unit), before in samples[base].items():
         after = samples[other][(stage, size, unit)]
-        ratio = statistics.median(b / a for a, b in zip(before, after))
+        ratios = [b / a for a, b in zip(before, after)]
+        q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else (ratios[0],) * 3
         faster = sum(b < a for a, b in zip(before, after))
-        print(f"{stage} at {size} {unit}: {other}/{base} median ratio {ratio:.3f},"
+        print(f"{stage} at {size} {unit}: {other}/{base} median ratio {median:.3f} [{q1:.3f}, {q3:.3f}],"
               f" {other} faster in {faster} of {len(before)} rounds", file=sys.stderr)
 
 
-def _measure(workers: list[_Worker], repeats: int) -> dict[str, dict[tuple, list[float]]]:
-    """Samples per tree label and (stage, size, unit), the trees interleaved."""
+def _measure(workers: list[_Worker], repeats: int, groups: list[str]) -> dict[str, dict[tuple, list[float]]]:
+    """Samples per tree label and (stage, size, unit) of the named groups, the trees interleaved."""
     samples: dict[str, dict[tuple, list[float]]] = {worker.label: {} for worker in workers}
     for group, (_, _, sizes) in GROUPS.items():
+        if group not in groups:
+            continue
         runs = STARTUP_RUNS if group == "startup" else repeats
         for size in sizes:
             for repeat in range(runs):
@@ -437,6 +450,8 @@ def main() -> int:
     parser.add_argument("--tree", action="append", default=[], metavar="LABEL=PATH",
                         help="a source checkout to measure; repeat for each")
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--group", action="append", choices=list(GROUPS), metavar="NAME",
+                        help="measure only this group of stages; repeat for each (default: all)")
     parser.add_argument("-o", "--output", help="write the JSON here instead of standard output")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -456,7 +471,7 @@ def main() -> int:
     try:
         for label, tree in trees:
             workers.append(_Worker(label, tree))
-        samples = _measure(workers, args.repeats)
+        samples = _measure(workers, args.repeats, args.group or list(GROUPS))
     finally:
         for worker in workers:
             worker.close()
