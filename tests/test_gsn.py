@@ -106,15 +106,15 @@ _BAD_NODES = [
 @pytest.mark.parametrize("fields", _BAD_NODES)
 def test_no_path_builds_a_bad_node(fields):
     good = GsnNode("G1", K.GOAL, "x")
-    names = ("id", "kind", "statement", "undeveloped")
+    named = dict(zip(GsnNode._fields, fields))
     builders = [
         lambda: GsnNode(*fields),
-        lambda: GsnNode(**dict(zip(names, fields))),
+        lambda: GsnNode(**named),
         lambda: GsnNode._make(fields),
-        lambda: good._replace(**dict(zip(names, fields))),
+        lambda: good._replace(**named),
     ]
     if hasattr(copy, "replace"):  # Python 3.13+
-        builders.append(lambda: copy.replace(good, **dict(zip(names, fields))))
+        builders.append(lambda: copy.replace(good, **named))
     for build in builders:
         with pytest.raises(GsnError):
             build()
