@@ -38,7 +38,7 @@ _HANDLER_NAMES = {
     "gsn": ("GsnArgument", "Severity", "argument_to_triples", "parse_gsn", "render_dot", "serialize_gsn", "validate"),
     "prompt_filter": (
         "Verdict", "classify_dynamic", "classify_static", "compile_blocklist", "evaluate", "filter_to_triples",
-        "load_model", "parse_corpus", "parse_labeled_corpus", "save_model", "score", "train_dynamic",
+        "load_model", "parse_corpus", "parse_labeled_corpus", "save_model", "score", "train_dynamic", "write_lines",
     ),
     "coverage": ("causal_trace", "coverage_report", "coverage_to_tsv"),
     "factsheet": ("render_factsheet", "render_html"),
@@ -252,7 +252,7 @@ def _cmd_filter_score(args: argparse.Namespace) -> int:
     _bind("prompt_filter")
     model = load_model(_read_file(args.model))
     prompts = _read_prompts(args, args.parser)
-    sys.stdout.writelines(f"{score(model, prompt):.6f}\t{prompt}\n" for prompt in prompts)
+    write_lines(lambda prompt: f"{score(model, prompt):.6f}\t{prompt}\n", prompts, sys.stdout)
     return 0
 
 
@@ -270,9 +270,8 @@ def _cmd_filter_classify(args: argparse.Namespace) -> int:
         args.parser.error("one of --model or --blocklist/--block-script is required")
         return 2
     prompts = _read_prompts(args, args.parser)
-    sys.stdout.writelines(
-        f"{'A' if verdict_of(prompt) is Verdict.ADVERSARIAL else 'B'}\t{prompt}\n" for prompt in prompts
-    )
+    line_of = lambda prompt: f"{'A' if verdict_of(prompt) is Verdict.ADVERSARIAL else 'B'}\t{prompt}\n"
+    write_lines(line_of, prompts, sys.stdout)
     return 0
 
 

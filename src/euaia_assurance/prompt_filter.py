@@ -18,13 +18,14 @@ unseen characters. Training, scoring and evaluation are deterministic.
 from __future__ import annotations
 
 import math
+import os
 import re
 import sys
 from collections import Counter
 from enum import Enum
 from itertools import chain, groupby, repeat
 from operator import add, itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence, TextIO
 
 from . import vocab
 from .vocab import ScriptClass
@@ -237,6 +238,101 @@ def classify_dynamic(model: FilterModel, prompt: str) -> Verdict:
 
 
 # ----------------------------------------------------------------------
+# one output line per prompt, over the usable CPUs
+
+MIN_SLICE = 2000  # prompts; a shorter slice would gain less than a fork costs
+
+
+def write_lines(line_of: Callable[[str], str], prompts: Sequence[str], out: TextIO) -> None:
+    """Write ``line_of(prompt)`` to ``out`` for each prompt, in prompt order.
+
+    The prompts are cut into contiguous slices, one per CPU this process may
+    run on and none shorter than ``MIN_SLICE``. This process writes the
+    first slice while a forked worker formats each of the others and sends
+    its text through a pipe; the texts are then copied out in slice order.
+    A worker that fails, dies or cannot be forked has its slice redone here,
+    so an error stops the output at the same line, with the same exception,
+    as writing every line in this process. Without ``os.fork``, or while
+    other threads run, there is one slice and nothing is forked.
+    """
+    cuts = _cuts(len(prompts))
+    workers: list[tuple[int, int]] = []  # (pid, pipe read end) per forked slice, in slice order
+    texts: list[bytes] = []
+    try:
+        for start, stop in zip(cuts[1:], cuts[2:]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                pid = None
+            if pid == 0:
+                _work(line_of, prompts[start:stop], out, write, [read, *(fd for _, fd in workers)])
+            os.close(write)
+            if pid is None:
+                os.close(read)
+                break
+            workers.append((pid, read))
+        out.writelines(map(line_of, prompts[: cuts[1]]))
+        texts = [_drain(read) for _, read in workers]
+    finally:  # no worker may stay blocked on a full pipe or outlive the call
+        for _, read in workers:
+            os.close(read)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
+    for index, (start, stop) in enumerate(zip(cuts[1:], cuts[2:])):
+        if index < len(texts) and statuses[index] == 0:
+            out.write(texts[index].decode("utf-8", "surrogatepass"))
+        else:
+            out.writelines(map(line_of, prompts[start:stop]))
+
+
+def _cuts(count: int) -> list[int]:
+    """The slice bounds for ``count`` prompts, from 0 to ``count``."""
+    slices = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and not _other_threads():
+        slices = max(1, min(len(os.sched_getaffinity(0)), count // MIN_SLICE))
+    return [count * index // slices for index in range(slices + 1)]
+
+
+def _other_threads() -> bool:
+    """Whether a thread besides this one runs, which a fork would leave half-copied."""
+    try:
+        return len(os.listdir("/proc/self/task")) > 1
+    except OSError:  # no /proc: count the interpreter's own threads
+        return len(sys._current_frames()) > 1
+
+
+def _work(
+    line_of: Callable[[str], str], prompts: Sequence[str], out: TextIO, write: int, inherited: list[int]
+) -> NoReturn:
+    """In a forked worker: send the slice's text through ``write`` and exit,
+    with status 0 only if every line was formatted, fits ``out``'s encoding
+    and was sent. The inherited read ends, its own pipe's among them, are
+    closed first, so that once the parent closes a read end, that pipe's
+    worker gets a broken pipe instead of waiting.
+    """
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        text = "".join(map(line_of, prompts))
+        if getattr(out, "encoding", None):
+            text.encode(out.encoding, getattr(out, "errors", None) or "strict")
+        data = memoryview(text.encode("utf-8", "surrogatepass"))
+        while data:
+            data = data[os.write(write, data):]
+        status = 0
+    finally:  # whatever happened, never return into the forking caller's stack
+        os._exit(status)
+
+
+def _drain(read: int) -> bytes:
+    chunks = []
+    while chunk := os.read(read, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+# ----------------------------------------------------------------------
 # evaluation
 
 class FilterMetrics(NamedTuple):
@@ -437,7 +533,7 @@ _LABELS = {"A": Verdict.ADVERSARIAL, "B": Verdict.BENIGN}
 
 
 def parse_labeled_corpus(text: str) -> list[tuple[str, Verdict]]:
-    """Labeled corpus lines: ``A<TAB>prompt`` or ``B<TAB>prompt``."""
+    """Labeled corpus lines: ``A<TAB>prompt`` or ``B<TAB>prompt``, the prompt non-empty."""
     labeled: list[tuple[str, Verdict]] = []
     for lineno, line in enumerate(_corpus_lines(text), 1):
         if not line:
@@ -445,5 +541,7 @@ def parse_labeled_corpus(text: str) -> list[tuple[str, Verdict]]:
         label, sep, prompt = line.partition("\t")
         if not sep or label not in _LABELS:
             raise CorpusFormatError("expected 'A<TAB>prompt' or 'B<TAB>prompt'", lineno)
+        if not prompt:
+            raise CorpusFormatError(f"empty prompt after '{label}<TAB>'", lineno)
         labeled.append((prompt, _LABELS[label]))
     return labeled

@@ -1,19 +1,23 @@
 """The per-character ``classify_static`` and the generator-based ``score``
-that the compiled blocklist pattern and the map-based sums replaced, kept
-as differential oracles.
+that the compiled blocklist pattern and the map-based sums replaced, and
+the one-process ``write_lines`` that the sliced, forking writer replaced,
+kept as differential oracles.
 
 Both state their rule one character at a time: a character offends if it
 is listed or if ``script_of`` puts it in a blocked script, offenders are
 reported once in first-occurrence order, and a score is the exact mean
 (``math.fsum``) of each character's llr, with every adjacent pair's llr
 averaged in at equal weight when the model has a bigram channel. The
-replacements must give the same verdicts, offender lists and floats.
+replacements must give the same verdicts, offender lists and floats. The
+writer formats and writes each prompt's line in turn, so a failing prompt
+leaves the lines before it written and raises; the replacement must leave
+the same text and raise the same exception.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Callable, Iterable, Sequence, TextIO
 
 from euaia_assurance.prompt_filter import FilterModel, ScriptClass, Verdict, script_of
 
@@ -55,3 +59,7 @@ def score(model: FilterModel, prompt: str) -> float:
     pairs = _bigrams(prompt)
     bigram = math.fsum(model.bigram_llr.get(b, model.bigram_oov_score) for b in pairs) / len(pairs)
     return (unigram + bigram) / 2.0
+
+
+def write_lines(line_of: Callable[[str], str], prompts: Sequence[str], out: TextIO) -> None:
+    out.writelines(line_of(prompt) for prompt in prompts)

@@ -44,11 +44,13 @@ def _documents(fixture: str, inserts) -> st.SearchStrategy[str]:
     return st.lists(line | st.text(max_size=20), max_size=8).map("\n".join)
 
 
-def _value_or_located_error(parse, text: str) -> None:
+def _value_or_located_error(parse, text: str):
+    """What ``parse`` gives for ``text``, or None after an error located in it."""
     try:
-        parse(text)
+        return parse(text)
     except InputError as exc:
         assert exc.line is not None and 1 <= exc.line <= text.count("\n") + 1, str(exc)
+        return None
 
 
 @settings(max_examples=200, deadline=None)
@@ -69,7 +71,8 @@ def test_load_model_gives_a_model_or_a_located_error(text):
 @given(_documents(fixture_text("toy-labeled.txt"), st.sampled_from(["\t", "\r", "A", "B"]) | st.text(max_size=3)))
 def test_corpus_parsers_give_a_value_or_a_located_error(text):
     assert all(prompt.strip() for prompt in parse_corpus(text))
-    _value_or_located_error(parse_labeled_corpus, text)
+    labeled = _value_or_located_error(parse_labeled_corpus, text)
+    assert labeled is None or all(prompt for prompt, _ in labeled)
 
 
 # ----------------------------------------------------------------------

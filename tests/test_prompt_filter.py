@@ -523,11 +523,19 @@ def test_parse_labeled_corpus():
     assert labeled == [("!x!", Verdict.ADVERSARIAL), ("xy", Verdict.BENIGN)]
 
 
-@pytest.mark.parametrize("text, lineno", [("C\tx\n", 1), ("A x\n", 1), ("A\tx\nnope\n", 2)])
+@pytest.mark.parametrize(
+    "text, lineno", [("C\tx\n", 1), ("A x\n", 1), ("A\tx\nnope\n", 2), ("A\tabc\nB\t\n", 2), ("B\t\r\n", 1)]
+)
 def test_parse_labeled_corpus_errors(text, lineno):
     with pytest.raises(CorpusFormatError) as exc:
         parse_labeled_corpus(text)
-    assert str(lineno) in str(exc.value)
+    assert exc.value.line == lineno
+
+
+def test_a_labeled_prompt_may_be_whitespace_but_not_empty():
+    assert parse_labeled_corpus("A\t \nB\t\t\n") == [(" ", Verdict.ADVERSARIAL), ("\t", Verdict.BENIGN)]
+    with pytest.raises(CorpusFormatError, match="line 1: empty prompt after 'B<TAB>'"):
+        parse_labeled_corpus("B\t\nA\tx\n")
 
 
 # ----------------------------------------------------------------------

@@ -6,16 +6,18 @@ and ``score`` over 12,500, 25,000 and 50,000 generated prompts,
 ``coverage_report``, ``causal_trace`` and the case-audit 3-pattern
 ``Store.query`` on audit stores generated with 200, 400 and 800 nodes per
 argument (about 13,000, 26,000 and 50,000 statements), the four case-audit
-commands run through ``cli.main`` in process on those audit cases, and the
-start-up time of short commands, for one or more source trees, and write
-the records as JSON.
+commands run through ``cli.main`` in process on those audit cases, the
+``filter score`` and ``filter classify --model`` commands run the same way
+on 12,500, 25,000 and 50,000 prompts, and the start-up time of short
+commands, for one or more source trees, and write the records as JSON.
 
     python3 tools/bench_stages.py --tree before=../old-checkout --tree after=. -o BENCH_11.json
     python3 tools/bench_stages.py --tree now=. --group startup --group store -o /dev/null
 
 ``--group`` (repeatable) measures only the named groups of stages:
-``startup``, ``gsn``, ``store``, ``train``, ``prompts``, ``audit`` and
-``audit commands``; by default every group is measured.
+``startup``, ``gsn``, ``store``, ``train``, ``prompts``, ``audit``,
+``audit commands`` and ``filter commands``; by default every group is
+measured.
 
 Each tree is measured by its own long-lived worker process with
 ``PYTHONPATH=<tree>/src``, so no two trees share imported modules. The
@@ -46,7 +48,10 @@ planted attack, and the query stage's size is the store's number of
 statements. The ``audit commands`` stage runs ``coverage report``,
 ``coverage trace``, ``triples query`` and ``factsheet render --format html``
 on the files ``case_audit`` writes, as the case-audit workload does, and
-times the four together; each must exit 0. The start-up stage spawns
+times the four together; each must exit 0. The ``filter commands`` stage
+does the same for ``filter score`` and ``filter classify --model`` on a
+prompts file drawn like the workload's, with the bigram model the prompt
+stages use. The start-up stage spawns
 ``python -c pass`` and ``python -m euaia_assurance`` for ``duties list``,
 ``gsn validate`` and ``gsn triples`` on the fixture argument, ``triples
 import --with-registry`` of the fixture triple files and ``triples query``
@@ -304,7 +309,7 @@ def _prepare_commands(size: int, stack: contextlib.ExitStack) -> dict:
     tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
     plan = _generate().case_audit(SEED, tmp, size=size)
     store, links = str(tmp / "store.ttl"), str(tmp / "links.ttl")
-    inputs = {"commands": [
+    inputs = {"stage": "audit commands", "unit": "nodes per argument", "commands": [
         ["coverage", "report", store, links],
         ["coverage", "trace", store, links, "--attack", plan.attack],
         ["triples", "query", store, *plan.query],
@@ -315,7 +320,25 @@ def _prepare_commands(size: int, stack: contextlib.ExitStack) -> dict:
     return inputs
 
 
+def _prepare_filter_commands(size: int, stack: contextlib.ExitStack) -> dict:
+    """The argv lists of the filter workload's score and model classify commands, on generated files."""
+    from euaia_assurance.prompt_filter import save_model, train_dynamic
+
+    tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+    model, prompts = tmp / "model.jsonl", tmp / "prompts.txt"
+    corpora = _corpora(_generate().TRAIN_PER_CLASS)
+    model.write_text(save_model(train_dynamic(*corpora, bigrams=True)), encoding="utf-8")
+    prompts.write_text("\n".join(_prompts(size)) + "\n", encoding="utf-8")
+    inputs = {"stage": "filter commands", "unit": "prompts", "commands": [
+        ["filter", "score", "--model", str(model), "--prompts-file", str(prompts)],
+        ["filter", "classify", "--model", str(model), "--prompts-file", str(prompts)],
+    ]}
+    _run_commands(inputs, size)  # untimed: imports the handler module
+    return inputs
+
+
 def _run_commands(inputs: dict, size: int) -> dict:
+    """The seconds the commands take together; each must exit 0 and write something."""
     from euaia_assurance import cli
 
     total = 0.0
@@ -323,9 +346,9 @@ def _run_commands(inputs: dict, size: int) -> dict:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             seconds, status = _timed(cli.main, argv)
         if status != 0 or not out.getvalue():
-            raise RuntimeError(f"{size}-node audit case: `{' '.join(argv[:2])}` exited {status}")
+            raise RuntimeError(f"{inputs['stage']} at size {size}: `{' '.join(argv[:2])}` exited {status}")
         total += seconds
-    return {"audit commands": [size, "nodes per argument", total]}
+    return {inputs["stage"]: [size, inputs["unit"], total]}
 
 
 GROUPS = {  # name -> (prepare, run, sizes), in the order the stages are measured
@@ -336,6 +359,7 @@ GROUPS = {  # name -> (prepare, run, sizes), in the order the stages are measure
     "prompts": (_prepare_prompts, _run_prompts, PROMPT_SIZES),
     "audit": (_prepare_audit, _run_audit, AUDIT_SIZES),
     "audit commands": (_prepare_commands, _run_commands, AUDIT_SIZES),
+    "filter commands": (_prepare_filter_commands, _run_commands, PROMPT_SIZES),
 }
 
 
