@@ -255,11 +255,11 @@ def write_lines(line_of: Callable[[str], str], prompts: Sequence[str], out: Text
     as writing every line in this process. Without ``os.fork``, or while
     other threads run, there is one slice and nothing is forked.
     """
-    cuts = _cuts(len(prompts))
+    (_, head), *rest = _slices(len(prompts))
     workers: list[tuple[int, int]] = []  # (pid, pipe read end) per forked slice, in slice order
     texts: list[bytes] = []
     try:
-        for start, stop in zip(cuts[1:], cuts[2:]):
+        for start, stop in rest:
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -272,25 +272,26 @@ def write_lines(line_of: Callable[[str], str], prompts: Sequence[str], out: Text
                 os.close(read)
                 break
             workers.append((pid, read))
-        out.writelines(map(line_of, prompts[: cuts[1]]))
+        out.writelines(map(line_of, prompts[:head]))
         texts = [_drain(read) for _, read in workers]
     finally:  # no worker may stay blocked on a full pipe or outlive the call
         for _, read in workers:
             os.close(read)
         statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
-    for index, (start, stop) in enumerate(zip(cuts[1:], cuts[2:])):
+    for index, (start, stop) in enumerate(rest):
         if index < len(texts) and statuses[index] == 0:
             out.write(texts[index].decode("utf-8", "surrogatepass"))
         else:
             out.writelines(map(line_of, prompts[start:stop]))
 
 
-def _cuts(count: int) -> list[int]:
-    """The slice bounds for ``count`` prompts, from 0 to ``count``."""
+def _slices(count: int) -> list[tuple[int, int]]:
+    """The (start, stop) bounds of the slices of ``count`` prompts, in order."""
     slices = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and not _other_threads():
         slices = max(1, min(len(os.sched_getaffinity(0)), count // MIN_SLICE))
-    return [count * index // slices for index in range(slices + 1)]
+    cuts = [count * index // slices for index in range(slices + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def _other_threads() -> bool:

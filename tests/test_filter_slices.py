@@ -237,11 +237,16 @@ def test_nothing_is_forked_while_another_thread_runs():
 
 
 def test_slices_are_contiguous_and_never_shorter_than_the_minimum():
+    def cuts(count: int) -> list[int]:
+        slices = prompt_filter._slices(count)
+        assert all(stop == start for (_, stop), (start, _) in zip(slices, slices[1:]))
+        return [0, *(stop for _, stop in slices)]
+
     with _machine(cpus=4):
-        assert prompt_filter._cuts(0) == [0, 0]
-        assert prompt_filter._cuts(2 * MIN_SLICE - 1) == [0, 2 * MIN_SLICE - 1]
-        assert prompt_filter._cuts(2 * MIN_SLICE + 1) == [0, MIN_SLICE, 2 * MIN_SLICE + 1]
-        assert prompt_filter._cuts(50 * MIN_SLICE) == [0, 12 * MIN_SLICE + MIN_SLICE // 2, 25 * MIN_SLICE,
-                                                     37 * MIN_SLICE + MIN_SLICE // 2, 50 * MIN_SLICE]
+        assert cuts(0) == [0, 0]
+        assert cuts(2 * MIN_SLICE - 1) == [0, 2 * MIN_SLICE - 1]
+        assert cuts(2 * MIN_SLICE + 1) == [0, MIN_SLICE, 2 * MIN_SLICE + 1]
+        assert cuts(50 * MIN_SLICE) == [0, 12 * MIN_SLICE + MIN_SLICE // 2, 25 * MIN_SLICE,
+                                        37 * MIN_SLICE + MIN_SLICE // 2, 50 * MIN_SLICE]
     with _machine(cpus=1):
-        assert prompt_filter._cuts(50 * MIN_SLICE) == [0, 50 * MIN_SLICE]
+        assert cuts(50 * MIN_SLICE) == [0, 50 * MIN_SLICE]
