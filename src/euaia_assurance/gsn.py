@@ -130,8 +130,7 @@ def _node_key(node: GsnNode) -> tuple[int, int]:
 
 
 def _edge_key(edge: GsnEdge) -> str:
-    source, target, relation = edge
-    return f"edge {source} -> {target} {relation.value}"
+    return f"edge {edge.source} -> {edge.target} {edge.relation.value}"
 
 
 class GsnArgument(namedtuple("GsnArgument", "nodes edges duty_link", defaults=((), (), None))):
@@ -198,21 +197,19 @@ class GsnArgument(namedtuple("GsnArgument", "nodes edges duty_link", defaults=((
 # structural rules, shared by the builder and by validate
 
 
-# These take an edge's fields unpacked: their callers unpack each edge once,
-# which costs less than reading its named-tuple fields one by one.
-
-def _missing_endpoint(source: str, target: str, by_id: dict[str, GsnNode]) -> str | None:
-    """The first endpoint of an edge that is not a node, source first."""
-    if source not in by_id:
-        return source
-    return None if target in by_id else target
+def _missing_endpoint(edge: GsnEdge, by_id: dict[str, GsnNode]) -> str | None:
+    """The first endpoint of the edge that is not a node, source first."""
+    for endpoint in (edge.source, edge.target):
+        if endpoint not in by_id:
+            return endpoint
+    return None
 
 
-def _illegal_pair(source: str, target: str, relation: GsnRelation, by_id: dict[str, GsnNode]) -> str | None:
-    pair = (by_id[source].kind, by_id[target].kind)
-    if pair in LEGAL_EDGES[relation]:
+def _illegal_pair(edge: GsnEdge, by_id: dict[str, GsnNode]) -> str | None:
+    pair = (by_id[edge.source].kind, by_id[edge.target].kind)
+    if pair in LEGAL_EDGES[edge.relation]:
         return None
-    return f"{relation.value} may not connect {pair[0].value} to {pair[1].value}"
+    return f"{edge.relation.value} may not connect {pair[0].value} to {pair[1].value}"
 
 
 def _find_cycle(pairs: Iterable[tuple[str, str]], nodes: Iterable[str] = ()) -> list[str] | None:
@@ -237,7 +234,7 @@ def _first_cycle_closing(supports: list[tuple[int | None, GsnEdge]]) -> tuple[in
     """
 
     def cyclic(count: int) -> bool:
-        return _find_cycle((source, target) for _, (source, target, _) in supports[:count]) is not None
+        return _find_cycle((e.source, e.target) for _, e in supports[:count]) is not None
 
     acyclic_len, cyclic_len = 0, len(supports)
     if not cyclic(cyclic_len):
@@ -271,21 +268,19 @@ def _assemble(
     """
     by_id: dict[str, GsnNode] = {}
     for line, node in node_lines:
-        node_id = node.id
-        if node_id in by_id:
-            raise _rejection(f"duplicate node id {node_id!r}", line)
-        by_id[node_id] = node
+        if node.id in by_id:
+            raise _rejection(f"duplicate node id {node.id!r}", line)
+        by_id[node.id] = node
 
     accepted: dict[GsnEdge, int | None] = {}
     failure: tuple[str, int | None] | None = None
     for line, edge in edge_lines:
         if edge in accepted:
             continue
-        source, target, relation = edge
-        missing = _missing_endpoint(source, target, by_id)
+        missing = _missing_endpoint(edge, by_id)
         problem = (
             f"edge endpoint {missing!r} is not a declared node" if missing is not None
-            else _illegal_pair(source, target, relation, by_id)
+            else _illegal_pair(edge, by_id)
         )
         if problem is not None:
             failure = (problem, line)
@@ -326,24 +321,23 @@ def validate(argument: GsnArgument) -> list[Diagnostic]:
     ids = argument._by_id
 
     for edge in argument.edges:
-        source, target, relation = edge
-        missing = _missing_endpoint(source, target, ids)
+        missing = _missing_endpoint(edge, ids)
         if missing is not None:
             errors.append(
                 Diagnostic(Severity.ERROR, _edge_key(edge), f"undeclared endpoint {missing!r}")
             )
             continue
-        problem = _illegal_pair(source, target, relation, ids)
+        problem = _illegal_pair(edge, ids)
         if problem is not None:
             errors.append(Diagnostic(Severity.ERROR, _edge_key(edge), problem))
 
     cycle = _find_cycle(
         (
-            (source, target)
-            for source, target, relation in argument.edges
-            if relation is GsnRelation.SUPPORTED_BY and source in ids and target in ids
+            (edge.source, edge.target)
+            for edge in argument.edges
+            if edge.relation is GsnRelation.SUPPORTED_BY and edge.source in ids and edge.target in ids
         ),
-        (node_id for node_id, _, _, _ in argument.nodes),
+        (node.id for node in argument.nodes),
     )
     if cycle is not None:
         errors.append(Diagnostic(Severity.ERROR, cycle[0], f"supportedBy cycle: {' -> '.join(cycle)}"))
@@ -352,25 +346,24 @@ def validate(argument: GsnArgument) -> list[Diagnostic]:
             Diagnostic(Severity.ERROR, "argument", "non-empty argument has no root goal")
         )
 
-    challengers = {source for source, _, relation in argument.edges if relation is GsnRelation.CHALLENGES}
-    children_of = argument._children
-    for node_id, kind, _, undeveloped in argument.nodes:
-        children = children_of.get(node_id, ())
-        if kind is GsnNodeKind.STRATEGY:
+    challengers = {e.source for e in argument.edges if e.relation is GsnRelation.CHALLENGES}
+    for node in argument.nodes:
+        children = argument._children.get(node.id, ())
+        if node.kind is GsnNodeKind.STRATEGY:
             if not any(c in ids and ids[c].kind is GsnNodeKind.GOAL for c in children):
                 errors.append(
-                    Diagnostic(Severity.ERROR, node_id, "strategy has no supporting goal")
+                    Diagnostic(Severity.ERROR, node.id, "strategy has no supporting goal")
                 )
-        elif kind is GsnNodeKind.GOAL:
-            if not children and not undeveloped:
+        elif node.kind is GsnNodeKind.GOAL:
+            if not children and not node.undeveloped:
                 warnings.append(
                     Diagnostic(
-                        Severity.WARNING, node_id, "goal has no support and is not marked undeveloped"
+                        Severity.WARNING, node.id, "goal has no support and is not marked undeveloped"
                     )
                 )
-        elif kind is GsnNodeKind.COUNTERCLAIM and node_id not in challengers:
+        elif node.kind is GsnNodeKind.COUNTERCLAIM and node.id not in challengers:
             warnings.append(
-                Diagnostic(Severity.WARNING, node_id, "counterclaim challenges nothing")
+                Diagnostic(Severity.WARNING, node.id, "counterclaim challenges nothing")
             )
 
     errors.sort(key=lambda d: (d.subject, d.message))
