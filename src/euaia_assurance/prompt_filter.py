@@ -240,7 +240,9 @@ def classify_dynamic(model: FilterModel, prompt: str) -> Verdict:
 # ----------------------------------------------------------------------
 # one output line per prompt, over the usable CPUs
 
-MIN_SLICE = 2000  # prompts; a shorter slice would gain less than a fork costs
+# prompts: on 2 cores, two slices of 250-375 prompts were slower than one
+# process and two of 500 faster (fork, pipe and copy-out against scoring)
+MIN_SLICE = 500
 
 
 def write_lines(line_of: Callable[[str], str], prompts: Sequence[str], out: TextIO) -> None:
@@ -249,15 +251,16 @@ def write_lines(line_of: Callable[[str], str], prompts: Sequence[str], out: Text
     The prompts are cut into contiguous slices, one per CPU this process may
     run on and none shorter than ``MIN_SLICE``. This process writes the
     first slice while a forked worker formats each of the others and sends
-    its text through a pipe; the texts are then copied out in slice order.
-    A worker that fails, dies or cannot be forked has its slice redone here,
-    so an error stops the output at the same line, with the same exception,
-    as writing every line in this process. Without ``os.fork``, or while
-    other threads run, there is one slice and nothing is forked.
+    its text through a pipe. The workers are then taken in slice order: each
+    one's text is read to its end and its exit awaited before the text is
+    copied out, so this process holds one slice's text at a time. A worker
+    that fails, dies or cannot be forked has its slice redone here, so an
+    error stops the output at the same line, with the same exception, as
+    writing every line in this process. Without ``os.fork``, or while other
+    threads run, there is one slice and nothing is forked.
     """
     (_, head), *rest = _slices(len(prompts))
-    workers: list[tuple[int, int]] = []  # (pid, pipe read end) per forked slice, in slice order
-    texts: list[bytes] = []
+    workers: list[tuple[int, int]] = []  # (pid, pipe read end) per slice not yet taken, in slice order
     try:
         for start, stop in rest:
             read, write = os.pipe()
@@ -273,16 +276,29 @@ def write_lines(line_of: Callable[[str], str], prompts: Sequence[str], out: Text
                 break
             workers.append((pid, read))
         out.writelines(map(line_of, prompts[:head]))
-        texts = [_drain(read) for _, read in workers]
+        for start, stop in rest:
+            text = None
+            if workers:
+                pid, read = workers.pop(0)
+                try:
+                    text = _drain(read)
+                finally:
+                    os.close(read)
+                    if os.waitpid(pid, 0)[1]:
+                        text = None
+            if text is None:
+                out.writelines(map(line_of, prompts[start:stop]))
+                continue
+            at = 0  # decoded a line-ended piece at a time, so that the text is never held twice
+            while at < len(text):
+                end = text.find(b"\n", at + (1 << 16)) + 1 or len(text)
+                out.write(text[at:end].decode("utf-8", "surrogatepass"))
+                at = end
     finally:  # no worker may stay blocked on a full pipe or outlive the call
         for _, read in workers:
             os.close(read)
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
-    for index, (start, stop) in enumerate(rest):
-        if index < len(texts) and statuses[index] == 0:
-            out.write(texts[index].decode("utf-8", "surrogatepass"))
-        else:
-            out.writelines(map(line_of, prompts[start:stop]))
+        for pid, _ in workers:
+            os.waitpid(pid, 0)
 
 
 def _slices(count: int) -> list[tuple[int, int]]:

@@ -207,6 +207,18 @@ def test_a_worker_that_fails_dies_or_never_starts_has_its_slice_redone_here(how)
     _no_child_left()
 
 
+def test_a_worker_text_longer_than_a_piece_is_copied_out_whole():
+    """The text comes back decoded a line-ended piece at a time; pieces end
+    only at a newline, so no character or lone surrogate is split."""
+    prompts = ["é\ud800" * 20000, "\U0001f600" * 40000, "ж", "x" * 70000, "\udcff", "y"] * 2
+    out = io.StringIO()
+    with _machine(cpus=2, min_slice=3) as forks:
+        prompt_filter.write_lines(lambda prompt: f"{prompt}\n", prompts, out)
+    assert len(forks) == 1
+    assert out.getvalue() == _lines(prompts)
+    _no_child_left()
+
+
 class _BrokenPipe(io.StringIO):
     def writelines(self, lines) -> None:
         raise BrokenPipeError(32, "Broken pipe")
