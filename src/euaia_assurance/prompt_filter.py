@@ -130,8 +130,9 @@ class FilterModel(NamedTuple):
     oov_score: float
     threshold: float
     provenance: ModelProvenance
-    # Optional second feature channel over adjacent character pairs.
-    bigram_llr: Mapping[str, float] | None = None
+    # Optional second feature channel over adjacent character pairs, looked
+    # up as bigram_llr[first][second].
+    bigram_llr: Mapping[str, dict[str, float]] | None = None
     bigram_vocab_size: int | None = None
     bigram_oov_score: float | None = None
 
@@ -195,7 +196,10 @@ def train_dynamic(
             Counter(chain.from_iterable(map(add, p, p[1:]) for p in benign)),
             alpha,
         )
-        model = model._replace(bigram_llr=bi_table, bigram_vocab_size=bi_v, bigram_oov_score=bi_oov)
+        nested: dict[str, dict[str, float]] = {}
+        for pair, value in bi_table.items():
+            nested.setdefault(pair[0], {})[pair[1]] = value
+        model = model._replace(bigram_llr=nested, bigram_vocab_size=bi_v, bigram_oov_score=bi_oov)
     return model._replace(threshold=_youden_threshold(model, adversarial, benign))
 
 
@@ -214,6 +218,11 @@ def _youden_threshold(
     return best_t
 
 
+# The row of a first character that begins no pair in the table: real and
+# empty, because score calls the unbound dict.get on every row.
+_NO_ROW: dict[str, float] = {}
+
+
 def score(model: FilterModel, prompt: str) -> float:
     """Mean per-character log-likelihood ratio; higher means more adversarial.
 
@@ -227,8 +236,8 @@ def score(model: FilterModel, prompt: str) -> float:
     unigram = math.fsum(map(model.llr.get, prompt, repeat(model.oov_score))) / len(prompt)
     if model.bigram_llr is None or len(prompt) < 2:
         return unigram
-    pairs = map(add, prompt, prompt[1:])
-    bigram = math.fsum(map(model.bigram_llr.get, pairs, repeat(model.bigram_oov_score))) / (len(prompt) - 1)
+    rows = map(model.bigram_llr.get, prompt[:-1], repeat(_NO_ROW))
+    bigram = math.fsum(map(dict.get, rows, prompt[1:], repeat(model.bigram_oov_score))) / (len(prompt) - 1)
     return (unigram + bigram) / 2.0
 
 
@@ -437,7 +446,9 @@ def _iri_safe(corpus_id: str) -> str:
 
 def save_model(model: FilterModel) -> str:
     """Versioned JSON Lines: a header record, then one record per character
-    (code point and llr, 6 decimal places, sorted by code point).
+    (code point and llr, 6 decimal places, sorted by code point) and, in a
+    bigram model, one per character pair (sorted by first, then second code
+    point).
     """
     import json  # here, so that only commands that write a model load it
 
@@ -457,10 +468,10 @@ def save_model(model: FilterModel) -> str:
     for char in sorted(model.llr, key=ord):
         lines.append(f'{{"char": {ord(char)}, "llr": {model.llr[char]:.6f}}}')
     if model.bigram_llr is not None:
-        for pair in sorted(model.bigram_llr, key=lambda p: (ord(p[0]), ord(p[1]))):
-            lines.append(
-                f'{{"chars": [{ord(pair[0])}, {ord(pair[1])}], "llr": {model.bigram_llr[pair]:.6f}}}'
-            )
+        for first in sorted(model.bigram_llr, key=ord):
+            row = model.bigram_llr[first]
+            for second in sorted(row, key=ord):
+                lines.append(f'{{"chars": [{ord(first)}, {ord(second)}], "llr": {row[second]:.6f}}}')
     return "\n".join(lines) + "\n"
 
 
@@ -475,7 +486,8 @@ def _is_code_point(value: object) -> bool:
 
 def load_model(text: str) -> FilterModel:
     """Read a model written by :func:`save_model`. A file that breaks its
-    schema raises :class:`CorpusFormatError` with the offending line.
+    schema, or gives a character or a pair a second record, raises
+    :class:`CorpusFormatError` with the offending line.
     """
     numbered = [(lineno, line) for lineno, line in enumerate(text.split("\n"), 1) if line.strip()]
     if not numbered:
@@ -505,24 +517,32 @@ def load_model(text: str) -> FilterModel:
     ):
         raise CorpusFormatError("malformed provenance", head_line)
     llr: dict[str, float] = {}
-    bigram_llr: dict[str, float] = {}
+    bigram_llr: dict[str, dict[str, float]] = {}
     for lineno, line in records:
         record = load_json(line, "invalid JSON", lineno, CorpusFormatError)
         if not isinstance(record, dict) or ("char" not in record and "chars" not in record):
             raise CorpusFormatError("expected a char or chars record", lineno)
+        if "char" in record and "chars" in record:
+            raise CorpusFormatError("a record holds a char or chars, not both", lineno)
         if not _is_number(record.get("llr")):
             raise CorpusFormatError("llr must be a number", lineno)
         if "char" in record:
             if not _is_code_point(record["char"]):
                 raise CorpusFormatError("char must be a code point", lineno)
-            llr[chr(record["char"])] = float(record["llr"])
+            char = chr(record["char"])
+            if char in llr:
+                raise CorpusFormatError(f"repeated record for char {record['char']}", lineno)
+            llr[char] = float(record["llr"])
         else:
             pair = record["chars"]
             if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_code_point, pair))):
                 raise CorpusFormatError("chars must be a list of two code points", lineno)
             if not has_bigrams:
                 raise CorpusFormatError("chars record in a model whose header has no 'bigram_vocab_size'", lineno)
-            bigram_llr[chr(pair[0]) + chr(pair[1])] = float(record["llr"])
+            row = bigram_llr.setdefault(chr(pair[0]), {})
+            if chr(pair[1]) in row:
+                raise CorpusFormatError(f"repeated record for chars [{pair[0]}, {pair[1]}]", lineno)
+            row[chr(pair[1])] = float(record["llr"])
     return FilterModel(
         llr=llr,
         alpha=float(header["alpha"]),

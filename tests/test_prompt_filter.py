@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import re
@@ -355,10 +356,13 @@ def test_trained_threshold_matches_the_oracle(adversarial, benign, bigrams):
     assert model.threshold == roc_oracle.youden_threshold(model, adversarial, benign)
 
 
-# Random unigram and bigram tables over a small alphabet; "e" and "é" may be
-# out of vocabulary, and one-character prompts have no pairs.
+# Random unigram and bigram tables over a small alphabet with an astral
+# character and a lone surrogate. Any character may be out of vocabulary,
+# as either character of a pair; a first character may have an empty row;
+# one-character prompts have no pairs.
 _LLR = st.floats(-50.0, 50.0)
-_ALPHABET = "abcdeé"
+_ALPHABET = "abcdeé\U0001F600\ud800"
+_ROWS = st.dictionaries(st.sampled_from(_ALPHABET), st.dictionaries(st.sampled_from(_ALPHABET), _LLR))
 
 
 @st.composite
@@ -366,7 +370,7 @@ def _random_models(draw):
     llr = draw(st.dictionaries(st.sampled_from(_ALPHABET), _LLR))
     bigram_llr = bigram_oov = None
     if draw(st.booleans()):
-        bigram_llr = draw(st.dictionaries(st.text(_ALPHABET, min_size=2, max_size=2), _LLR))
+        bigram_llr = draw(_ROWS)
         bigram_oov = draw(_LLR)
     return FilterModel(llr, 1.0, len(llr) + 1, draw(_LLR), 0.0, ModelProvenance(()), bigram_llr, None, bigram_oov)
 
@@ -374,6 +378,14 @@ def _random_models(draw):
 @settings(max_examples=500, deadline=None)
 @given(_random_models(), st.text(_ALPHABET, min_size=1, max_size=12))
 def test_score_matches_the_per_character_oracle(model, prompt):
+    assert score(model, prompt) == filter_oracle.score(model, prompt)
+
+
+@pytest.mark.parametrize("prompt", ["ab", "zb", "az", "zz", "ba", "a\U0001F600", "\ud800a", "abz", "zab"])
+def test_score_matches_the_oracle_with_either_pair_character_unseen(prompt):
+    # "z" is in no table; "b" begins no pair; "a" begins only "ab"
+    model = train_dynamic(["ab", "a"], ["b"], bigrams=True)
+    assert model.bigram_llr == {"a": {"b": model.bigram_llr["a"]["b"]}}
     assert score(model, prompt) == filter_oracle.score(model, prompt)
 
 
@@ -389,7 +401,9 @@ def test_trained_bigram_table_counts_the_oracle_pairs(adversarial, benign):
         Counter(b for p in benign for b in filter_oracle._bigrams(p)),
         1.0,
     )
-    assert (model.bigram_llr, model.bigram_vocab_size, model.bigram_oov_score) == expected
+    found = (filter_oracle.pair_table(model.bigram_llr), model.bigram_vocab_size, model.bigram_oov_score)
+    assert found == expected
+    assert all(model.bigram_llr.values())  # no empty rows
 
 
 def test_threshold_edge_cases(toy):
@@ -408,11 +422,11 @@ def test_threshold_edge_cases(toy):
 def test_bigram_model_scores_pairs():
     model = train_dynamic(TOY_ADV, TOY_BEN, bigrams=True)
     assert model.bigram_llr is not None
-    assert "!x" in model.bigram_llr
+    assert "x" in model.bigram_llr["!"]
     # single-character prompts fall back to the unigram channel
     assert score(model, "!") == pytest.approx(model.llr["!"], abs=1e-12)
     unigram_only = train_dynamic(TOY_ADV, TOY_BEN)
-    expected = (score(unigram_only, "!x") + model.bigram_llr["!x"]) / 2
+    expected = (score(unigram_only, "!x") + model.bigram_llr["!"]["x"]) / 2
     assert score(model, "!x") == pytest.approx(expected, abs=1e-12)
 
 
@@ -422,6 +436,32 @@ def test_bigram_model_round_trips():
     assert loaded.bigram_vocab_size == model.bigram_vocab_size
     for prompt in ("!x!", "xy", "weird"):
         assert score(loaded, prompt) == pytest.approx(score(model, prompt), abs=1e-5)
+
+
+def _fixture_model() -> FilterModel:
+    adversarial, benign = (parse_corpus(fixture_text(name)) for name in ("adversarial.txt", "benign.txt"))
+    return train_dynamic(adversarial, benign, bigrams=True)
+
+
+def test_saved_bigram_model_bytes_are_frozen():
+    # the digest of the file written before the pair table was nested:
+    # records in (first, second) code-point order, every value as it was
+    text = save_model(_fixture_model())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "86a6ddccc655b4c6c7ef1b0810edc9ee144f8d1a5043a4f5dc73cb5d5888b384"
+    )
+
+
+def test_a_loaded_bigram_model_survives_save_and_load_unchanged():
+    # a trained model's values lose their digits past the sixth place on the
+    # first save; from then on, saving and loading changes nothing
+    model = _fixture_model()
+    loaded = load_model(save_model(model))
+    assert load_model(save_model(loaded)) == loaded
+    assert save_model(loaded) == save_model(model)
+    assert {first: set(row) for first, row in loaded.bigram_llr.items()} == {
+        first: set(row) for first, row in model.bigram_llr.items()
+    }
 
 
 # ----------------------------------------------------------------------
@@ -460,6 +500,7 @@ def test_load_rejects_foreign_files():
 
 
 _HEADER = '{"format": "charfilter/1", "alpha": 1.0, "vocab_size": 4, "oov_score": 0.0, "threshold": 0.1}'
+_BIGRAM_HEADER = _HEADER[:-1] + ', "bigram_vocab_size": 3, "bigram_oov_score": -0.5}'
 
 
 @pytest.mark.parametrize(
@@ -482,6 +523,13 @@ _HEADER = '{"format": "charfilter/1", "alpha": 1.0, "vocab_size": 4, "oov_score"
         (_HEADER + '\n{"char": 120, "llr": 0.5}\n{"chars": [120, 121], "llr": 0.5}\n',
          "line 3: chars record in a model whose header has no 'bigram_vocab_size'"),
         (_HEADER + "\n[120, 0.5]\n", "line 2: expected a char or chars record"),
+        (_HEADER + '\n{"char": 120, "llr": 0.5}\n{"char": 120, "llr": 0.25}\n', "line 3: repeated record for char 120"),
+        (_BIGRAM_HEADER + '\n{"chars": [120, 121], "llr": 0.5}\n{"char": 120, "llr": 0.5}\n'
+         '{"chars": [120, 121], "llr": 0.5}\n', "line 4: repeated record for chars [120, 121]"),
+        (_BIGRAM_HEADER + '\n{"char": 120, "chars": [120, 121], "llr": 0.5}\n',
+         "line 2: a record holds a char or chars, not both"),
+        (_BIGRAM_HEADER + '\n{"chars": [121, 120], "char": 120, "llr": 0.5}\n',
+         "line 2: a record holds a char or chars, not both"),
         (_HEADER + "\n7\n", "line 2: expected a char or chars record"),
         # blank lines count: the error names the line in the file
         (_HEADER + '\n\n{"char": 120, "llr": 0.5}\n{"char": null, "llr": 0.5}\n', "line 4: char must be"),

@@ -1,7 +1,8 @@
 """Time ``parse_gsn`` and ``validate`` on generated arguments of 1,500,
 3,000 and 6,000 nodes, ``import_triples`` on generated store text of
 12,500, 25,000 and 50,000 statements, ``train_dynamic`` with bigrams on
-1,000, 2,000 and 4,000 generated prompts per class, ``classify_static``
+1,000, 2,000 and 4,000 generated prompts per class and ``evaluate`` of the
+trained model on the labeled union of those prompts, ``classify_static``
 and ``score`` over 12,500, 25,000 and 50,000 generated prompts,
 ``coverage_report``, ``causal_trace`` and the case-audit 3-pattern
 ``Store.query`` on audit stores generated with 200, 400 and 800 nodes per
@@ -35,7 +36,9 @@ seed, so every tree reads the same texts: arguments from ``make_argument``,
 a store made like the case-audit one (the statements of
 ``CASE_AUDIT_SIZE``-node arguments in shuffled order under the generator's
 ``@prefix`` header), and prompts from the filter workload's adversarial and
-benign generators. The prompt stages work as the ``filter`` workload's
+benign generators. ``evaluate`` scores every training prompt in one
+process, as ``filter eval`` does, so it times the scorer alone. The prompt
+stages work as the ``filter`` workload's
 commands do: ``classify_static`` checks each prompt against the workload's
 blocklist, prepared once per run as the CLI prepares it
 (``compile_blocklist`` where the tree has it, else the raw entries), and
@@ -223,14 +226,22 @@ def _run_store(inputs: dict, size: int) -> dict:
 
 
 def _prepare_train(size: int, stack: contextlib.ExitStack) -> dict:
-    return {"corpora": _corpora(size)}
+    from euaia_assurance.prompt_filter import Verdict
+
+    adversarial, benign = _corpora(size)
+    labeled = [(prompt, Verdict.ADVERSARIAL) for prompt in adversarial]
+    return {"corpora": (adversarial, benign), "labeled": labeled + [(prompt, Verdict.BENIGN) for prompt in benign]}
 
 
 def _run_train(inputs: dict, size: int) -> dict:
-    from euaia_assurance.prompt_filter import train_dynamic
+    from euaia_assurance.prompt_filter import evaluate, train_dynamic
 
-    seconds, _ = _timed(train_dynamic, *inputs["corpora"], bigrams=True)
-    return {"train_dynamic": [size, "prompts per class", seconds]}
+    trained, model = _timed(train_dynamic, *inputs["corpora"], bigrams=True)
+    evaluated, metrics = _timed(evaluate, model, inputs["labeled"])
+    if metrics.corpus_sizes != (size, size):
+        raise RuntimeError(f"{size} prompts per class: evaluated {metrics.corpus_sizes}")
+    unit = "prompts per class"
+    return {"train_dynamic": [size, unit, trained], "evaluate": [size, unit, evaluated]}
 
 
 def _prepare_prompts(size: int, stack: contextlib.ExitStack) -> dict:
