@@ -446,10 +446,17 @@ def _fixture_model() -> FilterModel:
 def test_saved_bigram_model_bytes_are_frozen():
     # the digest of the file written before the pair table was nested:
     # records in (first, second) code-point order, every value as it was
-    text = save_model(_fixture_model())
+    model = _fixture_model()
+    text = save_model(model)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "86a6ddccc655b4c6c7ef1b0810edc9ee144f8d1a5043a4f5dc73cb5d5888b384"
     )
+    # the records are sorted on writing, whatever order the tables hold
+    reordered = model._replace(
+        llr=dict(reversed(model.llr.items())),
+        bigram_llr={first: dict(reversed(row.items())) for first, row in reversed(model.bigram_llr.items())},
+    )
+    assert save_model(reordered) == text
 
 
 def test_a_loaded_bigram_model_survives_save_and_load_unchanged():
@@ -523,7 +530,8 @@ _BIGRAM_HEADER = _HEADER[:-1] + ', "bigram_vocab_size": 3, "bigram_oov_score": -
         (_HEADER + '\n{"char": 120, "llr": 0.5}\n{"chars": [120, 121], "llr": 0.5}\n',
          "line 3: chars record in a model whose header has no 'bigram_vocab_size'"),
         (_HEADER + "\n[120, 0.5]\n", "line 2: expected a char or chars record"),
-        (_HEADER + '\n{"char": 120, "llr": 0.5}\n{"char": 120, "llr": 0.25}\n', "line 3: repeated record for char 120"),
+        (_HEADER + '\n{"char": 120, "llr": 0.5}\n{"char": 120, "llr": 0.25}\n',
+         "line 3: repeated record for char 120"),
         (_BIGRAM_HEADER + '\n{"chars": [120, 121], "llr": 0.5}\n{"char": 120, "llr": 0.5}\n'
          '{"chars": [120, 121], "llr": 0.5}\n', "line 4: repeated record for chars [120, 121]"),
         (_BIGRAM_HEADER + '\n{"char": 120, "chars": [120, 121], "llr": 0.5}\n',

@@ -37,13 +37,13 @@ a store made like the case-audit one (the statements of
 ``CASE_AUDIT_SIZE``-node arguments in shuffled order under the generator's
 ``@prefix`` header), and prompts from the filter workload's adversarial and
 benign generators. ``evaluate`` scores every training prompt in one
-process, as ``filter eval`` does, so it times the scorer alone. The prompt
-stages work as the ``filter`` workload's
-commands do: ``classify_static`` checks each prompt against the workload's
-blocklist, prepared once per run as the CLI prepares it
-(``compile_blocklist`` where the tree has it, else the raw entries), and
-``score`` scores each prompt with a bigram model trained on the workload's
-number of prompts per class. The coverage stages read the ``store.ttl`` and
+process, as ``filter eval`` does, so it times the scorer alone. The
+prompt stages work as the ``filter`` workload's commands do:
+``classify_static`` checks each prompt against the workload's blocklist,
+prepared once per run as the CLI prepares it (``compile_blocklist``
+where the tree has it, else the raw entries), and ``score`` scores each
+prompt with a bigram model trained on the workload's number of prompts
+per class. The coverage stages read the ``store.ttl`` and
 ``links.ttl`` that ``case_audit`` writes, merged as the CLI merges them,
 and each run gets a new ``Store`` built outside the timed call, so that the
 time includes the indexes the analysis builds; the trace follows the case's
@@ -229,8 +229,8 @@ def _prepare_train(size: int, stack: contextlib.ExitStack) -> dict:
     from euaia_assurance.prompt_filter import Verdict
 
     adversarial, benign = _corpora(size)
-    labeled = [(prompt, Verdict.ADVERSARIAL) for prompt in adversarial]
-    return {"corpora": (adversarial, benign), "labeled": labeled + [(prompt, Verdict.BENIGN) for prompt in benign]}
+    labeled = [(p, Verdict.ADVERSARIAL) for p in adversarial] + [(p, Verdict.BENIGN) for p in benign]
+    return {"corpora": (adversarial, benign), "labeled": labeled}
 
 
 def _run_train(inputs: dict, size: int) -> dict:
