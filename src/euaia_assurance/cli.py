@@ -21,11 +21,11 @@ from .triples import (
     Iri,
     NamespaceError,
     Store,
-    Triple,
     check_namespace,
     export_triples,
     import_triples,
     load_json,
+    merge_stores,
     parse_pattern,
     serialize_triple,
 )
@@ -103,25 +103,15 @@ def _extra_namespaces() -> dict[str, str]:
     return data
 
 
-def _read_triples(paths: list[str]) -> tuple[dict[str, str], set[Triple]]:
-    """The files' triples and one namespace map for them all.
+def _read_triples(paths: list[str]) -> Store:
+    """One store of the files' triples, with one namespace map for them all.
 
     Each file is imported against the environment's prefixes plus its own
     ``@prefix`` lines; across files the last file wins for each prefix.
     """
     extra = _extra_namespaces()
-    namespaces = dict(extra)
-    triples: set[Triple] = set()
-    for path in paths:
-        imported = import_triples(_read_file(path), namespaces=extra)
-        namespaces.update(imported.namespaces)
-        triples.update(imported.triples)
-    return namespaces, triples
-
-
-def _read_store(paths: list[str]) -> Store:
-    namespaces, triples = _read_triples(paths)
-    return Store(frozenset(triples), namespaces)
+    stores = [import_triples(_read_file(path), namespaces=extra) for path in paths]
+    return merge_stores(stores) if stores else Store(namespaces=extra)
 
 
 def _read_prompts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> list[str]:
@@ -196,11 +186,11 @@ def _cmd_gsn_format(args: argparse.Namespace) -> int:
 
 
 def _cmd_triples_import(args: argparse.Namespace) -> int:
-    namespaces, triples = _read_triples(args.files)
+    store = _read_triples(args.files)
     if args.with_registry:
         _bind("duties")
-        triples.update(registry_to_triples(load_registry()))
-    text = export_triples(Store(frozenset(triples), namespaces))
+        store = store.assert_all(registry_to_triples(load_registry()))
+    text = export_triples(store)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -209,12 +199,12 @@ def _cmd_triples_import(args: argparse.Namespace) -> int:
 
 
 def _cmd_triples_export(args: argparse.Namespace) -> int:
-    sys.stdout.write(export_triples(_read_store([args.file])))
+    sys.stdout.write(export_triples(_read_triples([args.file])))
     return 0
 
 
 def _cmd_triples_query(args: argparse.Namespace) -> int:
-    store = _read_store([args.file])
+    store = _read_triples([args.file])
     patterns = []
     for number, text in enumerate(args.patterns, 1):
         try:
@@ -290,7 +280,7 @@ def _cmd_filter_eval(args: argparse.Namespace) -> int:
 
 def _cmd_coverage_report(args: argparse.Namespace) -> int:
     _bind("duties", "coverage")
-    store = _read_store(args.stores)
+    store = _read_triples(args.stores)
     report = coverage_report(store, load_registry())
     sys.stdout.write(coverage_to_tsv(report))
     return 0
@@ -298,7 +288,7 @@ def _cmd_coverage_report(args: argparse.Namespace) -> int:
 
 def _cmd_coverage_trace(args: argparse.Namespace) -> int:
     _bind("coverage")
-    store = _read_store(args.stores)
+    store = _read_triples(args.stores)
     traces = causal_trace(store, Iri.parse(args.attack))
     for index, trace in enumerate(traces, start=1):
         print(f"trace {index}:")
@@ -312,11 +302,11 @@ def _cmd_coverage_trace(args: argparse.Namespace) -> int:
 def _cmd_factsheet_render(args: argparse.Namespace) -> int:
     _bind("duties", "gsn", "factsheet")
     registry = load_registry()
-    namespaces, triples = _read_triples(args.store)
-    triples.update(registry_to_triples(registry))
+    store = _read_triples(args.store)
+    triples = registry_to_triples(registry)
     argument = _parse_gsn_file(args.gsn) if args.gsn else GsnArgument()
     if argument.nodes:
-        triples.update(argument_to_triples(argument))
+        triples.extend(argument_to_triples(argument))
     metrics = None
     if args.model:
         if not args.eval_corpus:
@@ -325,8 +315,8 @@ def _cmd_factsheet_render(args: argparse.Namespace) -> int:
         model = load_model(_read_file(args.model))
         labeled = parse_labeled_corpus(_read_file(args.eval_corpus, corpus=True))
         metrics = evaluate(model, labeled)
-        triples.update(filter_to_triples(model, metrics))
-    store = Store(frozenset(triples), namespaces)
+        triples.extend(filter_to_triples(model, metrics))
+    store = store.assert_all(triples)
     markdown = render_factsheet(registry, argument, store, metrics, system_name=args.system)
     text = render_html(markdown) if args.format == "html" else markdown
     if args.output:

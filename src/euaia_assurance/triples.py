@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 # Namespaces every store knows about, whatever else the caller declares.
 DEFAULT_NAMESPACES: dict[str, str] = {
@@ -251,14 +251,14 @@ class Store:
         for prefix, expansion in merged.items():
             check_namespace(prefix, expansion)
         self.__dict__.update(namespaces=merged, triples=frozenset(self.triples))
-        iris = [term if isinstance(term, Iri) else term.datatype for t in self.triples for term in t]
-        undeclared = {iri.prefix for iri in iris if iri is not None}.difference(merged)
-        if undeclared:  # name the first offending triple
-            for t in self.triples:
-                for term in t:
-                    iri = term if isinstance(term, Iri) else term.datatype
-                    if iri is not None and iri.prefix in undeclared:
-                        raise NamespaceError(f"undeclared namespace prefix {iri.prefix!r} in {serialize_triple(t)}")
+        _check_prefixes(self.triples, merged)
+
+    @classmethod
+    def _of_checked(cls, triples: frozenset[Triple], namespaces: dict[str, str]) -> "Store":
+        """A store made without the walk, of triples that resolve against a full, checked map."""
+        store = object.__new__(cls)
+        store.__dict__.update(triples=triples, namespaces=namespaces)
+        return store
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r} of an immutable store")
@@ -289,22 +289,19 @@ class Store:
     # updates (persistent: each returns a new store)
 
     def with_namespace(self, prefix: str, expansion: str) -> "Store":
-        check_namespace(prefix, expansion)
-        merged = dict(self.namespaces)
-        merged[prefix] = expansion
-        return Store(self.triples, merged)
+        return Store(self.triples, {**self.namespaces, prefix: expansion})
 
     def assert_triple(self, triple: Triple) -> "Store":
         """Add one triple. Set semantics: re-asserting is a no-op."""
-        if triple in self.triples:
-            return self
-        return Store(self.triples | {triple}, self.namespaces)
+        return self.assert_all((triple,))
 
     def assert_all(self, triples: Iterable[Triple]) -> "Store":
+        """Add the triples. Only they are checked: the store's own already resolve."""
         batch = frozenset(triples)
         if batch <= self.triples:
             return self
-        return Store(self.triples | batch, self.namespaces)
+        _check_prefixes(batch, self.namespaces)
+        return Store._of_checked(self.triples | batch, self.namespaces)
 
     def retract_triple(self, triple: Triple) -> "Store":
         """Remove one triple. Retracting an absent triple is a no-op."""
@@ -317,15 +314,15 @@ class Store:
 
     @cached_property
     def _by_subject(self) -> dict[Iri, tuple[Triple, ...]]:
-        return _position_index(self.triples, "subject")
+        return _position_index(self.triples, 0)
 
     @cached_property
     def _by_predicate(self) -> dict[Iri, tuple[Triple, ...]]:
-        return _position_index(self.triples, "predicate")
+        return _position_index(self.triples, 1)
 
     @cached_property
     def _by_object(self) -> dict[Term, tuple[Triple, ...]]:
-        return _position_index(self.triples, "object")
+        return _position_index(self.triples, 2)
 
     def _candidates(self, pattern: TriplePattern) -> Iterable[Triple]:
         """The smallest index bucket of the positions the pattern binds, or every
@@ -395,10 +392,30 @@ class Store:
         return sorted(solutions, key=_binding_key)
 
 
-def _position_index(triples: frozenset[Triple], position: str) -> dict:
+def _check_prefixes(triples: frozenset[Triple], namespaces: Mapping[str, str]) -> None:
+    """Raise :class:`NamespaceError` at the first triple with a prefix ``namespaces`` lacks."""
+    for t in triples:
+        for term in t:
+            iri = term if isinstance(term, Iri) else term.datatype
+            if iri is not None and iri.prefix not in namespaces:
+                raise NamespaceError(f"undeclared namespace prefix {iri.prefix!r} in {serialize_triple(t)}")
+
+
+def merge_stores(stores: Sequence[Store]) -> Store:
+    """One store of the stores' triples, each prefix expanded as the last store
+    to declare it does. That map declares every prefix of each triple's own
+    store, so no triple is checked again; a lone store's set is shared."""
+    namespaces = dict(DEFAULT_NAMESPACES)  # in the order Store gives a map
+    for store in stores:
+        namespaces.update(store.namespaces)
+    triples = stores[0].triples if len(stores) == 1 else frozenset().union(*(store.triples for store in stores))
+    return Store._of_checked(triples, namespaces)
+
+
+def _position_index(triples: frozenset[Triple], position: int) -> dict:
     index: dict = {}
     for triple in triples:
-        index.setdefault(getattr(triple, position), []).append(triple)
+        index.setdefault(triple[position], []).append(triple)
     return {key: tuple(val) for key, val in index.items()}
 
 
@@ -407,12 +424,13 @@ def _position_index(triples: frozenset[Triple], position: str) -> dict:
 
 # A quoted string: `"`, then characters other than `"` and `\`, or the
 # escapes `\"`, `\\` and `\n`, then `"`; GSN statements share the grammar.
-# A literal adds an optional ^^<datatype>, and fails to match when a '^^'
-# that opens none follows it. `{0}` in a piece is what else it may not hold:
-# nothing within one line, `\n` across the lines of a whole file.
+# A literal adds an optional ^^<datatype> of IRI pattern `{1}`, and fails to
+# match when a '^^' that opens none follows it. `{0}` in a piece is what else
+# it may not hold: nothing within one line, `\n` across the lines of a file.
 _QUOTED = r'"([^"\\{0}]*(?:\\["\\n][^"\\{0}]*)*)'
 _IRI = r"<([^>{0}]*)>"
-_LITERAL = _QUOTED + r'"(?:\^\^' + _IRI + r"|(?!\^\^))"
+_CURIE = rf"<({_PREFIX_RE.pattern}:{_LOCAL_RE.pattern})>"
+_LITERAL = _QUOTED + r'"(?:\^\^{1}|(?!\^\^))'
 _QUOTED_BODY_RE = re.compile(_QUOTED.format(""))
 _ESCAPE_RE = re.compile(r"\\(.)")
 _UNESCAPED = {'"': '"', "\\": "\\", "n": "\n"}
@@ -448,7 +466,7 @@ def scan_quoted(
 # `_scan_error` then names the fault.
 _TERM_RE = re.compile(
     rf"[ \t]*(?:{_IRI}|{_LITERAL}|(\.)[ \t]*\Z|(\.)(?=[ \t])|(\Z)"
-    r'|\?([A-Za-z_][A-Za-z0-9_]*)|([^\s<"?]\S*))'.format("")
+    r'|\?([A-Za-z_][A-Za-z0-9_]*)|([^\s<"?]\S*))'.format("", _IRI.format(""))
 )
 _BLANKS_RE = re.compile(r"[ \t]*")
 
@@ -512,15 +530,15 @@ def _scan_terms(line: str, lineno: int | None, *, pattern: bool = False, pos: in
 
 
 # One match per line of a triple file, by the first branch that takes it
-# whole: a statement `_scan_terms` would read as two IRIs and an IRI or
-# literal object fills groups 1-5 (subject, predicate, object IRI, literal
+# whole: a statement of two IRIs and an IRI or literal object, each IRI a
+# valid CURIE, fills groups 1-5 (subject, predicate, object IRI, literal
 # body, datatype), an `@prefix` line 6-7 (prefix, expansion), a blank or
 # comment line none, and any other line 8. Each branch owns its whitespace,
 # which keeps the time to reject a line linear in its length.
 _ROW_RE = re.compile(
-    rf"^(?:[^\S\n]*{_IRI}[ \t]*{_IRI}[ \t]*(?:{_IRI}|{_LITERAL})[ \t]*\.[^\S\n]*"
+    rf"^(?:[^\S\n]*{_CURIE}[ \t]*{_CURIE}[ \t]*(?:{_CURIE}|{_LITERAL})[ \t]*\.[^\S\n]*"
     rf"|[^\S\n]*@prefix[^\S\n]+({_PREFIX_RE.pattern}):[^\S\n]+<({_EXPANSION_RE.pattern})>[^\S\n]*(?:\.[^\S\n]*)?"
-    r"|[^\S\n]*(?:#.*)?|(.*))$".format(r"\n"),
+    r"|[^\S\n]*(?:#.*)?|(.*))$".format(r"\n", _CURIE),
     re.M,
 )
 
@@ -553,11 +571,11 @@ def import_triples(text: str, namespaces: Mapping[str, str] | None = None) -> St
     or ``<s> <p> (<o> | "literal") .`` statements. Prefixes must be
     declared (or defaulted) before use; errors carry the line number.
 
-    One pattern reads every line. A CURIE is parsed and checked against the
-    prefixes declared so far when first met, which holds for every later
-    line too, as declarations only add prefixes. A line the pattern rejects,
-    and a statement that fails a check, is read on its own by
-    ``_read_line``, which names the fault.
+    One pattern reads every line, and it takes only CURIEs of the grammar as
+    IRIs. A CURIE is checked against the prefixes declared so far when first
+    met, which holds for every later line too, as declarations only add
+    prefixes. A line the pattern rejects, and a statement that fails the
+    check, is read on its own by ``_read_line``, which names the fault.
     """
     declared = dict(DEFAULT_NAMESPACES)
     if namespaces:
@@ -567,16 +585,12 @@ def import_triples(text: str, namespaces: Mapping[str, str] | None = None) -> St
     triples: list[Triple] = []
 
     def first_sight(curie: str) -> Iri | None:
-        try:
-            iri = Iri.parse(curie)
-        except ValueError:
-            return None
-        if iri.prefix not in declared:
-            return None
-        iris[curie] = iri
-        return iri
+        prefix, _, local = curie.partition(":")
+        if prefix in declared:
+            iris[curie] = new(Iri, (prefix, local))
+        return known(curie)
 
-    # tuple.__new__ builds a Literal or Triple without the Python frame of its constructor.
+    # tuple.__new__ skips a constructor's Python frame; the row pattern checked an Iri's names.
     known, new, append = iris.get, tuple.__new__, triples.append
     for lineno, row in enumerate(_ROW_RE.finditer(text), 1):
         s, p, o, body, dt, prefix, expansion, other = row.groups()
@@ -603,11 +617,7 @@ def import_triples(text: str, namespaces: Mapping[str, str] | None = None) -> St
         append(_read_line(row.group(), lineno, declared))
     for prefix, expansion in declared.items():
         check_namespace(prefix, expansion)
-    # Each CURIE was checked against `declared` when first met, so the store
-    # is made without its constructor's second walk over the triples.
-    store = object.__new__(Store)
-    store.__dict__.update(triples=frozenset(triples), namespaces=declared)
-    return store
+    return Store._of_checked(frozenset(triples), declared)
 
 
 def export_triples(store: Store) -> str:

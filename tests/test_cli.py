@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from euaia_assurance import cli
+from euaia_assurance import cli, triples
 from euaia_assurance.cli import main
+from euaia_assurance.duties import load_registry, registry_to_triples
+from euaia_assurance.gsn import argument_to_triples, parse_gsn
 from euaia_assurance.triples import Store, import_triples
 
 from conftest import FIXTURES
@@ -560,6 +562,34 @@ def test_triple_files_declare_their_own_prefixes(capsys, tmp_path, store_ttl):
     assert err == "error: line 1: undeclared namespace prefix 'ex'\n"
 
 
+@pytest.mark.parametrize("user_first", [True, False], ids=["user-first", "declarer-first"])
+def test_a_prefix_declared_in_another_file_of_the_command_is_rejected_at_its_line(capsys, tmp_path, user_first):
+    declarer = tmp_path / "declarer.ttl"
+    declarer.write_text("@prefix ex: <https://example.org/ns/ex#>\n<ex:x> <rdf:type> <assures:Attack> .\n",
+                        encoding="utf-8")
+    user = tmp_path / "user.ttl"
+    user.write_text("<atk:a> <rdf:type> <assures:Attack> .\n<atk:a> <rdf:type> <ex:Attack> .\n", encoding="utf-8")
+    files = [str(user), str(declarer)] if user_first else [str(declarer), str(user)]
+    for argv in (
+        ("triples", "import", *files),
+        ("coverage", "report", *files),
+        ("coverage", "trace", *files, "--attack", "atk:a"),
+        ("factsheet", "render", "--store", files[0], "--store", files[1], "--gsn", GSN),
+    ):
+        assert run(capsys, *argv) == (1, "", "error: line 2: undeclared namespace prefix 'ex'\n"), argv
+
+
+def test_triples_made_in_memory_are_checked_against_the_namespace_map(capsys, tmp_path):
+    """A GSN argument's duty link is the one IRI of a command's triples that
+    no file declares: an undeclared prefix there names its triple."""
+    gsn = tmp_path / "foo.gsn"
+    gsn.write_text(Path(GSN).read_text(encoding="utf-8").replace("duty euaia:d9", "duty foo:d9"), encoding="utf-8")
+    assert gsn.read_text(encoding="utf-8").endswith("\nduty foo:d9\n")
+    message = "error: undeclared namespace prefix 'foo' in <gsn:G1> <assures:operationalizes> <foo:d9> .\n"
+    for argv in (("factsheet", "render", "--store", LINKS, "--gsn", str(gsn)), ("gsn", "triples", str(gsn))):
+        assert run(capsys, *argv) == (1, "", message), argv
+
+
 @pytest.mark.parametrize("prefix, shown", [("1lab", "'1lab'"), ("rdf\n", "'rdf\\n'")])
 def test_namespace_env_var_rejects_invalid_prefixes(capsys, tmp_path, monkeypatch, prefix, shown):
     namespaces = tmp_path / "ns.json"
@@ -759,17 +789,32 @@ def test_a_caller_that_turned_the_collector_off_finds_it_off(capsys, collecting)
 
 
 def test_a_command_checks_each_triple_of_its_store_once(capsys, monkeypatch, store_ttl):
-    """Count the triples each Store build checks, as the benchmark tracer does."""
-    texts = [Path(path).read_text(encoding="utf-8") for path in (store_ttl, LINKS)]
-    merged = import_triples(texts[0]).triples | import_triples(texts[1]).triples
-    checked = []
-    original = Store.__post_init__
+    """An imported file's triples were checked as they were read, so neither
+    the merge of the files nor a constructor walks them again: only triples
+    made in memory are checked, once, against the merged namespace map.
+    """
+    built, walked = [], []
+    original_init, original_walk = Store.__post_init__, triples._check_prefixes
 
-    def counted(store):
-        original(store)
-        checked.append(len(store.triples))
+    def counted_init(store):
+        built.append(len(store.triples))
+        original_init(store)
 
-    monkeypatch.setattr(Store, "__post_init__", counted)
-    code, _, err = run(capsys, "coverage", "report", store_ttl, LINKS)
+    def counted_walk(batch, namespaces):
+        walked.append(len(batch))
+        original_walk(batch, namespaces)
+
+    monkeypatch.setattr(Store, "__post_init__", counted_init)
+    monkeypatch.setattr(triples, "_check_prefixes", counted_walk)
+    for argv in (
+        ["coverage", "report", store_ttl, LINKS],
+        ["coverage", "trace", store_ttl, LINKS, "--attack", "atk:charCombo"],
+        ["triples", "query", store_ttl, "?g <assures:operationalizes> ?d ."],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert (built, walked) == ([], []), argv
+    code, _, err = run(capsys, "factsheet", "render", "--store", LINKS, "--store", DYNAMIC, "--gsn", GSN)
     assert code == 0, err
-    assert checked == [len(merged)]
+    made = set(registry_to_triples(load_registry())) | set(argument_to_triples(parse_gsn(Path(GSN).read_text())))
+    assert (built, walked) == ([], [len(made)])

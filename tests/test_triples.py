@@ -23,6 +23,7 @@ from euaia_assurance.triples import (
     _scan_terms,
     export_triples,
     import_triples,
+    merge_stores,
     parse_pattern,
     serialize_term,
     serialize_triple,
@@ -567,6 +568,19 @@ def test_a_long_blank_run_before_a_stray_character_is_rejected_in_linear_time(te
 
 
 @pytest.mark.parametrize(
+    "text",
+    ["<" + "a" * 100_000, "<atk:" + "b" * 100_000, "<atk:a> <rdf:type> <atk:" + "b._-" * 25_000 + " ."],
+    ids=["prefix", "local", "object"],
+)
+def test_a_long_unclosed_curie_is_rejected_in_linear_time(text):
+    start = time.perf_counter()
+    with pytest.raises(TripleParseError) as exc:
+        import_triples(text)
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == f"line 1, column {text.rindex('<') + 1}: unterminated '<'"
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("   <atk:a <rdf:type> <gsn:G1> .", "line 1, column 5: invalid local name 'a <rdf:type'"),
@@ -730,7 +744,18 @@ def test_parse_pattern_raises_only_parse_errors(text):
 _LINE_ENDS = st.text(alphabet=" \t\r\x0b\x0c\x1c\x85\xa0\u2003\u3000", max_size=3)
 _GAPS = st.text(alphabet=" \t", max_size=3)
 _GOOD_CURIES = st.sampled_from(["rdf:type", "atk:a1", "gsn:G1", "gsn:Sn-1.b", "lab:x", "lab:y_2", "src:0"])
-_ALL_CURIES = st.one_of(_GOOD_CURIES, st.sampled_from(["late:x", "mystery:p", "1a:x", "a:", "a b:x", ""]))
+# CURIEs at the edges of the grammar `[A-Za-z][A-Za-z0-9_-]*:[A-Za-z0-9_][A-Za-z0-9_.-]*`,
+# whose letters are ASCII ones: a second colon, an empty or ill-started name
+# and a non-ASCII letter (the Kelvin sign among them) each break it.
+_BAD_EDGE_CURIES = (
+    "a:b:c", "atk:b:c", "atk::b", ":b", "a:", "atk:", "1a:x", "_a:x", "atk:.x", "atk:-x",
+    "\u00e9:x", "atk:\u00e9", "atk\u00e9:x", "atk:x\u00e9", "atk:\u212a",
+)
+_GOOD_EDGE_CURIES = ("a-_9:x", "atk:_.-", "atk:9.", "A:b")
+_ALL_CURIES = st.one_of(
+    _GOOD_CURIES,
+    st.sampled_from(["late:x", "mystery:p", "1a:x", "a:", "a b:x", "", *_BAD_EDGE_CURIES, *_GOOD_EDGE_CURIES]),
+)
 _GOOD_BODIES = st.lists(
     st.one_of(
         st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters='"\\\n'), max_size=5),
@@ -770,7 +795,9 @@ _ANY_LINES = st.one_of(
 _ANY_TEXTS = st.tuples(st.lists(_ANY_LINES, max_size=10), st.sampled_from(["", "\n"])).map(
     lambda p: "\n".join(p[0]) + p[1]
 )
-_EXTRA_NAMESPACES = st.sampled_from([None, {}, {"lab": "https://example.org/lab#"}, {"late": "https://l/"}])
+_EXTRA_NAMESPACES = st.sampled_from(
+    [None, {}, {"lab": "https://example.org/lab#"}, {"late": "https://l/"}, {"a": "https://a/", "A": "https://A/"}]
+)
 
 
 def _import_outcome(read, text, namespaces):
@@ -820,6 +847,30 @@ def test_row_lexer_agrees_with_the_line_by_line_import(text, namespaces):
         assert _one_object_per_curie(import_triples(text, namespaces))
 
 
+_POSITIONS = {
+    "subject": "<{}> <rdf:type> <gsn:G1> .",
+    "predicate": "<atk:a> <{}> <gsn:G1> .",
+    "object": "<atk:a> <rdf:type> <{}> .",
+    "datatype": '<atk:a> <rdf:type> "v"^^<{}> .',
+}
+
+
+@pytest.mark.parametrize("position", _POSITIONS)
+@pytest.mark.parametrize("curie", _BAD_EDGE_CURIES + _GOOD_EDGE_CURIES)
+def test_the_row_pattern_takes_a_curie_where_the_line_import_does(curie, position):
+    """Every edge CURIE in every term position, after a valid line and with
+    its prefix declared where it has one, reads as the line-by-line import
+    reads it: the same store, or the same error text, line and column."""
+    text = f"<atk:a> <rdf:type> <gsn:G1> .\n\t{_POSITIONS[position].format(curie)}\n"
+    namespaces = {"a": "https://a/", "A": "https://A/", "a-_9": "https://a9/"}
+    new = _import_outcome(import_triples, text, namespaces)
+    assert new == _import_outcome(import_triples_by_line, text, namespaces)
+    if curie in _GOOD_EDGE_CURIES:
+        assert new[0] == "store" and len(new[1]) == 2
+    else:
+        assert new[0] == "error" and new[3:] == (2, _POSITIONS[position].index("{}") + 2)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_ANY_TEXTS, _VALID_TEXTS), _EXTRA_NAMESPACES)
 def test_an_imported_store_passes_the_checked_constructor(text, namespaces):
@@ -832,6 +883,40 @@ def test_an_imported_store_passes_the_checked_constructor(text, namespaces):
     rebuilt = Store(store.triples, store.namespaces)
     assert rebuilt == store
     assert list(rebuilt.namespaces.items()) == list(store.namespaces.items())
+
+
+_IN_MEMORY = st.lists(
+    st.tuples(st.sampled_from(["atk:a", "lab:x", "late:y"]), st.sampled_from(["rdf:type", "lab:p"]))
+    .map(lambda pair: t(pair[0], pair[1], "gsn:G1")),
+    max_size=3,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_VALID_TEXTS, _EXTRA_NAMESPACES), max_size=3), _IN_MEMORY)
+def test_merged_stores_and_their_additions_equal_the_checked_constructor(parts, made):
+    """Merging imported stores walks no triple, and adding triples made in
+    memory walks only those; the checked constructor over the union of the
+    stores' namespace maps, the last store winning, must agree: the same
+    store, or an error that names an added triple."""
+    stores = [import_triples(text, namespaces) for text, namespaces in parts]
+    merged = merge_stores(stores)
+    namespaces: dict[str, str] = {}
+    for store in stores:
+        namespaces.update(store.namespaces)
+    rebuilt = Store(frozenset().union(*(store.triples for store in stores)), namespaces)
+    assert merged == rebuilt
+    assert list(merged.namespaces.items()) == list(rebuilt.namespaces.items())
+    if len(stores) == 1:
+        assert merged.triples is stores[0].triples
+    try:
+        added = merged.assert_all(made)
+    except NamespaceError as exc:
+        with pytest.raises(NamespaceError):
+            Store(merged.triples | frozenset(made), merged.namespaces)
+        assert any(str(exc).endswith(f"' in {serialize_triple(triple)}") for triple in made)
+    else:
+        assert added == Store(merged.triples | frozenset(made), merged.namespaces)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,16 +1,17 @@
 """Time ``parse_gsn`` and ``validate`` on generated arguments of 1,500,
 3,000 and 6,000 nodes, ``import_triples`` on generated store text of
-12,500, 25,000 and 50,000 statements, ``train_dynamic`` with bigrams on
-1,000, 2,000 and 4,000 generated prompts per class and ``evaluate`` of the
-trained model on the labeled union of those prompts, ``classify_static``
-and ``score`` over 12,500, 25,000 and 50,000 generated prompts,
-``coverage_report``, ``causal_trace`` and the case-audit 3-pattern
-``Store.query`` on audit stores generated with 200, 400 and 800 nodes per
-argument (about 13,000, 26,000 and 50,000 statements), the four case-audit
-commands run through ``cli.main`` in process on those audit cases, the
-``filter score`` and ``filter classify --model`` commands run the same way
-on 12,500, 25,000 and 50,000 prompts, and the start-up time of short
-commands, for one or more source trees, and write the records as JSON.
+12,500, 25,000, 50,000 and 100,000 statements, ``train_dynamic`` with
+bigrams on 1,000, 2,000 and 4,000 generated prompts per class and
+``evaluate`` of the trained model on the labeled union of those prompts,
+``classify_static`` and ``score`` over 12,500, 25,000 and 50,000
+generated prompts, ``coverage_report``, ``causal_trace`` and the
+case-audit 3-pattern ``Store.query`` on audit stores generated with 200,
+400 and 800 nodes per argument (about 13,000, 26,000 and 50,000
+statements), the four case-audit commands run through ``cli.main`` in
+process on those audit cases, the ``filter score`` and ``filter classify
+--model`` commands run the same way on 12,500, 25,000 and 50,000
+prompts, and the start-up time of short commands, for one or more source
+trees, and write the records as JSON.
 
     python3 tools/bench_stages.py --tree before=../old-checkout --tree after=. -o BENCH_11.json
     python3 tools/bench_stages.py --tree now=. --group startup --group store -o /dev/null
@@ -102,7 +103,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GSN_SIZES = (1500, 3000, 6000)
-STORE_SIZES = (12500, 25000, 50000)
+STORE_SIZES = (12500, 25000, 50000, 100000)
 TRAIN_SIZES = (1000, 2000, 4000)
 PROMPT_SIZES = (12500, 25000, 50000)
 AUDIT_SIZES = (200, 400, 800)  # nodes per argument; 800 is the case-audit workload's
