@@ -162,8 +162,6 @@ def causal_trace(store: Store, attack: Iri) -> list[CausalTrace]:
     the inverse ``mitigatedBy`` triple is asserted it is preferred so the
     first hop's subject is the attack itself.
     """
-    if not any(attack in (t.subject, t.predicate, t.object) for t in store.triples):
-        raise CoverageError(f"attack {attack.curie} does not appear in the store")
     by_predicate = store._by_predicate
     defenses: dict[Iri, Triple] = {}
     for hop in by_predicate.get(vocab.MITIGATES, ()):
@@ -172,6 +170,8 @@ def causal_trace(store: Store, attack: Iri) -> list[CausalTrace]:
     for hop in by_predicate.get(vocab.MITIGATED_BY, ()):
         if hop.subject == attack and isinstance(hop.object, Iri):
             defenses[hop.object] = hop
+    if not defenses and not any(attack in t for t in store._order):  # a defended attack appears
+        raise CoverageError(f"attack {attack.curie} does not appear in the store")
     parents: dict[Iri, list[Iri]] = {}
     for hop in by_predicate.get(vocab.GSN_SUPPORTED_BY, ()):
         if isinstance(hop.object, Iri):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 # Namespaces every store knows about, whatever else the caller declares.
@@ -236,6 +237,7 @@ class Store:
     expansion. Every entry must be one an ``@prefix`` line can spell, and
     every triple is validated against the map at construction. Its fields
     ``triples`` and ``namespaces`` are read-only, and a store is unhashable.
+    Whole-store walks read ``_order``: each triple once, in the order first given.
     """
 
     __hash__ = None  # type: ignore[assignment]
@@ -250,14 +252,15 @@ class Store:
             merged.update(self.namespaces)
         for prefix, expansion in merged.items():
             check_namespace(prefix, expansion)
-        self.__dict__.update(namespaces=merged, triples=frozenset(self.triples))
-        _check_prefixes(self.triples, merged)
+        triples, order = _ordered(self.triples)
+        self.__dict__.update(namespaces=merged, triples=triples, _order=order)
+        _check_prefixes(order, merged)
 
     @classmethod
-    def _of_checked(cls, triples: frozenset[Triple], namespaces: dict[str, str]) -> "Store":
+    def _of_checked(cls, triples: frozenset[Triple], order: tuple[Triple, ...], namespaces: dict[str, str]) -> "Store":
         """A store made without the walk, of triples that resolve against a full, checked map."""
         store = object.__new__(cls)
-        store.__dict__.update(triples=triples, namespaces=namespaces)
+        store.__dict__.update(triples=triples, _order=order, namespaces=namespaces)
         return store
 
     def __setattr__(self, name: str, value: object = None) -> None:
@@ -283,13 +286,15 @@ class Store:
         return len(self.triples)
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self.triples, key=serialize_triple))
+        return iter(sorted(self._order, key=serialize_triple))
 
     # ------------------------------------------------------------------
     # updates (persistent: each returns a new store)
 
     def with_namespace(self, prefix: str, expansion: str) -> "Store":
-        return Store(self.triples, {**self.namespaces, prefix: expansion})
+        """Declare one more prefix. The triples resolved already, so only the entry is checked."""
+        check_namespace(prefix, expansion)
+        return Store._of_checked(self.triples, self._order, {**self.namespaces, prefix: expansion})
 
     def assert_triple(self, triple: Triple) -> "Store":
         """Add one triple. Set semantics: re-asserting is a no-op."""
@@ -297,44 +302,49 @@ class Store:
 
     def assert_all(self, triples: Iterable[Triple]) -> "Store":
         """Add the triples. Only they are checked: the store's own already resolve."""
-        batch = frozenset(triples)
+        batch, order = _ordered(triples)
         if batch <= self.triples:
             return self
-        _check_prefixes(batch, self.namespaces)
-        return Store._of_checked(self.triples | batch, self.namespaces)
+        _check_prefixes(order, self.namespaces)
+        union = self.triples | batch  # the store's order, then that of the triples it lacks
+        fresh = order if len(union) == len(self) + len(batch) else tuple(t for t in order if t not in self.triples)
+        return Store._of_checked(union, self._order + fresh, self.namespaces)
 
     def retract_triple(self, triple: Triple) -> "Store":
         """Remove one triple. Retracting an absent triple is a no-op."""
         if triple not in self.triples:
             return self
-        return Store(self.triples - {triple}, self.namespaces)
+        at = self._order.index(triple)
+        return Store._of_checked(self.triples - {triple}, self._order[:at] + self._order[at + 1 :], self.namespaces)
 
     # ------------------------------------------------------------------
     # matching
 
     @cached_property
-    def _by_subject(self) -> dict[Iri, tuple[Triple, ...]]:
-        return _position_index(self.triples, 0)
-
-    @cached_property
     def _by_predicate(self) -> dict[Iri, tuple[Triple, ...]]:
-        return _position_index(self.triples, 1)
+        return _position_index(self._order, 1)
 
-    @cached_property
-    def _by_object(self) -> dict[Term, tuple[Triple, ...]]:
-        return _position_index(self.triples, 2)
+    def _index(self, predicate: Term | None, position: int) -> dict[Term, tuple[Triple, ...]]:
+        """The predicate's bucket, or with None the whole store, by the term at ``position``; built once."""
+        indexes, key = self.__dict__.setdefault("_indexes", {}), (predicate, position)
+        if key not in indexes:
+            bucket = self._order if predicate is None else self._by_predicate.get(predicate, ())
+            indexes[key] = _position_index(bucket, position)
+        return indexes[key]
 
-    def _candidates(self, pattern: TriplePattern) -> Iterable[Triple]:
-        """The smallest index bucket of the positions the pattern binds, or every
-        triple when it binds none. Only the indexes of bound positions are built.
+    def _candidates(self, pattern: TriplePattern) -> tuple[Triple, ...]:
+        """The triples a pattern may match: itself if it has no variable, else the smallest
+        bucket of its bound subject and object in the index of its predicate's bucket,
+        or of the whole store when the predicate is a variable, else every triple.
         """
-        best: Iterable[Triple] = self.triples
-        for term, index in zip(pattern, ("_by_subject", "_by_predicate", "_by_object")):
-            if not isinstance(term, Variable):
-                found = getattr(self, index).get(term, ())
-                if len(found) <= len(best):
-                    best = found
-        return best
+        s, p, o = (not isinstance(term, Variable) for term in pattern)
+        if s and p and o:
+            return (pattern,) if pattern in self.triples else ()
+        if p and not (s or o):
+            return self._by_predicate.get(pattern.predicate, ())
+        scope = pattern.predicate if p else None
+        found = [self._index(scope, at).get(pattern[at], ()) for at, bound in ((0, s), (2, o)) if bound]
+        return min(found, key=len, default=self._order)
 
     def _match_unsorted(self, pattern: TriplePattern) -> list[Binding]:
         out = []
@@ -366,11 +376,7 @@ class Store:
         if not remaining:
             raise ValueError("query requires at least one pattern")
 
-        def estimate(pattern: TriplePattern) -> int:
-            bound = self._candidates(pattern)
-            return len(self.triples) if bound is self.triples else len(tuple(bound))
-
-        remaining.sort(key=estimate)
+        remaining.sort(key=lambda pattern: len(self._candidates(pattern)))
         plan: list[TriplePattern] = []
         bound_names: set[str] = set()
         while remaining:
@@ -392,7 +398,16 @@ class Store:
         return sorted(solutions, key=_binding_key)
 
 
-def _check_prefixes(triples: frozenset[Triple], namespaces: Mapping[str, str]) -> None:
+def _ordered(triples: Iterable[Triple], unique: frozenset[Triple] | None = None) -> tuple[frozenset, tuple]:
+    """The set of the triples (``unique``, if known) and a tuple of them in first-occurrence
+    order. A second hash pass, which drops repeats, runs only when a triple repeats."""
+    order = tuple(triples)
+    if unique is None:
+        unique = triples if isinstance(triples, frozenset) else frozenset(order)
+    return unique, order if len(order) == len(unique) else tuple(dict.fromkeys(order))
+
+
+def _check_prefixes(triples: Iterable[Triple], namespaces: Mapping[str, str]) -> None:
     """Raise :class:`NamespaceError` at the first triple with a prefix ``namespaces`` lacks."""
     for t in triples:
         for term in t:
@@ -402,17 +417,17 @@ def _check_prefixes(triples: frozenset[Triple], namespaces: Mapping[str, str]) -
 
 
 def merge_stores(stores: Sequence[Store]) -> Store:
-    """One store of the stores' triples, each prefix expanded as the last store
-    to declare it does. That map declares every prefix of each triple's own
-    store, so no triple is checked again; a lone store's set is shared."""
+    """One store of the stores' triples, store by store, each prefix expanded as the
+    last store to declare it does. That map declares every prefix of each triple's
+    own store, so no triple is checked again; a lone store's set is shared."""
     namespaces = dict(DEFAULT_NAMESPACES)  # in the order Store gives a map
     for store in stores:
         namespaces.update(store.namespaces)
     triples = stores[0].triples if len(stores) == 1 else frozenset().union(*(store.triples for store in stores))
-    return Store._of_checked(triples, namespaces)
+    return Store._of_checked(*_ordered(chain.from_iterable(store._order for store in stores), triples), namespaces)
 
 
-def _position_index(triples: frozenset[Triple], position: int) -> dict:
+def _position_index(triples: Sequence[Triple], position: int) -> dict:
     index: dict = {}
     for triple in triples:
         index.setdefault(triple[position], []).append(triple)
@@ -617,13 +632,13 @@ def import_triples(text: str, namespaces: Mapping[str, str] | None = None) -> St
         append(_read_line(row.group(), lineno, declared))
     for prefix, expansion in declared.items():
         check_namespace(prefix, expansion)
-    return Store._of_checked(frozenset(triples), declared)
+    return Store._of_checked(*_ordered(triples), declared)
 
 
 def export_triples(store: Store) -> str:
     """Deterministic serialization: sorted prefix headers, then sorted statements."""
     lines = [f"@prefix {prefix}: <{expansion}>" for prefix, expansion in sorted(store.namespaces.items())]
-    lines.extend(sorted(serialize_triple(t) for t in store.triples))
+    lines.extend(sorted(serialize_triple(t) for t in store._order))
     return "\n".join(lines) + "\n"
 
 

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import copy
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +34,7 @@ from euaia_assurance.triples import (
 
 from char_scanner import _scan_terms as char_scan_terms
 from line_import import import_triples_by_line
+from whole_store_planner import WholeStorePlanner
 
 
 def iri(curie: str) -> Iri:
@@ -430,19 +434,77 @@ def test_match_and_query_equal_full_scan():
 
 
 @pytest.mark.parametrize(
-    "pattern, built",
+    "pattern, by_predicate, indexes",
     [
-        ("?s ?p ?o", set()),
-        ("?s rdf:type ?o", {"_by_predicate"}),
-        ("gsn:G1 ?p gsn:S1", {"_by_subject", "_by_object"}),
-        ("gsn:G1 gsn:supportedBy gsn:S1", {"_by_subject", "_by_predicate", "_by_object"}),
+        ("?s ?p ?o", False, set()),
+        ("gsn:G1 gsn:supportedBy gsn:S1", False, set()),
+        ("?s rdf:type ?o", True, set()),
+        ("?s rdf:type gsn:Goal", True, {("rdf:type", 2)}),
+        ("gsn:G1 gsn:supportedBy ?o", True, {("gsn:supportedBy", 0)}),
+        ("gsn:G1 ?p ?o", False, {(None, 0)}),
+        ("gsn:G1 ?p gsn:S1", False, {(None, 0), (None, 2)}),
     ],
 )
-def test_match_builds_only_the_indexes_of_bound_positions(base_store, pattern, built):
+def test_match_scopes_its_indexes_to_the_predicate_bucket(base_store, pattern, by_predicate, indexes):
+    """A pattern without variables is one set lookup; a bound predicate builds
+    its bucket and at most an index of that bucket by the bound subject or
+    object; only a variable predicate indexes the whole store, by the
+    positions the pattern binds."""
     store = Store(base_store.triples)
     found = store.match(parse_pattern(pattern))
     assert found == _oracle_match(store, parse_pattern(pattern))
-    assert {name for name in ("_by_subject", "_by_predicate", "_by_object") if name in vars(store)} == built
+    assert ("_by_predicate" in vars(store)) is by_predicate
+    keys = {(None if p is None else p.curie, at) for p, at in vars(store).get("_indexes", {})}
+    assert keys == indexes
+
+
+def test_a_join_under_bound_predicates_indexes_only_their_buckets(base_store):
+    store = Store(base_store.triples)
+    chain = [
+        parse_pattern("?s assures:evidencedBy ?e"),
+        parse_pattern("?g gsn:supportedBy ?s"),
+        parse_pattern("?g rdf:type gsn:Goal"),
+    ]
+    assert store.query(chain) == _oracle_query(store, chain) != []
+    assert {p.curie for p, _ in store._indexes} <= {"assures:evidencedBy", "gsn:supportedBy", "rdf:type"}
+
+
+# Small pools, so that random patterns hit: the subject and predicate pools
+# overlap, and objects may be literals, with and without a datatype.
+_POOL_IRIS = [Iri(prefix, local) for prefix in ("gsn", "atk") for local in ("a", "b", "c")]
+_POOL_LITERALS = [Literal(""), Literal("a"), Literal("a", Iri("gsn", "a"))]
+_POOL_VARIABLES = [Variable(name) for name in ("x", "y", "z")]
+_STORE_TRIPLES = st.builds(
+    Triple,
+    st.sampled_from(_POOL_IRIS),
+    st.sampled_from(_POOL_IRIS[:3]),
+    st.sampled_from(_POOL_IRIS + _POOL_LITERALS),
+)
+_PATTERN_TERMS = st.sampled_from(_POOL_IRIS + _POOL_LITERALS + _POOL_VARIABLES)
+_PATTERNS = st.builds(TriplePattern, _PATTERN_TERMS, _PATTERN_TERMS, _PATTERN_TERMS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_STORE_TRIPLES, max_size=40), st.lists(_PATTERNS, min_size=1, max_size=3))
+@example([t("gsn:a", "gsn:a", "gsn:a")], [TriplePattern(Variable("x"), Variable("x"), Variable("x"))])
+@example([t("gsn:a", "gsn:b", "gsn:c")], [TriplePattern(iri("gsn:a"), iri("gsn:b"), iri("gsn:c"))])
+@example(
+    [t("gsn:a", "gsn:b", "gsn:c"), t("atk:a", "gsn:a", Literal("a"))],
+    [TriplePattern(Variable("x"), iri("gsn:b"), Variable("y")), TriplePattern(Variable("z"), Variable("y"), Literal("a"))],
+)
+@example(
+    [t("gsn:a", "gsn:b", "gsn:c"), t("atk:a", "gsn:a", Literal("a"))],
+    [TriplePattern(Variable("x"), iri("gsn:b"), Variable("y")), TriplePattern(Variable("z"), iri("gsn:a"), Literal("a"))],
+)
+def test_match_and_query_equal_the_whole_store_planner(made, patterns):
+    """Bucket-scoped lookups change the candidates, never the answer: every
+    pattern matches, and the patterns join, as under the whole-store planner
+    and the brute-force oracle, whatever the order the lookups are cached in."""
+    store, planner = Store(made), WholeStorePlanner(Store(made))
+    for pattern in patterns:
+        assert store.match(pattern) == planner.match(pattern) == _oracle_match(store, pattern)
+    assert store.query(patterns) == planner.query(patterns) == _oracle_query(store, patterns)
+    assert Store(made).query(patterns) == store.query(patterns)
 
 
 def test_query_requires_patterns():
@@ -938,3 +1000,59 @@ def test_valid_files_never_reach_the_line_scanner(text):
         store = import_triples(text)
     assert calls == []
     assert store == import_triples_by_line(text)
+
+
+# ----------------------------------------------------------------------
+# the order a store keeps: each triple once, where it first came
+
+
+def _in_first_order(store: Store, given) -> None:
+    assert set(store._order) == store.triples
+    assert len(store._order) == len(store.triples)
+    assert store._order == tuple(dict.fromkeys(given))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_STORE_TRIPLES, max_size=12), min_size=1, max_size=3), st.data())
+def test_every_way_of_making_a_store_keeps_the_first_occurrence_order(parts, data):
+    """Repeats included, within one input and across inputs."""
+    made = parts[0]
+    everything = [triple for part in parts for triple in part]
+    _in_first_order(Store(made), made)
+    _in_first_order(Store(iter(made)), made)
+    _in_first_order(Store(frozenset(made)), frozenset(made))
+    _in_first_order(import_triples("".join(serialize_triple(x) + "\n" for x in made)), made)
+    _in_first_order(merge_stores([Store(part) for part in parts]), everything)
+    added = Store(made)
+    for part in parts[1:]:
+        added = added.assert_all(part)
+    _in_first_order(added, everything)
+    _in_first_order(Store(made).with_namespace("lab", "https://example.org/lab#"), made)
+    if everything:
+        gone = data.draw(st.sampled_from(everything))
+        _in_first_order(added.retract_triple(gone), [x for x in everything if x != gone])
+
+
+_FIRST_UNDECLARED = """
+from euaia_assurance.triples import Iri, Store, Triple
+made = [Triple(Iri("foo", f"x{n}"), Iri("rdf", "type"), Iri("gsn", "G1")) for n in range(1, 6)]
+for build in (Store, Store().assert_all):
+    try:
+        build(made)
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_the_first_undeclared_prefix_is_named_in_the_callers_order_whatever_the_hash_seed():
+    src = str(Path(triples.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = set()
+    for seed in range(4):
+        done = subprocess.run(
+            [sys.executable, "-c", _FIRST_UNDECLARED],
+            env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path),
+            capture_output=True, text=True, check=True,
+        )
+        outputs.add(done.stdout)
+    assert outputs == {"undeclared namespace prefix 'foo' in <foo:x1> <rdf:type> <gsn:G1> .\n" * 2}

@@ -45,11 +45,12 @@ prepared once per run as the CLI prepares it (``compile_blocklist``
 where the tree has it, else the raw entries), and ``score`` scores each
 prompt with a bigram model trained on the workload's number of prompts
 per class. The coverage stages read the ``store.ttl`` and
-``links.ttl`` that ``case_audit`` writes, merged as the CLI merges them,
-and each run gets a new ``Store`` built outside the timed call, so that the
-time includes the indexes the analysis builds; the trace follows the case's
-planted attack, and the query stage's size is the store's number of
-statements. The ``audit commands`` stage runs ``coverage report``,
+``links.ttl`` that ``case_audit`` writes, and each run gets a new store
+merged from the two with ``merge_stores``, as the CLI merges them, outside
+the timed call, so that the time includes the indexes the analysis builds
+and the store walks its triples in the order the CLI's store does; the
+trace follows the case's planted attack, and the query stage's size is the
+store's number of statements. The ``audit commands`` stage runs ``coverage report``,
 ``coverage trace``, ``triples query`` and ``factsheet render --format html``
 on the files ``case_audit`` writes, as the case-audit workload does, and
 times the four together; each must exit 0. The ``filter commands`` stage
@@ -279,16 +280,14 @@ def _run_prompts(inputs: dict, size: int) -> dict:
 
 
 def _prepare_audit(size: int, stack: contextlib.ExitStack) -> dict:
-    """The merged triples and namespaces of a generated audit case, and its plan."""
+    """The imported stores of a generated audit case, and its plan."""
     from euaia_assurance.duties import load_registry
     from euaia_assurance.triples import Iri, import_triples, parse_pattern
 
     tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
     plan = _generate().case_audit(SEED, tmp, size=size)
-    stores = [import_triples((tmp / name).read_text(encoding="utf-8")) for name in ("store.ttl", "links.ttl")]
     return {
-        "triples": stores[0].triples | stores[1].triples,
-        "namespaces": {**stores[0].namespaces, **stores[1].namespaces},
+        "stores": [import_triples((tmp / name).read_text(encoding="utf-8")) for name in ("store.ttl", "links.ttl")],
         "plan": plan,
         "attack": Iri.parse(plan.attack),
         "patterns": [parse_pattern(pattern) for pattern in plan.query],
@@ -298,12 +297,13 @@ def _prepare_audit(size: int, stack: contextlib.ExitStack) -> dict:
 
 def _run_audit(inputs: dict, size: int) -> dict:
     from euaia_assurance.coverage import causal_trace, coverage_report
-    from euaia_assurance.triples import Store
+    from euaia_assurance.triples import merge_stores
 
-    triples, namespaces, plan = inputs["triples"], inputs["namespaces"], inputs["plan"]
-    reported, report = _timed(coverage_report, Store(triples, namespaces), inputs["registry"])
-    traced, traces = _timed(causal_trace, Store(triples, namespaces), inputs["attack"])
-    queried, found = _timed(Store(triples, namespaces).query, inputs["patterns"])
+    stores, plan = inputs["stores"], inputs["plan"]
+    reported, report = _timed(coverage_report, merge_stores(stores), inputs["registry"])
+    traced, traces = _timed(causal_trace, merge_stores(stores), inputs["attack"])
+    store = merge_stores(stores)
+    queried, found = _timed(store.query, inputs["patterns"])
     statuses = {status.duty_id: status.status.value for status in report}
     if statuses != plan.statuses or len(traces) != plan.chains or not found:
         raise RuntimeError(f"{size}-node audit case: wrong statuses, {len(traces)} of {plan.chains} chains"
@@ -312,7 +312,7 @@ def _run_audit(inputs: dict, size: int) -> dict:
     return {
         "coverage_report": [size, unit, reported],
         "causal_trace": [size, unit, traced],
-        "query": [len(triples), "statements", queried],
+        "query": [len(store), "statements", queried],
     }
 
 
