@@ -453,6 +453,7 @@ def test_match_scopes_its_indexes_to_the_predicate_bucket(base_store, pattern, b
     store = Store(base_store.triples)
     found = store.match(parse_pattern(pattern))
     assert found == _oracle_match(store, parse_pattern(pattern))
+    assert len(store._candidates(parse_pattern(pattern))) == len(found)  # no triple scanned in vain
     assert ("_by_predicate" in vars(store)) is by_predicate
     keys = {(None if p is None else p.curie, at) for p, at in vars(store).get("_indexes", {})}
     assert keys == indexes
@@ -466,7 +467,7 @@ def test_a_join_under_bound_predicates_indexes_only_their_buckets(base_store):
         parse_pattern("?g rdf:type gsn:Goal"),
     ]
     assert store.query(chain) == _oracle_query(store, chain) != []
-    assert {p.curie for p, _ in store._indexes} <= {"assures:evidencedBy", "gsn:supportedBy", "rdf:type"}
+    assert {p for p, _ in store._indexes} <= {iri("assures:evidencedBy"), iri("gsn:supportedBy"), iri("rdf:type")}
 
 
 # Small pools, so that random patterns hit: the subject and predicate pools
