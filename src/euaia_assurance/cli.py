@@ -174,7 +174,7 @@ def _cmd_gsn_triples(args: argparse.Namespace) -> int:
     _bind("gsn")
     namespaces = _extra_namespaces()
     argument = _parse_gsn_file(args.file)
-    store = Store(frozenset(argument_to_triples(argument)), namespaces)
+    store = Store(argument_to_triples(argument), namespaces)
     sys.stdout.write(export_triples(store))
     return 0
 

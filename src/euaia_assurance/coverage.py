@@ -170,7 +170,7 @@ def causal_trace(store: Store, attack: Iri) -> list[CausalTrace]:
     for hop in by_predicate.get(vocab.MITIGATED_BY, ()):
         if hop.subject == attack and isinstance(hop.object, Iri):
             defenses[hop.object] = hop
-    if not defenses and not any(attack in t for t in store._order):  # a defended attack appears
+    if not defenses and not any(attack in t for t in store.triples):  # a defended attack appears
         raise CoverageError(f"attack {attack.curie} does not appear in the store")
     parents: dict[Iri, list[Iri]] = {}
     for hop in by_predicate.get(vocab.GSN_SUPPORTED_BY, ()):

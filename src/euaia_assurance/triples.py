@@ -16,8 +16,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, KeysView, Mapping, NamedTuple, Sequence
 
 # Namespaces every store knows about, whatever else the caller declares.
 DEFAULT_NAMESPACES: dict[str, str] = {
@@ -237,13 +236,14 @@ class Store:
     expansion. Every entry must be one an ``@prefix`` line can spell, and
     every triple is validated against the map at construction. Its fields
     ``triples`` and ``namespaces`` are read-only, and a store is unhashable.
-    Whole-store walks read ``_order``: each triple once, in the order first given.
+    The triples are the keys of one dict, so each is held once, in the order
+    first given, and every walk over the store visits them in that order.
     """
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, triples: Iterable[Triple] = frozenset(), namespaces: Mapping[str, str] | None = None):
-        self.__dict__.update(triples=triples, namespaces=namespaces)
+    def __init__(self, triples: Iterable[Triple] = (), namespaces: Mapping[str, str] | None = None):
+        self.__dict__.update(_triples=triples, namespaces=namespaces)
         self.__post_init__()  # a method of its own, which bench/tracing.py patches to count store builds
 
     def __post_init__(self) -> None:
@@ -252,16 +252,21 @@ class Store:
             merged.update(self.namespaces)
         for prefix, expansion in merged.items():
             check_namespace(prefix, expansion)
-        triples, order = _ordered(self.triples)
-        self.__dict__.update(namespaces=merged, triples=triples, _order=order)
-        _check_prefixes(order, merged)
+        triples = dict.fromkeys(self._triples)
+        self.__dict__.update(namespaces=merged, _triples=triples)
+        _check_prefixes(triples, merged)
 
     @classmethod
-    def _of_checked(cls, triples: frozenset[Triple], order: tuple[Triple, ...], namespaces: dict[str, str]) -> "Store":
+    def _of_checked(cls, triples: dict[Triple, None], namespaces: dict[str, str]) -> "Store":
         """A store made without the walk, of triples that resolve against a full, checked map."""
         store = object.__new__(cls)
-        store.__dict__.update(triples=triples, _order=order, namespaces=namespaces)
+        store.__dict__.update(_triples=triples, namespaces=namespaces)
         return store
+
+    @property
+    def triples(self) -> KeysView[Triple]:
+        """A read-only set view of the triples, each once, in first-occurrence order."""
+        return self._triples.keys()
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r} of an immutable store")
@@ -274,19 +279,19 @@ class Store:
         return (self.triples, self.namespaces) == (other.triples, other.namespaces)
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(triples={self.triples!r}, namespaces={self.namespaces!r})"
+        return f"{type(self).__qualname__}(triples={list(self._triples)!r}, namespaces={self.namespaces!r})"
 
     # ------------------------------------------------------------------
     # container conveniences
 
     def __contains__(self, triple: Triple) -> bool:
-        return triple in self.triples
+        return triple in self._triples
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return len(self._triples)
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self._order, key=serialize_triple))
+        return iter(sorted(self._triples, key=serialize_triple))
 
     # ------------------------------------------------------------------
     # updates (persistent: each returns a new store)
@@ -294,57 +299,56 @@ class Store:
     def with_namespace(self, prefix: str, expansion: str) -> "Store":
         """Declare one more prefix. The triples resolved already, so only the entry is checked."""
         check_namespace(prefix, expansion)
-        return Store._of_checked(self.triples, self._order, {**self.namespaces, prefix: expansion})
+        return Store._of_checked(self._triples, {**self.namespaces, prefix: expansion})
 
     def assert_triple(self, triple: Triple) -> "Store":
         """Add one triple. Set semantics: re-asserting is a no-op."""
         return self.assert_all((triple,))
 
     def assert_all(self, triples: Iterable[Triple]) -> "Store":
-        """Add the triples. Only they are checked: the store's own already resolve."""
-        batch, order = _ordered(triples)
-        if batch <= self.triples:
+        """Add the triples. Only those the store lacks are checked: its own already resolve."""
+        fresh = dict.fromkeys(t for t in triples if t not in self._triples)
+        if not fresh:
             return self
-        _check_prefixes(order, self.namespaces)
-        union = self.triples | batch  # the store's order, then that of the triples it lacks
-        fresh = order if len(union) == len(self) + len(batch) else tuple(t for t in order if t not in self.triples)
-        return Store._of_checked(union, self._order + fresh, self.namespaces)
+        _check_prefixes(fresh, self.namespaces)
+        return Store._of_checked({**self._triples, **fresh}, self.namespaces)
 
     def retract_triple(self, triple: Triple) -> "Store":
         """Remove one triple. Retracting an absent triple is a no-op."""
-        if triple not in self.triples:
+        if triple not in self._triples:
             return self
-        at = self._order.index(triple)
-        return Store._of_checked(self.triples - {triple}, self._order[:at] + self._order[at + 1 :], self.namespaces)
+        kept = self._triples.copy()
+        del kept[triple]
+        return Store._of_checked(kept, self.namespaces)
 
     # ------------------------------------------------------------------
     # matching
 
     @cached_property
     def _by_predicate(self) -> dict[Iri, tuple[Triple, ...]]:
-        return _position_index(self._order, 1)
+        return _position_index(self._triples, 1)
 
     def _index(self, predicate: Term | None, position: int) -> dict[Term, tuple[Triple, ...]]:
         """The predicate's bucket, or with None the whole store, by the term at ``position``; built once."""
         indexes, key = self.__dict__.setdefault("_indexes", {}), (predicate, position)
         if key not in indexes:
-            bucket = self._order if predicate is None else self._by_predicate.get(predicate, ())
+            bucket = self._triples if predicate is None else self._by_predicate.get(predicate, ())
             indexes[key] = _position_index(bucket, position)
         return indexes[key]
 
-    def _candidates(self, pattern: TriplePattern) -> tuple[Triple, ...]:
+    def _candidates(self, pattern: TriplePattern) -> Collection[Triple]:
         """The triples a pattern may match: itself if it has no variable, else the smallest
         bucket of its bound subject and object in the index of its predicate's bucket,
         or of the whole store when the predicate is a variable, else every triple.
         """
         s, p, o = (not isinstance(term, Variable) for term in pattern)
         if s and p and o:
-            return (pattern,) if pattern in self.triples else ()
+            return (pattern,) if pattern in self._triples else ()
         if p and not (s or o):
             return self._by_predicate.get(pattern.predicate, ())
         scope = pattern.predicate if p else None
         found = [self._index(scope, at).get(pattern[at], ()) for at, bound in ((0, s), (2, o)) if bound]
-        return min(found, key=len, default=self._order)
+        return min(found, key=len, default=self._triples)
 
     def _match_unsorted(self, pattern: TriplePattern) -> list[Binding]:
         out = []
@@ -398,15 +402,6 @@ class Store:
         return sorted(solutions, key=_binding_key)
 
 
-def _ordered(triples: Iterable[Triple], unique: frozenset[Triple] | None = None) -> tuple[frozenset, tuple]:
-    """The set of the triples (``unique``, if known) and a tuple of them in first-occurrence
-    order. A second hash pass, which drops repeats, runs only when a triple repeats."""
-    order = tuple(triples)
-    if unique is None:
-        unique = triples if isinstance(triples, frozenset) else frozenset(order)
-    return unique, order if len(order) == len(unique) else tuple(dict.fromkeys(order))
-
-
 def _check_prefixes(triples: Iterable[Triple], namespaces: Mapping[str, str]) -> None:
     """Raise :class:`NamespaceError` at the first triple with a prefix ``namespaces`` lacks."""
     for t in triples:
@@ -419,15 +414,16 @@ def _check_prefixes(triples: Iterable[Triple], namespaces: Mapping[str, str]) ->
 def merge_stores(stores: Sequence[Store]) -> Store:
     """One store of the stores' triples, store by store, each prefix expanded as the
     last store to declare it does. That map declares every prefix of each triple's
-    own store, so no triple is checked again; a lone store's set is shared."""
+    own store, so no triple is checked again."""
     namespaces = dict(DEFAULT_NAMESPACES)  # in the order Store gives a map
+    triples: dict[Triple, None] = {}
     for store in stores:
         namespaces.update(store.namespaces)
-    triples = stores[0].triples if len(stores) == 1 else frozenset().union(*(store.triples for store in stores))
-    return Store._of_checked(*_ordered(chain.from_iterable(store._order for store in stores), triples), namespaces)
+        triples.update(store._triples)
+    return Store._of_checked(triples, namespaces)
 
 
-def _position_index(triples: Sequence[Triple], position: int) -> dict:
+def _position_index(triples: Iterable[Triple], position: int) -> dict:
     index: dict = {}
     for triple in triples:
         index.setdefault(triple[position], []).append(triple)
@@ -632,13 +628,13 @@ def import_triples(text: str, namespaces: Mapping[str, str] | None = None) -> St
         append(_read_line(row.group(), lineno, declared))
     for prefix, expansion in declared.items():
         check_namespace(prefix, expansion)
-    return Store._of_checked(*_ordered(triples), declared)
+    return Store._of_checked(dict.fromkeys(triples), declared)
 
 
 def export_triples(store: Store) -> str:
     """Deterministic serialization: sorted prefix headers, then sorted statements."""
     lines = [f"@prefix {prefix}: <{expansion}>" for prefix, expansion in sorted(store.namespaces.items())]
-    lines.extend(sorted(serialize_triple(t) for t in store._order))
+    lines.extend(sorted(serialize_triple(t) for t in store.triples))
     return "\n".join(lines) + "\n"
 
 

@@ -1,6 +1,8 @@
 """Time ``parse_gsn`` and ``validate`` on generated arguments of 1,500,
 3,000 and 6,000 nodes, ``import_triples`` on generated store text of
-12,500, 25,000, 50,000 and 100,000 statements, ``train_dynamic`` with
+12,500, 25,000, 50,000 and 100,000 statements, then ``merge_stores`` of
+that store with a case-audit links store, ``assert_all`` of the duty
+registry's triples and ``export_triples`` of the result, ``train_dynamic`` with
 bigrams on 1,000, 2,000 and 4,000 generated prompts per class and
 ``evaluate`` of the trained model on the labeled union of those prompts,
 ``classify_static`` and ``score`` over 12,500, 25,000 and 50,000
@@ -215,16 +217,35 @@ def _run_gsn(inputs: dict, size: int) -> dict:
 
 
 def _prepare_store(size: int, stack: contextlib.ExitStack) -> dict:
-    return {"text": _store_text(size)}
+    """The store text, the links store of a case-audit case and the registry's triples."""
+    from euaia_assurance.duties import load_registry, registry_to_triples
+    from euaia_assurance.triples import import_triples
+
+    generate = _generate()
+    return {
+        "text": _store_text(size),
+        "links": import_triples(generate._triple_file(generate._attack_links(12, per_attack=3))),
+        "registry": registry_to_triples(load_registry()),
+    }
 
 
 def _run_store(inputs: dict, size: int) -> dict:
-    from euaia_assurance.triples import import_triples
+    from euaia_assurance.triples import export_triples, import_triples, merge_stores
 
-    seconds, store = _timed(import_triples, inputs["text"])
-    if len(store) != size:
-        raise RuntimeError(f"{size}-statement store: {len(store)} triples")
-    return {"import_triples": [size, "statements", seconds]}
+    imported, store = _timed(import_triples, inputs["text"])
+    merged, store = _timed(merge_stores, [store, inputs["links"]])
+    asserted, store = _timed(store.assert_all, inputs["registry"])
+    exported, text = _timed(export_triples, store)
+    expected = size + len(inputs["links"]) + len(inputs["registry"])
+    if len(store) != expected or text.count("\n") < expected:
+        raise RuntimeError(f"{size}-statement store: {len(store)} triples, not {expected}")
+    unit = "statements"
+    return {
+        "import_triples": [size, unit, imported],
+        "merge_stores": [size, unit, merged],
+        "assert_all": [size, unit, asserted],
+        "export_triples": [size, unit, exported],
+    }
 
 
 def _prepare_train(size: int, stack: contextlib.ExitStack) -> dict:
