@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import KeysView
 
 import pytest
 
@@ -18,7 +19,7 @@ def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
-def fixture_triples(name: str) -> frozenset[Triple]:
+def fixture_triples(name: str) -> KeysView[Triple]:
     return import_triples(fixture_text(name)).triples
 
 

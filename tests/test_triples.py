@@ -1074,8 +1074,8 @@ def test_the_first_undeclared_prefix_is_named_in_the_callers_order_whatever_the_
         )
         outputs.add(done.stdout)
     first = [t(f"gsn:G{n}", "rdf:type", "gsn:Goal") for n in (3, 1, 2)]
-    (output,) = outputs
-    assert output.splitlines() == [
+    assert len(outputs) == 1, outputs
+    assert outputs.pop().splitlines() == [
         "undeclared namespace prefix 'foo' in <foo:x1> <rdf:type> <gsn:G1> .",
         "undeclared namespace prefix 'foo' in <foo:x1> <rdf:type> <gsn:G1> .",
         f"Store(triples={first!r}, namespaces={DEFAULT_NAMESPACES!r})",
