@@ -195,9 +195,12 @@ def _argument_tree(argument: GsnArgument, store: Store, counterclaims: list[tupl
         text = t.object.curie if isinstance(t.object, Iri) else _one_line(t.object.text)
         evidence.setdefault(t.subject, []).append(text)
 
+    # Depth first with an explicit stack, roots in canonical order and
+    # children sorted, so that no depth of argument exhausts the call stack.
     out: list[str] = []
-
-    def describe(node_id: str, depth: int) -> None:
+    stack = [(root.id, 0) for root in reversed(argument.root_goals())]
+    while stack:
+        node_id, depth = stack.pop()
         node = argument.node(node_id)
         indent = "  " * depth
         line = f"{indent}{node.id} ({node.kind.value}) {_one_line(node.statement)}"
@@ -213,11 +216,7 @@ def _argument_tree(argument: GsnArgument, store: Store, counterclaims: list[tupl
         for attached in sorted(attachments.get(node.id, ())):
             attached_node = argument.node(attached)
             out.append(f"{indent}  [{attached_node.kind.value} {attached}] {_one_line(attached_node.statement)}")
-        for child in sorted(argument.supported_children(node.id)):
-            describe(child, depth + 1)
-
-    for root in argument.root_goals():
-        describe(root.id, 0)
+        stack.extend((child, depth + 1) for child in sorted(argument.supported_children(node_id), reverse=True))
     return out
 
 

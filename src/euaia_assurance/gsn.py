@@ -5,14 +5,16 @@ contexts, justifications and counterclaims. SupportedBy edges carry the
 claim decomposition (parent node first), InContextOf attaches contexts and
 justifications, and Challenges lets a counterclaim dispute a claim.
 
-Arguments are immutable values: ``add_node`` and ``add_edge`` return new
-arguments and enforce the structural rules at insert time. ``parse_gsn``
-checks the same rules over a whole document and builds the argument once.
+Arguments are immutable values, and every way of building one checks the
+structural rules: unique node ids, declared edge endpoints, legal kind
+pairs and acyclic supportedBy edges. ``add_node`` and ``add_edge`` return
+new arguments; ``parse_gsn`` checks a whole document and names the line of
+the first fault. ``validate`` then only reports how far a well-formed
+argument is developed.
 """
 
 from __future__ import annotations
 
-import graphlib
 import re
 from collections import namedtuple
 from enum import Enum
@@ -137,12 +139,28 @@ class GsnArgument(namedtuple("GsnArgument", "nodes edges duty_link", defaults=((
     """An immutable argument graph with canonical node and edge order: a
     tuple of ``nodes``, ``edges`` and ``duty_link``, with an instance
     ``__dict__`` for its cached indexes.
+
+    Every way of building one (the constructor, ``_make``, ``_replace``,
+    from Python 3.13 ``copy.replace``, and unpickling) checks the structural
+    rules as the inserts do, raising ``GsnError`` without a line, and gives
+    back the nodes and edges in canonical order with repeated edges dropped.
     """
+
+    def __new__(cls, nodes: Iterable[GsnNode] = (), edges: Iterable[GsnEdge] = (),
+                duty_link: str | None = None) -> "GsnArgument":
+        return _assemble([(None, n) for n in nodes], [(None, e) for e in edges], duty_link)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "GsnArgument":
+        return cls(*iterable)
+
+    def __reduce__(self) -> tuple:
+        # through the constructor at every protocol, without the cached indexes
+        return GsnArgument, tuple(self)
 
     @cached_property
     def _by_id(self) -> dict[str, GsnNode]:
-        # reversed, so a repeated id in a raw argument maps to its first node
-        return {node.id: node for node in reversed(self.nodes)}
+        return {node.id: node for node in self.nodes}
 
     @cached_property
     def _children(self) -> dict[str, list[str]]:
@@ -162,22 +180,13 @@ class GsnArgument(namedtuple("GsnArgument", "nodes edges duty_link", defaults=((
         return node_id in self._by_id
 
     def add_node(self, node: GsnNode) -> "GsnArgument":
-        """Insert a node, rejecting a duplicate id.
-
-        Both inserts check the whole result, so they also reject an argument
-        from the raw constructor that already breaks a rule.
-        """
-        return _assemble(
-            [(None, n) for n in (*self.nodes, node)], [(None, e) for e in self.edges], self.duty_link
-        )
+        """Insert a node, rejecting a duplicate id."""
+        return GsnArgument((*self.nodes, node), self.edges, self.duty_link)
 
     def add_edge(self, edge: GsnEdge) -> "GsnArgument":
-        """Insert an edge, enforcing endpoint existence, legality and acyclicity."""
-        if edge in self.edges:
-            return self
-        return _assemble(
-            [(None, n) for n in self.nodes], [(None, e) for e in (*self.edges, edge)], self.duty_link
-        )
+        """Insert an edge, enforcing endpoint existence, legality and acyclicity;
+        inserting an edge that the argument already has gives an equal argument."""
+        return GsnArgument(self.nodes, (*self.edges, edge), self.duty_link)
 
     def with_duty_link(self, duty_iri: str) -> "GsnArgument":
         return self._replace(duty_link=duty_iri)
@@ -194,34 +203,24 @@ class GsnArgument(namedtuple("GsnArgument", "nodes edges duty_link", defaults=((
 
 
 # ----------------------------------------------------------------------
-# structural rules, shared by the builder and by validate
+# structural rules, checked wherever an argument is built
 
 
-def _missing_endpoint(edge: GsnEdge, by_id: dict[str, GsnNode]) -> str | None:
-    """The first endpoint of the edge that is not a node, source first."""
-    for endpoint in (edge.source, edge.target):
-        if endpoint not in by_id:
-            return endpoint
-    return None
-
-
-def _illegal_pair(edge: GsnEdge, by_id: dict[str, GsnNode]) -> str | None:
-    pair = (by_id[edge.source].kind, by_id[edge.target].kind)
-    if pair in LEGAL_EDGES[edge.relation]:
-        return None
-    return f"{edge.relation.value} may not connect {pair[0].value} to {pair[1].value}"
-
-
-def _find_cycle(pairs: Iterable[tuple[str, str]], nodes: Iterable[str] = ()) -> list[str] | None:
-    """One supportedBy cycle of the (source, target) pairs, or None if acyclic."""
-    graph: dict[str, set[str]] = {node_id: set() for node_id in nodes}
+def _is_cyclic(pairs: Iterable[tuple[str, str]]) -> bool:
+    """Whether the (source, target) pairs hold a cycle: Kahn's algorithm,
+    which removes sources until none is left, and leaves a cycle's nodes."""
+    children: dict[str, list[str]] = {}
+    parents: dict[str, int] = {}
     for source, target in pairs:
-        graph.setdefault(source, set()).add(target)
-    try:
-        graphlib.TopologicalSorter(graph).prepare()
-    except graphlib.CycleError as exc:
-        return exc.args[1]
-    return None
+        children.setdefault(source, []).append(target)
+        parents[target] = parents.get(target, 0) + 1
+    ready = [node for node in children if node not in parents]
+    while ready:
+        for child in children.get(ready.pop(), ()):
+            parents[child] -= 1
+            if not parents[child]:
+                ready.append(child)
+    return any(parents.values())
 
 
 def _first_cycle_closing(supports: list[tuple[int | None, GsnEdge]]) -> tuple[int | None, GsnEdge] | None:
@@ -234,7 +233,7 @@ def _first_cycle_closing(supports: list[tuple[int | None, GsnEdge]]) -> tuple[in
     """
 
     def cyclic(count: int) -> bool:
-        return _find_cycle((e.source, e.target) for _, e in supports[:count]) is not None
+        return _is_cyclic((e.source, e.target) for _, e in supports[:count])
 
     acyclic_len, cyclic_len = 0, len(supports)
     if not cyclic(cyclic_len):
@@ -277,13 +276,13 @@ def _assemble(
     for line, edge in edge_lines:
         if edge in accepted:
             continue
-        missing = _missing_endpoint(edge, by_id)
-        problem = (
-            f"edge endpoint {missing!r} is not a declared node" if missing is not None
-            else _illegal_pair(edge, by_id)
-        )
-        if problem is not None:
-            failure = (problem, line)
+        source, target = by_id.get(edge.source), by_id.get(edge.target)
+        if source is None or target is None:
+            missing = edge.source if source is None else edge.target
+            failure = (f"edge endpoint {missing!r} is not a declared node", line)
+            break
+        if (source.kind, target.kind) not in LEGAL_EDGES[edge.relation]:
+            failure = (f"{edge.relation.value} may not connect {source.kind.value} to {target.kind.value}", line)
             break
         accepted[edge] = line
 
@@ -297,51 +296,27 @@ def _assemble(
         raise _rejection(f"edge {edge.source} -> {edge.target} would create a supportedBy cycle", line)
     if failure is not None:
         raise _rejection(*failure)
-    return GsnArgument(
+    return tuple.__new__(GsnArgument, (
         tuple(sorted(by_id.values(), key=_node_key)),
         tuple(sorted(accepted, key=_edge_key)),
         duty_link,
-    )
+    ))
 
 
 # ----------------------------------------------------------------------
 # validation
 
 def validate(argument: GsnArgument) -> list[Diagnostic]:
-    """Structural diagnostics; empty iff well-formed and fully developed.
+    """How far the argument is developed; empty iff fully developed.
 
-    Errors cover supportedBy cycles, edges that break the legality matrix
-    or reference missing nodes, strategies with no supporting goal, and a
-    non-empty argument without a root goal. Warnings cover goals with no
-    support that are not marked undeveloped, and counterclaims that
-    challenge nothing.
+    The structure is checked where the argument is built, so only these
+    remain. Errors cover strategies with no supporting goal and a non-empty
+    argument without a root goal. Warnings cover goals with no support that
+    are not marked undeveloped, and counterclaims that challenge nothing.
     """
     errors: list[Diagnostic] = []
     warnings: list[Diagnostic] = []
-    ids = argument._by_id
-
-    for edge in argument.edges:
-        missing = _missing_endpoint(edge, ids)
-        if missing is not None:
-            errors.append(
-                Diagnostic(Severity.ERROR, _edge_key(edge), f"undeclared endpoint {missing!r}")
-            )
-            continue
-        problem = _illegal_pair(edge, ids)
-        if problem is not None:
-            errors.append(Diagnostic(Severity.ERROR, _edge_key(edge), problem))
-
-    cycle = _find_cycle(
-        (
-            (edge.source, edge.target)
-            for edge in argument.edges
-            if edge.relation is GsnRelation.SUPPORTED_BY and edge.source in ids and edge.target in ids
-        ),
-        (node.id for node in argument.nodes),
-    )
-    if cycle is not None:
-        errors.append(Diagnostic(Severity.ERROR, cycle[0], f"supportedBy cycle: {' -> '.join(cycle)}"))
-    elif argument.nodes and not argument.root_goals():
+    if argument.nodes and not argument.root_goals():
         errors.append(
             Diagnostic(Severity.ERROR, "argument", "non-empty argument has no root goal")
         )
@@ -350,7 +325,7 @@ def validate(argument: GsnArgument) -> list[Diagnostic]:
     for node in argument.nodes:
         children = argument._children.get(node.id, ())
         if node.kind is GsnNodeKind.STRATEGY:
-            if not any(c in ids and ids[c].kind is GsnNodeKind.GOAL for c in children):
+            if not children:  # a strategy may be supported only by goals
                 errors.append(
                     Diagnostic(Severity.ERROR, node.id, "strategy has no supporting goal")
                 )
@@ -455,13 +430,12 @@ def parse_gsn(text: str) -> GsnArgument:
     relative to the edges that use them.
     """
     node_lines, edge_lines, duty_line = _scan_gsn(text)
-    argument = _assemble(node_lines, edge_lines)
+    argument = _assemble(node_lines, edge_lines, None if duty_line is None else duty_line[1])
     if duty_line is not None:
         try:
             Iri.parse(duty_line[1])
         except ValueError as exc:
             raise GsnParseError(str(exc), duty_line[0]) from None
-        argument = argument.with_duty_link(duty_line[1])
     return argument
 
 

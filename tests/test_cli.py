@@ -484,6 +484,18 @@ def test_factsheet_refuses_mismatched_inputs(capsys, tmp_path):
     assert "euaia:d99" in err
 
 
+def test_factsheet_renders_a_deep_argument(capsys, tmp_path):
+    # deeper than the recursion limit: the argument tree walks with a stack
+    size = 2000
+    lines = [f'goal G{i} "goal {i}"' for i in range(1, size)] + [f'goal G{size} "goal {size}" undeveloped']
+    lines += [f"edge G{i} -> G{i + 1} supportedBy" for i in range(1, size)]
+    chain = tmp_path / "chain.gsn"
+    chain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "factsheet", "render", "--gsn", str(chain))
+    assert (code, err) == (0, "")
+    assert f"\n{'  ' * (size - 1)}G{size} (goal) goal {size} [undeveloped]\n```\n" in out
+
+
 def test_factsheet_model_requires_eval_corpus(capsys, toy_model_file):
     code, _, err = run(
         capsys, "factsheet", "render", "--model", toy_model_file,

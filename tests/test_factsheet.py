@@ -3,10 +3,13 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from euaia_assurance import vocab
 from euaia_assurance.coverage import CoverageError, coverage_report
 from euaia_assurance.duties import registry_to_triples
-from euaia_assurance.factsheet import FactsheetError, render_factsheet, render_html
+from euaia_assurance.factsheet import FactsheetError, _argument_tree, render_factsheet, render_html
 from euaia_assurance.gsn import (
     GsnArgument,
     GsnEdge,
@@ -18,6 +21,8 @@ from euaia_assurance.gsn import (
 )
 from euaia_assurance.prompt_filter import Verdict, evaluate, filter_to_triples
 from euaia_assurance.triples import Iri, Literal, Store, Triple, TriplePattern, Variable
+
+from recursive_tree import argument_tree as recursive_argument_tree
 
 
 @pytest.fixture(scope="module")
@@ -280,13 +285,18 @@ def test_copied_texts_keep_to_one_line(registry):
 # refusals
 
 
-def test_refuses_invalid_argument(registry, full_store):
-    broken = GsnArgument(
-        nodes=(GsnNode("G1", GsnNodeKind.GOAL, "g"),),
-        edges=(GsnEdge("G1", "G9", GsnRelation.SUPPORTED_BY),),
-    )
-    with pytest.raises(FactsheetError):
-        render_factsheet(registry, broken, full_store)
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('goal G1 "g"\nstrategy S1 "s"\nedge G1 -> S1 supportedBy\n', "S1: strategy has no supporting goal"),
+        ('context C1 "c"\n', "argument: non-empty argument has no root goal"),
+    ],
+    ids=["strategy with no goal", "no root goal"],
+)
+def test_refuses_invalid_argument(registry, full_store, text, message):
+    with pytest.raises(FactsheetError) as exc:
+        render_factsheet(registry, parse_gsn(text), full_store)
+    assert str(exc.value) == f"argument does not validate: {message}"
 
 
 def test_refuses_unknown_duty_link(registry, argument, full_store):
@@ -333,3 +343,37 @@ def test_html_escapes_angle_brackets():
     page = render_html("# T\n\n- a < b and c > d\n")
     assert "a &lt; b" in page
     ET.fromstring(page.split("\n", 1)[1])
+
+
+# ----------------------------------------------------------------------
+# the argument tree against the recursive walk it replaced
+
+
+@st.composite
+def _trees(draw):
+    """A random DAG of goals with shared sub-goals, solutions, contexts,
+    evidence and open counterclaims."""
+    size = draw(st.integers(1, 8))
+    goals = [
+        GsnNode(f"G{i}", GsnNodeKind.GOAL, f"goal {i}", draw(st.booleans())) for i in range(1, size + 1)
+    ]
+    solutions = [GsnNode(f"Sn{i}", GsnNodeKind.SOLUTION, f"solution\n{i}") for i in range(1, draw(st.integers(1, 3)))]
+    contexts = [GsnNode(f"C{i}", GsnNodeKind.CONTEXT, f"context {i}") for i in range(1, draw(st.integers(1, 3)))]
+    goal_ids = st.sampled_from([g.id for g in goals])
+    pairs = draw(st.lists(st.tuples(st.integers(1, size), st.integers(1, size)), max_size=16))
+    edges = [GsnEdge(f"G{a}", f"G{b}", GsnRelation.SUPPORTED_BY) for a, b in pairs if a < b]
+    edges += [GsnEdge(draw(goal_ids), s.id, GsnRelation.SUPPORTED_BY) for s in solutions]
+    edges += [GsnEdge(draw(goal_ids), c.id, GsnRelation.IN_CONTEXT_OF) for c in contexts]
+    argument = GsnArgument(goals + solutions + contexts, edges)
+    node_iris = st.sampled_from([vocab.gsn_node_iri(n.id) for n in argument.nodes])
+    items = st.sampled_from([Iri("def", "e1"), Literal("a\nb")])
+    evidence = draw(st.lists(st.tuples(node_iris, items), max_size=4))
+    store = Store(Triple(node, vocab.EVIDENCED_BY, item) for node, item in evidence)
+    counterclaims = draw(st.lists(st.tuples(st.sampled_from([Iri("gsn", "CC1"), Iri("gsn", "CC2")]), node_iris)))
+    return argument, store, counterclaims
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees())
+def test_argument_tree_matches_the_recursive_walk(case):
+    assert _argument_tree(*case) == recursive_argument_tree(*case)

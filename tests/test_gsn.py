@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -24,10 +25,12 @@ from euaia_assurance.gsn import (
     render_dot,
     serialize_gsn,
     validate,
+    _is_cyclic,
     _strip_comment,
 )
 from euaia_assurance.triples import Iri, Literal
 from char_scanner import strip_comment as char_strip_comment
+from graphlib_cycle import find_cycle
 from incremental_gsn import parse_gsn_incrementally
 
 K = GsnNodeKind
@@ -242,42 +245,78 @@ def test_context_edges_do_not_count_toward_cycles():
 
 
 def build(nodes, edges, duty=None) -> GsnArgument:
-    # raw constructor, bypassing add_node/add_edge checks
+    # the constructor, which checks what the inserts check
     return GsnArgument(nodes=tuple(nodes), edges=tuple(edges), duty_link=duty)
 
 
-def test_inserts_check_the_whole_result():
-    raw = build([node(K.GOAL, 1), node(K.SOLUTION, 1)], [GsnEdge("Sn1", "G1", R.SUPPORTED_BY)])
-    with pytest.raises(GsnError, match="supportedBy may not connect solution to goal"):
-        raw.add_node(node(K.GOAL, 2))
-    with pytest.raises(GsnError, match="supportedBy may not connect solution to goal"):
-        raw.add_edge(GsnEdge("G1", "Sn1", R.SUPPORTED_BY))
+# One argument per structural fault, and the message of the insert that
+# completes it.
+_BROKEN = {
+    "duplicate id": ([node(K.GOAL, 1), GsnNode("G1", K.GOAL, "other")], [], "duplicate node id 'G1'"),
+    "undeclared endpoint": (
+        [node(K.GOAL, 1)], [GsnEdge("G1", "G7", R.SUPPORTED_BY)], "edge endpoint 'G7' is not a declared node"
+    ),
+    "illegal pair": (
+        [node(K.GOAL, 1), node(K.SOLUTION, 1)],
+        [GsnEdge("Sn1", "G1", R.SUPPORTED_BY)],
+        "supportedBy may not connect solution to goal",
+    ),
+    "cycle": (
+        [node(K.GOAL, 1), node(K.GOAL, 2)],
+        [GsnEdge("G1", "G2", R.SUPPORTED_BY), GsnEdge("G2", "G1", R.SUPPORTED_BY)],
+        "edge G2 -> G1 would create a supportedBy cycle",
+    ),
+}
+
+
+@pytest.mark.parametrize("nodes, edges, message", _BROKEN.values(), ids=_BROKEN)
+def test_inserts_check_the_whole_result(nodes, edges, message):
+    argument = GsnArgument()
+    with pytest.raises(GsnError) as exc:
+        for item in nodes:
+            argument = argument.add_node(item)
+        for item in edges:
+            argument = argument.add_edge(item)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("nodes, edges, message", _BROKEN.values(), ids=_BROKEN)
+def test_no_path_builds_a_broken_argument(nodes, edges, message):
+    good = GsnArgument()
+    fields = {"nodes": tuple(nodes), "edges": tuple(edges)}
+    hand_built = tuple.__new__(GsnArgument, (tuple(nodes), tuple(edges), None))
+    builders = [
+        lambda: GsnArgument(nodes, edges),
+        lambda: GsnArgument(**fields),
+        lambda: GsnArgument._make([nodes, edges, None]),
+        lambda: good._replace(**fields),
+        *(lambda p=p: pickle.loads(pickle.dumps(hand_built, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+        lambda: copy.deepcopy(hand_built),
+    ]
+    if hasattr(copy, "replace"):  # Python 3.13+
+        builders.append(lambda: copy.replace(good, **fields))
+    for build_it in builders:
+        with pytest.raises(GsnError) as exc:
+            build_it()
+        # the insert's message, with no line
+        assert type(exc.value) is GsnError and str(exc.value) == message
+
+
+def test_constructor_gives_back_canonical_order_without_repeated_edges():
+    g2, s1, g1 = node(K.GOAL, 2), node(K.STRATEGY, 1), node(K.GOAL, 1)
+    edges = [GsnEdge("S1", "G2", R.SUPPORTED_BY), GsnEdge("G1", "S1", R.SUPPORTED_BY)]
+    argument = GsnArgument([g2, s1, g1], edges + edges[:1], "euaia:d9")
+    assert argument.nodes == (g1, g2, s1)
+    assert argument.edges == (edges[1], edges[0])
+    inserted = GsnArgument().add_node(g2).add_node(s1).add_node(g1)
+    inserted = inserted.add_edge(edges[0]).add_edge(edges[1]).add_edge(edges[0])
+    assert argument == inserted.with_duty_link("euaia:d9")
+    for rebuilt in (argument._replace(), GsnArgument._make(argument), pickle.loads(pickle.dumps(argument))):
+        assert rebuilt == argument and type(rebuilt) is GsnArgument
 
 
 def test_validate_clean_exemplar(argument):
     assert validate(argument) == []
-
-
-def test_validate_flags_undeclared_endpoints():
-    raw = build([node(K.GOAL)], [GsnEdge("G1", "G7", R.SUPPORTED_BY)])
-    diagnostics = validate(raw)
-    assert any(d.severity is Severity.ERROR and "G7" in d.message for d in diagnostics)
-
-
-def test_validate_flags_illegal_pair():
-    raw = build(
-        [node(K.SOLUTION, 1), node(K.GOAL, 1)],
-        [GsnEdge("Sn1", "G1", R.SUPPORTED_BY)],
-    )
-    assert any(d.severity is Severity.ERROR for d in validate(raw))
-
-
-def test_validate_flags_supported_by_cycle():
-    raw = build(
-        [node(K.GOAL, 1), node(K.GOAL, 2)],
-        [GsnEdge("G1", "G2", R.SUPPORTED_BY), GsnEdge("G2", "G1", R.SUPPORTED_BY)],
-    )
-    assert any("cycle" in d.message for d in validate(raw) if d.severity is Severity.ERROR)
 
 
 def test_validate_flags_strategy_without_supporting_goal():
@@ -305,38 +344,57 @@ def test_validate_warns_on_idle_counterclaim():
 
 def test_validate_reports_missing_root_whatever_the_endpoint_names():
     # an undeclared endpoint whose name contains "cycle" is not a cycle
-    raw = build([node(K.STRATEGY)], [GsnEdge("S1", "Gcycle", R.SUPPORTED_BY)])
-    messages = {d.message for d in validate(raw) if d.severity is Severity.ERROR}
-    assert messages == {
-        "undeclared endpoint 'Gcycle'",
-        "non-empty argument has no root goal",
-        "strategy has no supporting goal",
-    }
+    with pytest.raises(GsnError, match="^edge endpoint 'Gcycle' is not a declared node$"):
+        build([node(K.STRATEGY)], [GsnEdge("S1", "Gcycle", R.SUPPORTED_BY)])
+    messages = {d.message for d in validate(build([node(K.STRATEGY)], [])) if d.severity is Severity.ERROR}
+    assert messages == {"non-empty argument has no root goal", "strategy has no supporting goal"}
 
 
-def test_validate_skips_the_root_check_when_there_is_a_cycle():
-    raw = build(
-        [node(K.GOAL, 1), node(K.GOAL, 2)],
-        [GsnEdge("G1", "G2", R.SUPPORTED_BY), GsnEdge("G2", "G1", R.SUPPORTED_BY)],
-    )
-    messages = [d.message for d in validate(raw) if d.severity is Severity.ERROR]
-    assert len(messages) == 1 and messages[0].startswith("supportedBy cycle: ")
+def test_validate_reports_only_the_missing_root_goal():
+    # every goal is supported, by a strategy that no goal supports
+    raw = build([node(K.STRATEGY), node(K.GOAL, undeveloped=True)], [GsnEdge("S1", "G1", R.SUPPORTED_BY)])
+    assert validate(raw) == [Diagnostic(Severity.ERROR, "argument", "non-empty argument has no root goal")]
 
 
 def test_validate_orders_errors_before_warnings():
-    raw = build(
-        [node(K.GOAL), GsnNode("CC1", K.COUNTERCLAIM, "y")],
-        [GsnEdge("G1", "G7", R.SUPPORTED_BY)],
-    )
-    severities = [d.severity for d in validate(raw)]
-    assert severities == sorted(severities, key=lambda s: s is Severity.WARNING)
+    raw = build([node(K.GOAL), GsnNode("CC1", K.COUNTERCLAIM, "y"), node(K.STRATEGY)], [])
+    assert [(d.severity, d.subject) for d in validate(raw)] == [
+        (Severity.ERROR, "S1"), (Severity.WARNING, "CC1"), (Severity.WARNING, "G1"),
+    ]
 
 
-def test_serializers_refuse_invalid_arguments():
-    raw = build([node(K.GOAL)], [GsnEdge("G1", "G7", R.SUPPORTED_BY)])
+# Arguments that are well formed but not developed enough to export.
+_UNDEVELOPED = {
+    "strategy with no goal": (
+        [node(K.GOAL), node(K.STRATEGY)],
+        [GsnEdge("G1", "S1", R.SUPPORTED_BY)],
+        "argument has 1 error(s); first: S1: strategy has no supporting goal",
+    ),
+    "no root goal": (
+        [node(K.CONTEXT)], [], "argument has 1 error(s); first: argument: non-empty argument has no root goal"
+    ),
+}
+
+
+@pytest.mark.parametrize("nodes, edges, message", _UNDEVELOPED.values(), ids=_UNDEVELOPED)
+def test_serializers_refuse_invalid_arguments(nodes, edges, message):
+    raw = build(nodes, edges)
     for operation in (serialize_gsn, render_dot, argument_to_triples):
-        with pytest.raises(GsnError):
+        with pytest.raises(GsnError) as exc:
             operation(raw)
+        assert str(exc.value) == message
+
+
+_vertex = st.sampled_from("abcdefg")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_vertex, _vertex), max_size=14))
+def test_is_cyclic_matches_graphlib(pairs):
+    # few vertices, so that self-loops and repeated pairs are common
+    expected = find_cycle(pairs) is not None
+    event("cyclic" if expected else "acyclic")
+    assert _is_cyclic(pairs) is expected
 
 
 # ----------------------------------------------------------------------
