@@ -135,7 +135,7 @@ def _edge_key(edge: GsnEdge) -> str:
     return f"edge {edge.source} -> {edge.target} {edge.relation.value}"
 
 
-class GsnArgument(namedtuple("GsnArgument", "nodes edges duty_link", defaults=((), (), None))):
+class GsnArgument(namedtuple("GsnArgument", "nodes edges duty_link")):
     """An immutable argument graph with canonical node and edge order: a
     tuple of ``nodes``, ``edges`` and ``duty_link``, with an instance
     ``__dict__`` for its cached indexes.
