@@ -59,28 +59,34 @@ def open_counterclaims(store: Store) -> list[tuple[Iri, Iri]]:
     whose counterclaim has no ``assures:rebuttedBy`` triple, sorted. The coverage
     report contests duties over these pairs and the factsheet lists them.
     """
-    by_predicate = store._by_predicate
-    rebutted = {t.subject for t in by_predicate.get(vocab.REBUTTED_BY, ())}
+    rebutted = store._index(vocab.REBUTTED_BY, 0)
     return sorted(
         (
             (t.subject, t.object)
-            for t in by_predicate.get(vocab.GSN_CHALLENGES, ())
+            for t in store._by_predicate.get(vocab.GSN_CHALLENGES, ())
             if t.subject not in rebutted and isinstance(t.object, Iri)
         ),
         key=lambda pair: (pair[0].curie, pair[1].curie),
     )
 
 
-def _subtree(children: dict[Iri, list[Iri]], roots: Iterable[Iri]) -> set[Iri]:
-    """Every node on a supportedBy path down from one of the roots, the roots included."""
+def _subtree(children: dict[Term, list[Triple]], roots: Iterable[Iri]) -> set[Iri]:
+    """Every node on a supportedBy path down from one of the roots, the roots included.
+    ``children`` holds the supportedBy triples by subject."""
     seen = set(roots)
     stack = list(seen)
     while stack:
-        for child in children.get(stack.pop(), ()):
-            if child not in seen:
+        for hop in children.get(stack.pop(), ()):
+            child = hop.object
+            if child not in seen and isinstance(child, Iri):
                 seen.add(child)
                 stack.append(child)
     return seen
+
+
+def _develops(children: dict[Term, list[Triple]], node: Iri) -> bool:
+    """Whether a supportedBy triple leads from the node to a node: one to a literal develops nothing."""
+    return any(isinstance(hop.object, Iri) for hop in children.get(node, ()))
 
 
 def coverage_report(store: Store, registry: DutyRegistry) -> list[DutyStatus]:
@@ -99,31 +105,23 @@ def coverage_report(store: Store, registry: DutyRegistry) -> list[DutyStatus]:
             raise CoverageError(
                 f"store is missing the registry triples (duty {duty.id}); assert them first"
             )
-    by_predicate = store._by_predicate
-    children: dict[Iri, list[Iri]] = {}
-    for t in by_predicate.get(vocab.GSN_SUPPORTED_BY, ()):
-        if isinstance(t.object, Iri):
-            children.setdefault(t.subject, []).append(t.object)
-    typed: dict[Iri, set[Iri]] = {vocab.SOLUTION: set(), vocab.GOAL: set(), vocab.STRATEGY: set()}
-    for t in by_predicate.get(vocab.RDF_TYPE, ()):
-        if t.object in typed:
-            typed[t.object].add(t.subject)
-    evidenced = typed[vocab.SOLUTION].intersection(t.subject for t in by_predicate.get(vocab.EVIDENCED_BY, ()))
-    undeveloped = (typed[vocab.GOAL] | typed[vocab.STRATEGY]).difference(children)
-    goals: dict[Term, list[Iri]] = {}
-    for t in by_predicate.get(vocab.OPERATIONALIZES, ()):
-        goals.setdefault(t.object, []).append(t.subject)
+    children = store._index(vocab.GSN_SUPPORTED_BY, 0)
+    typed = store._index(vocab.RDF_TYPE, 2)
+    evidence = store._index(vocab.EVIDENCED_BY, 0)
+    evidenced = {t.subject for t in typed.get(vocab.SOLUTION, ()) if t.subject in evidence}
+    branch_points = {t.subject for kind in (vocab.GOAL, vocab.STRATEGY) for t in typed.get(kind, ())}
+    goals = store._index(vocab.OPERATIONALIZES, 2)
     open_by_node: dict[Iri, list[Iri]] = {}
     for counterclaim, node in open_counterclaims(store):
         open_by_node.setdefault(node, []).append(counterclaim)
     report: list[DutyStatus] = []
     for duty in registry.duties:
-        subtree = _subtree(children, goals.get(vocab.duty_iri(duty.id), ()))
+        subtree = _subtree(children, (t.subject for t in goals.get(vocab.duty_iri(duty.id), ())))
         solutions = subtree & evidenced
         challengers = {c for node in subtree for c in open_by_node.get(node, ())}
         if solutions:
             status = CoverageStatus.CONTESTED if challengers else CoverageStatus.COVERED
-        elif not undeveloped.isdisjoint(subtree):
+        elif not all(_develops(children, node) for node in branch_points.intersection(subtree)):
             status = CoverageStatus.PARTIAL
         else:
             status = CoverageStatus.UNCOVERED
@@ -162,28 +160,21 @@ def causal_trace(store: Store, attack: Iri) -> list[CausalTrace]:
     the inverse ``mitigatedBy`` triple is asserted it is preferred so the
     first hop's subject is the attack itself.
     """
-    by_predicate = store._by_predicate
-    defenses: dict[Iri, Triple] = {}
-    for hop in by_predicate.get(vocab.MITIGATES, ()):
-        if hop.object == attack and isinstance(hop.subject, Iri):
-            defenses[hop.subject] = hop
-    for hop in by_predicate.get(vocab.MITIGATED_BY, ()):
-        if hop.subject == attack and isinstance(hop.object, Iri):
-            defenses[hop.object] = hop
+    mitigates = store._index(vocab.MITIGATES, 2).get(attack, ())
+    defenses = {hop.subject: hop for hop in mitigates if isinstance(hop.subject, Iri)}
+    mitigated_by = store._index(vocab.MITIGATED_BY, 0).get(attack, ())
+    defenses.update((hop.object, hop) for hop in mitigated_by if isinstance(hop.object, Iri))
     if not defenses and not any(attack in t for t in store.triples):  # a defended attack appears
         raise CoverageError(f"attack {attack.curie} does not appear in the store")
-    parents: dict[Iri, list[Iri]] = {}
-    for hop in by_predicate.get(vocab.GSN_SUPPORTED_BY, ()):
-        if isinstance(hop.object, Iri):
-            parents.setdefault(hop.object, []).append(hop.subject)
-    duties: dict[Iri, list[Triple]] = {}
-    for hop in by_predicate.get(vocab.OPERATIONALIZES, ()):
-        duties.setdefault(hop.subject, []).append(hop)
+    parents = store._index(vocab.GSN_SUPPORTED_BY, 2)
+    duties = store._index(vocab.OPERATIONALIZES, 0)
+    evidence = store._index(vocab.EVIDENCED_BY, 2)
 
     traces: list[CausalTrace] = []
-    for hop in by_predicate.get(vocab.EVIDENCED_BY, ()):
-        if hop.object in defenses and isinstance(hop.subject, Iri):
-            _climb(hop.subject, (defenses[hop.object], hop), {hop.subject}, parents, duties, traces)
+    for defense, first_hop in defenses.items():
+        for hop in evidence.get(defense, ()):
+            if isinstance(hop.subject, Iri):
+                _climb(hop.subject, (first_hop, hop), {hop.subject}, parents, duties, traces)
     traces.sort(key=lambda trace: [serialize_triple(h) for h in trace.hops])
     return traces
 
@@ -192,14 +183,13 @@ def _climb(
     node: Iri,
     prefix: tuple[Triple, ...],
     visited: set[Iri],
-    parents: dict[Iri, list[Iri]],
-    duties: dict[Iri, list[Triple]],
+    parents: dict[Term, list[Triple]],
+    duties: dict[Term, list[Triple]],
     traces: list[CausalTrace],
 ) -> None:
     traces.extend(CausalTrace(prefix + (hop,)) for hop in duties.get(node, ()))
     if len(prefix) - 2 >= MAX_PATH_DEPTH:
         return
-    for parent in parents.get(node, ()):
-        if parent not in visited:
-            hop = Triple(parent, vocab.GSN_SUPPORTED_BY, node)
-            _climb(parent, prefix + (hop,), visited | {parent}, parents, duties, traces)
+    for hop in parents.get(node, ()):
+        if hop.subject not in visited:
+            _climb(hop.subject, prefix + (hop,), visited | {hop.subject}, parents, duties, traces)

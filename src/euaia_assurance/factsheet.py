@@ -73,8 +73,8 @@ def render_factsheet(
     dynamic_filter = Iri("def", "dynamicFilter")
     trained_on = sorted(
         t.object.curie
-        for t in store._by_predicate.get(vocab.TRAINED_ON, ())
-        if t.subject == dynamic_filter and isinstance(t.object, Iri)
+        for t in store._index(vocab.TRAINED_ON, 0).get(dynamic_filter, ())
+        if isinstance(t.object, Iri)
     )
 
     lines: list[str] = [f"# {TITLE}", ""]
@@ -190,10 +190,7 @@ def _argument_tree(argument: GsnArgument, store: Store, counterclaims: list[tupl
     challenges: dict[Iri, list[str]] = {}
     for counterclaim, node in counterclaims:
         challenges.setdefault(node, []).append(counterclaim.curie.removeprefix("gsn:"))
-    evidence: dict[Iri, list[str]] = {}
-    for t in store._by_predicate.get(vocab.EVIDENCED_BY, ()):
-        text = t.object.curie if isinstance(t.object, Iri) else _one_line(t.object.text)
-        evidence.setdefault(t.subject, []).append(text)
+    evidence = store._index(vocab.EVIDENCED_BY, 0)
 
     # Depth first with an explicit stack, roots in canonical order and
     # children sorted, so that no depth of argument exhausts the call stack.
@@ -207,7 +204,10 @@ def _argument_tree(argument: GsnArgument, store: Store, counterclaims: list[tupl
         if node.undeveloped:
             line += " [undeveloped]"
         if node.kind is GsnNodeKind.SOLUTION:
-            found = sorted(evidence.get(vocab.gsn_node_iri(node.id), ()))
+            found = sorted(
+                t.object.curie if isinstance(t.object, Iri) else _one_line(t.object.text)
+                for t in evidence.get(vocab.gsn_node_iri(node.id), ())
+            )
             if found:
                 line += f" [evidence: {', '.join(found)}]"
         for challenger in sorted(challenges.get(vocab.gsn_node_iri(node.id), ())):
@@ -225,14 +225,11 @@ def _counterclaim_lines(store: Store, counterclaims: list[tuple[Iri, Iri]]) -> l
 
     A counterclaim with several statements shows the first in serialized order.
     """
-    statements: dict[Iri, list[Literal]] = {}
-    for t in store._by_predicate.get(vocab.GSN_STATEMENT, ()):
-        if isinstance(t.object, Literal):
-            statements.setdefault(t.subject, []).append(t.object)
+    statements = store._index(vocab.GSN_STATEMENT, 0)
     lines = []
     for counterclaim, node in counterclaims:
         line = f"- {counterclaim.curie.removeprefix('gsn:')} challenges {node.curie.removeprefix('gsn:')}"
-        found = statements.get(counterclaim)
+        found = [t.object for t in statements.get(counterclaim, ()) if isinstance(t.object, Literal)]
         lines.append(f"{line}: {_one_line(min(found, key=serialize_term).text)}" if found else line)
     return sorted(lines)
 
@@ -240,9 +237,7 @@ def _counterclaim_lines(store: Store, counterclaims: list[tuple[Iri, Iri]]) -> l
 def _source_lines(store: Store, trained_on: list[str]) -> list[str]:
     lines = []
     sources = sorted(
-        t.subject.curie
-        for t in store._by_predicate.get(vocab.RDF_TYPE, ())
-        if t.object == vocab.SOURCE and isinstance(t.subject, Iri)
+        t.subject.curie for t in store._index(vocab.RDF_TYPE, 2).get(vocab.SOURCE, ()) if isinstance(t.subject, Iri)
     )
     if sources:
         lines.append(f"- Sources: {', '.join(sources)}")

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from . import vocab
-from .triples import InputError, Iri, Literal, Triple, escape_quoted, scan_quoted
+from .triples import InputError, Iri, Literal, Triple, _Record, escape_quoted, scan_quoted
 
 
 class GsnError(ValueError):
@@ -51,6 +51,7 @@ ID_PREFIXES: dict[GsnNodeKind, str] = {
     GsnNodeKind.JUSTIFICATION: "J",
     GsnNodeKind.COUNTERCLAIM: "CC",
 }
+_ID_NUMBER_RE = re.compile(r"[1-9][0-9]*")
 
 _KIND_ORDER = {kind: index for index, kind in enumerate(GsnNodeKind)}
 _CLASS_IRIS: dict[GsnNodeKind, Iri] = {
@@ -84,26 +85,23 @@ LEGAL_EDGES: dict[GsnRelation, frozenset[tuple[GsnNodeKind, GsnNodeKind]]] = {
 }
 
 
-class GsnNode(namedtuple("GsnNode", "id kind statement undeveloped")):
+class GsnNode(_Record, namedtuple("GsnNode", "id kind statement undeveloped")):
     """One node. Every way of building one (the constructor, ``_make``,
-    ``_replace`` and, from Python 3.13, ``copy.replace``) checks it.
+    ``_replace``, from Python 3.13 ``copy.replace``, copying and unpickling)
+    checks it.
     """
 
     __slots__ = ()
 
     def __new__(cls, id: str, kind: GsnNodeKind, statement: str, undeveloped: bool = False) -> "GsnNode":
         prefix = ID_PREFIXES[kind]
-        if not id.startswith(prefix) or not re.fullmatch(r"[1-9][0-9]*", id[len(prefix):]):
+        if not id.startswith(prefix) or not _ID_NUMBER_RE.fullmatch(id, len(prefix)):
             raise GsnError(f"node id {id!r} must be {prefix!r} followed by a positive integer")
         if not statement:
             raise GsnError(f"node {id}: statement must be non-empty")
         if undeveloped and kind is not GsnNodeKind.GOAL:
             raise GsnError(f"node {id}: only goals can be marked undeveloped")
         return tuple.__new__(cls, (id, kind, statement, undeveloped))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "GsnNode":
-        return cls(*iterable)
 
     @property
     def sort_key(self) -> tuple[int, int]:
@@ -135,7 +133,7 @@ def _edge_key(edge: GsnEdge) -> str:
     return f"edge {edge.source} -> {edge.target} {edge.relation.value}"
 
 
-class GsnArgument(namedtuple("GsnArgument", "nodes edges duty_link")):
+class GsnArgument(_Record, namedtuple("GsnArgument", "nodes edges duty_link")):
     """An immutable argument graph with canonical node and edge order: a
     tuple of ``nodes``, ``edges`` and ``duty_link``, with an instance
     ``__dict__`` for its cached indexes.
@@ -149,14 +147,6 @@ class GsnArgument(namedtuple("GsnArgument", "nodes edges duty_link")):
     def __new__(cls, nodes: Iterable[GsnNode] = (), edges: Iterable[GsnEdge] = (),
                 duty_link: str | None = None) -> "GsnArgument":
         return _assemble([(None, n) for n in nodes], [(None, e) for e in edges], duty_link)
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "GsnArgument":
-        return cls(*iterable)
-
-    def __reduce__(self) -> tuple:
-        # through the constructor at every protocol, without the cached indexes
-        return GsnArgument, tuple(self)
 
     @cached_property
     def _by_id(self) -> dict[str, GsnNode]:
@@ -359,6 +349,8 @@ def _require_valid(argument: GsnArgument) -> None:
 _KEYWORDS = {kind.value: kind for kind in GsnNodeKind}
 _RELATIONS = {rel.value: rel for rel in GsnRelation}
 _NODE_HEAD_RE = re.compile(r"\s*\S+\s+(\S+)\s+")  # keyword and id, before the statement
+_EDGE_RE = re.compile(r"^edge\s+(\S+)\s+->\s+(\S+)\s+(\S+)$")
+_DUTY_RE = re.compile(r"^duty\s+(\S+)$")
 # A line up to its comment: text other than '"' and '#', and quoted strings,
 # in which '\' escapes any character and '#' is text; an unterminated string
 # runs to the end of the line.
@@ -404,7 +396,7 @@ def _scan_gsn(
             except GsnError as exc:
                 raise GsnParseError(str(exc), lineno) from None
         elif keyword == "edge":
-            match = re.match(r"^edge\s+(\S+)\s+->\s+(\S+)\s+(\S+)$", line)
+            match = _EDGE_RE.match(line)
             if not match:
                 raise GsnParseError("expected 'edge <ID> -> <ID> <relation>'", lineno)
             relation = _RELATIONS.get(match.group(3))
@@ -412,7 +404,7 @@ def _scan_gsn(
                 raise GsnParseError(f"unknown relation {match.group(3)!r}", lineno)
             edge_lines.append((lineno, GsnEdge(match.group(1), match.group(2), relation)))
         elif keyword == "duty":
-            match = re.match(r"^duty\s+(\S+)$", line)
+            match = _DUTY_RE.match(line)
             if not match:
                 raise GsnParseError("expected 'duty <iri>'", lineno)
             if duty_line is not None:
@@ -450,7 +442,7 @@ def serialize_gsn(argument: GsnArgument) -> str:
         if node.undeveloped:
             line += " undeveloped"
         lines.append(line)
-    lines.extend(sorted(_edge_key(edge) for edge in argument.edges))
+    lines.extend(map(_edge_key, argument.edges))  # the edges are held in this order
     if argument.duty_link is not None:
         lines.append(f"duty {argument.duty_link}")
     return "\n".join(lines) + "\n" if lines else ""
@@ -485,7 +477,7 @@ def render_dot(argument: GsnArgument) -> str:
         lines.append(
             f'  {node.id} [shape={_DOT_SHAPES[node.kind]}, label="{escape_quoted(label)}"];'
         )
-    for edge in sorted(argument.edges, key=_edge_key):
+    for edge in argument.edges:
         lines.append(f"  {edge.source} -> {edge.target} [style={_DOT_STYLES[edge.relation]}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -510,7 +502,7 @@ def argument_to_triples(argument: GsnArgument) -> list[Triple]:
         GsnRelation.IN_CONTEXT_OF: vocab.GSN_IN_CONTEXT_OF,
         GsnRelation.CHALLENGES: vocab.GSN_CHALLENGES,
     }
-    for edge in sorted(argument.edges, key=_edge_key):
+    for edge in argument.edges:
         triples.append(
             Triple(
                 vocab.gsn_node_iri(edge.source),

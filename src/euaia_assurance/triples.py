@@ -77,11 +77,28 @@ def load_json(text: str, what: str, line: int = 1, error: type = InputError) -> 
         raise error(f"{what}: {exc}", line) from None
 
 
-class Iri(namedtuple("Iri", "prefix local")):
+class _Record(tuple):
+    """The base of a tuple record that checks itself in its constructor:
+    ``_make``, ``_replace``, ``copy`` and unpickling at every protocol all go
+    through that constructor. It comes before the record's namedtuple base,
+    whose ``_make`` it replaces."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "_Record":
+        return cls(*iterable)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self)
+
+
+class Iri(_Record, namedtuple("Iri", "prefix local")):
     """A CURIE-form IRI, e.g. ``Iri("euaia", "d9")`` for ``euaia:d9``.
 
     Every way of building one (the constructor, ``parse``, ``_make``,
-    ``_replace`` and, from Python 3.13, ``copy.replace``) checks both names.
+    ``_replace``, from Python 3.13 ``copy.replace``, copying and unpickling)
+    checks both names.
     """
 
     __slots__ = ()
@@ -92,10 +109,6 @@ class Iri(namedtuple("Iri", "prefix local")):
         if not _LOCAL_RE.fullmatch(local):
             raise ValueError(f"invalid local name {local!r}")
         return tuple.__new__(cls, (prefix, local))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[str]) -> "Iri":
-        return cls(*iterable)
 
     @property
     def curie(self) -> str:
@@ -117,7 +130,7 @@ class Iri(namedtuple("Iri", "prefix local")):
         return self.curie
 
 
-class Literal(namedtuple("Literal", "text datatype")):
+class Literal(_Record, namedtuple("Literal", "text datatype")):
     """A UTF-8 literal value with an optional datatype tag, an :class:`Iri`.
 
     The check on the tag keeps a literal from equalling an IRI as a tuple.
@@ -130,15 +143,11 @@ class Literal(namedtuple("Literal", "text datatype")):
             raise TypeError(f"a literal's datatype must be an Iri, not {type(datatype).__name__}")
         return tuple.__new__(cls, (text, datatype))
 
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "Literal":
-        return cls(*iterable)
-
 
 Term = Iri | Literal
 
 
-class Variable(namedtuple("Variable", "name")):
+class Variable(_Record, namedtuple("Variable", "name")):
     """A named placeholder in a pattern. Shared names join across patterns.
 
     Every way of building one, as for :class:`Iri`, checks the name.
@@ -150,10 +159,6 @@ class Variable(namedtuple("Variable", "name")):
         if not _VARIABLE_RE.fullmatch(name):
             raise ValueError(f"invalid variable name {name!r}")
         return tuple.__new__(cls, (name,))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[str]) -> "Variable":
-        return cls(*iterable)
 
 
 PatternTerm = Iri | Literal | Variable
@@ -325,11 +330,12 @@ class Store:
     # matching
 
     @cached_property
-    def _by_predicate(self) -> dict[Iri, tuple[Triple, ...]]:
+    def _by_predicate(self) -> dict[Iri, list[Triple]]:
         return _position_index(self._triples, 1)
 
-    def _index(self, predicate: Term | None, position: int) -> dict[Term, tuple[Triple, ...]]:
-        """The predicate's bucket, or with None the whole store, by the term at ``position``; built once."""
+    def _index(self, predicate: Term | None, position: int) -> dict[Term, list[Triple]]:
+        """The predicate's bucket, or with None the whole store, by the term at ``position``; built
+        once and shared by every caller, which reads its lists and never changes them."""
         indexes, key = self.__dict__.setdefault("_indexes", {}), (predicate, position)
         if key not in indexes:
             bucket = self._triples if predicate is None else self._by_predicate.get(predicate, ())
@@ -423,11 +429,11 @@ def merge_stores(stores: Sequence[Store]) -> Store:
     return Store._of_checked(triples, namespaces)
 
 
-def _position_index(triples: Iterable[Triple], position: int) -> dict:
-    index: dict = {}
+def _position_index(triples: Iterable[Triple], position: int) -> dict[Term, list[Triple]]:
+    index: dict[Term, list[Triple]] = {}
     for triple in triples:
         index.setdefault(triple[position], []).append(triple)
-    return {key: tuple(val) for key, val in index.items()}
+    return index
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from euaia_assurance import vocab
-from euaia_assurance.coverage import CoverageError, coverage_report
+from euaia_assurance.coverage import CoverageError, causal_trace, coverage_report
 from euaia_assurance.duties import registry_to_triples
 from euaia_assurance.factsheet import FactsheetError, _argument_tree, render_factsheet, render_html
 from euaia_assurance.gsn import (
@@ -201,6 +201,22 @@ def test_lists_read_from_the_index_keep_the_order_of_store_match(registry, argum
     assert f"- CC2 challenges G3: {first}" in _section(text, "5. Open counterclaims")
     assert first == "aa first"
     assert "[evidence: a report, def:aFirst, def:staticFilter]" in text
+
+
+def test_the_analyses_index_only_the_buckets_they_read(registry, argument, full_store):
+    """Coverage, a causal trace and the factsheet group no bucket by hand: they
+    read the store's cached indexes of the predicates they use, and never index
+    the whole store."""
+    store = Store(full_store.triples)
+    coverage_report(store, registry)
+    causal_trace(store, Iri("atk", "charCombo"))
+    render_factsheet(registry, argument, store)
+    assert {(p.curie, at) for p, at in store._indexes} == {
+        ("gsn:supportedBy", 0), ("gsn:supportedBy", 2), ("rdf:type", 2), ("assures:evidencedBy", 0),
+        ("assures:evidencedBy", 2), ("assures:operationalizes", 0), ("assures:operationalizes", 2),
+        ("assures:rebuttedBy", 0), ("assures:mitigates", 2), ("assures:mitigatedBy", 0),
+        ("assures:trainedOn", 0), ("gsn:statement", 0),
+    }
 
 
 def test_provenance_section(rendered):

@@ -25,10 +25,11 @@ from euaia_assurance.gsn import (
     render_dot,
     serialize_gsn,
     validate,
+    _edge_key,
     _is_cyclic,
     _strip_comment,
 )
-from euaia_assurance.triples import Iri, Literal
+from euaia_assurance.triples import Iri, Literal, Variable
 from char_scanner import strip_comment as char_strip_comment
 from graphlib_cycle import find_cycle
 from incremental_gsn import parse_gsn_incrementally
@@ -302,6 +303,37 @@ def test_no_path_builds_a_broken_argument(nodes, edges, message):
         assert type(exc.value) is GsnError and str(exc.value) == message
 
 
+# Per checked record: a valid one, the fields of a hand-built invalid one, and
+# the error and message its constructor raises for them.
+_RECORDS = {
+    "Iri": (Iri("gsn", "G1"), ("1bad", "x"), ValueError, "invalid namespace prefix '1bad'"),
+    "Literal": (Literal("5", Iri("rdf", "int")), ("x", "str"), TypeError, "a literal's datatype must be an Iri, not str"),
+    "Variable": (Variable("x"), ("1x",), ValueError, "invalid variable name '1x'"),
+    "GsnNode": (
+        node(K.GOAL, 1), ("G0", K.GOAL, "x", False), GsnError, "node id 'G0' must be 'G' followed by a positive integer"
+    ),
+    "GsnArgument": (
+        pair_argument(node(K.GOAL, 1), node(K.SOLUTION, 1)).add_edge(GsnEdge("G1", "Sn1", R.SUPPORTED_BY)),
+        ((node(K.GOAL, 1), node(K.GOAL, 1)), (), None), GsnError, "duplicate node id 'G1'",
+    ),
+}
+_COPIES = {
+    **{f"pickle-{p}": lambda r, p=p: pickle.loads(pickle.dumps(r, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)},
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("copy_of", _COPIES.values(), ids=_COPIES)
+@pytest.mark.parametrize("valid, fields, error, message", _RECORDS.values(), ids=_RECORDS)
+def test_copies_and_unpickling_rebuild_every_record_through_its_constructor(valid, fields, error, message, copy_of):
+    with pytest.raises(error) as exc:
+        copy_of(tuple.__new__(type(valid), fields))
+    assert type(exc.value) is error and str(exc.value) == message
+    copied = copy_of(valid)
+    assert copied == valid and type(copied) is type(valid)
+
+
 def test_constructor_gives_back_canonical_order_without_repeated_edges():
     g2, s1, g1 = node(K.GOAL, 2), node(K.STRATEGY, 1), node(K.GOAL, 1)
     edges = [GsnEdge("S1", "G2", R.SUPPORTED_BY), GsnEdge("G1", "S1", R.SUPPORTED_BY)]
@@ -573,6 +605,8 @@ def test_parse_matches_the_incremental_builder(lines):
     expected = outcome(parse_gsn_incrementally)
     if isinstance(expected, GsnArgument):
         event("accepted")
+        # the exports rely on it: the edges are held in canonical order
+        assert list(expected.edges) == sorted(expected.edges, key=_edge_key)
     else:
         event(next((name for text, name in _OUTCOMES if text in expected[0]), "other"))
     assert outcome(parse_gsn) == expected
