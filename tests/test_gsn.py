@@ -307,10 +307,13 @@ def test_no_path_builds_a_broken_argument(nodes, edges, message):
 # the error and message its constructor raises for them.
 _RECORDS = {
     "Iri": (Iri("gsn", "G1"), ("1bad", "x"), ValueError, "invalid namespace prefix '1bad'"),
-    "Literal": (Literal("5", Iri("rdf", "int")), ("x", "str"), TypeError, "a literal's datatype must be an Iri, not str"),
+    "Literal": (
+        Literal("5", Iri("rdf", "int")), ("x", "str"), TypeError, "a literal's datatype must be an Iri, not str",
+    ),
     "Variable": (Variable("x"), ("1x",), ValueError, "invalid variable name '1x'"),
     "GsnNode": (
-        node(K.GOAL, 1), ("G0", K.GOAL, "x", False), GsnError, "node id 'G0' must be 'G' followed by a positive integer"
+        node(K.GOAL, 1), ("G0", K.GOAL, "x", False), GsnError,
+        "node id 'G0' must be 'G' followed by a positive integer",
     ),
     "GsnArgument": (
         pair_argument(node(K.GOAL, 1), node(K.SOLUTION, 1)).add_edge(GsnEdge("G1", "Sn1", R.SUPPORTED_BY)),
