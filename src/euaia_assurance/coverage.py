@@ -22,9 +22,6 @@ from .triples import Iri, Store, Term, Triple, serialize_triple
 if TYPE_CHECKING:
     from .duties import DutyRegistry
 
-# Causal traces climb at most this many supportedBy hops; coverage has no limit.
-MAX_PATH_DEPTH = 12
-
 
 class CoverageError(ValueError):
     """The store is missing triples the analysis depends on."""
@@ -155,10 +152,11 @@ def causal_trace(store: Store, attack: Iri) -> list[CausalTrace]:
 
     Chains run attack, defense (via mitigates or its asserted inverse),
     solution (via evidencedBy), upward through supportedBy to each goal
-    that operationalizes a duty. Paths are simple and bounded at
-    :data:`MAX_PATH_DEPTH` supportedBy hops. Hops are store triples; when
-    the inverse ``mitigatedBy`` triple is asserted it is preferred so the
-    first hop's subject is the attack itself.
+    that operationalizes a duty. Paths are simple and of any length, as
+    coverage's are, so the number of chains can grow exponentially with
+    shared sub-goals. Hops are store triples; when the inverse
+    ``mitigatedBy`` triple is asserted it is preferred so the first hop's
+    subject is the attack itself.
     """
     mitigates = store._index(vocab.MITIGATES, 2).get(attack, ())
     defenses = {hop.subject: hop for hop in mitigates if isinstance(hop.subject, Iri)}
@@ -170,26 +168,18 @@ def causal_trace(store: Store, attack: Iri) -> list[CausalTrace]:
     duties = store._index(vocab.OPERATIONALIZES, 0)
     evidence = store._index(vocab.EVIDENCED_BY, 2)
 
+    stack = [
+        (hop.subject, (first_hop, hop), {hop.subject})
+        for defense, first_hop in defenses.items()
+        for hop in evidence.get(defense, ())
+        if isinstance(hop.subject, Iri)
+    ]
     traces: list[CausalTrace] = []
-    for defense, first_hop in defenses.items():
-        for hop in evidence.get(defense, ()):
-            if isinstance(hop.subject, Iri):
-                _climb(hop.subject, (first_hop, hop), {hop.subject}, parents, duties, traces)
+    while stack:
+        node, prefix, visited = stack.pop()
+        traces.extend(CausalTrace(prefix + (hop,)) for hop in duties.get(node, ()))
+        for hop in parents.get(node, ()):
+            if hop.subject not in visited:
+                stack.append((hop.subject, prefix + (hop,), visited | {hop.subject}))
     traces.sort(key=lambda trace: [serialize_triple(h) for h in trace.hops])
     return traces
-
-
-def _climb(
-    node: Iri,
-    prefix: tuple[Triple, ...],
-    visited: set[Iri],
-    parents: dict[Term, list[Triple]],
-    duties: dict[Term, list[Triple]],
-    traces: list[CausalTrace],
-) -> None:
-    traces.extend(CausalTrace(prefix + (hop,)) for hop in duties.get(node, ()))
-    if len(prefix) - 2 >= MAX_PATH_DEPTH:
-        return
-    for hop in parents.get(node, ()):
-        if hop.subject not in visited:
-            _climb(hop.subject, prefix + (hop,), visited | {hop.subject}, parents, duties, traces)

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING
 
 from . import vocab
 from .coverage import CoverageStatus, coverage_report, open_counterclaims
-from .gsn import GsnArgument, GsnNodeKind, GsnRelation, Severity, validate
-from .triples import Iri, Literal, Store, _binding_key, serialize_term
+from .gsn import _CLASS_IRIS, GsnArgument, GsnNodeKind, GsnRelation, Severity, validate
+from .triples import Iri, Literal, Store, Triple, _binding_key, serialize_term
 
 if TYPE_CHECKING:
     from .duties import DutyRegistry
@@ -50,9 +50,8 @@ def _check_inputs(registry: DutyRegistry, argument: GsnArgument, store: Store) -
         known = {vocab.duty_iri(d.id) for d in registry.duties}
         if iri not in known:
             raise FactsheetError(f"argument duty link {argument.duty_link} is not a registry duty")
-    typed = {t.subject for t in store._by_predicate.get(vocab.RDF_TYPE, ())}
     for node in argument.nodes:
-        if vocab.gsn_node_iri(node.id) not in typed:
+        if Triple(vocab.gsn_node_iri(node.id), vocab.RDF_TYPE, _CLASS_IRIS[node.kind]) not in store:
             raise FactsheetError(
                 f"store is missing the argument triples (node {node.id}); assert them first"
             )

@@ -18,15 +18,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from euaia_assurance import vocab
-from euaia_assurance.coverage import (
-    MAX_PATH_DEPTH,
-    CausalTrace,
-    CoverageError,
-    CoverageStatus,
-    DutyStatus,
-)
+from euaia_assurance.coverage import CausalTrace, CoverageError, CoverageStatus, DutyStatus
 from euaia_assurance.duties import DutyRegistry
 from euaia_assurance.triples import Iri, Store, Triple, TriplePattern, Variable, serialize_triple
+
+# The replaced coverage search and causal trace both stopped this many
+# supportedBy hops from where they started.
+MAX_PATH_DEPTH = 12
 
 
 @dataclass(frozen=True)

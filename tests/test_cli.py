@@ -413,6 +413,49 @@ def test_coverage_trace_two_defenses(capsys, store_ttl, tmp_path):
     assert "trace 1:" in out and "trace 2:" in out
 
 
+def _chain_files(capsys, tmp_path, goals: int) -> tuple[str, str]:
+    """The triples of a chain G1 -> ... -> G<goals> -> Sn1 of duty 9, and links
+    from atk:a1 through def:d1 to Sn1."""
+    lines = [f'goal G{i} "goal {i}"' for i in range(1, goals + 1)] + ['solution Sn1 "evidence"']
+    lines += [f"edge G{i} -> G{i + 1} supportedBy" for i in range(1, goals)]
+    lines += [f"edge G{goals} -> Sn1 supportedBy", "duty euaia:d9"]
+    chain = tmp_path / "chain.gsn"
+    chain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, "gsn", "triples", str(chain))
+    assert code == 0
+    argument = tmp_path / "chain.ttl"
+    argument.write_text(out, encoding="utf-8")
+    links = tmp_path / "links.ttl"
+    links.write_text(
+        "<atk:a1> <assures:mitigatedBy> <def:d1> .\n<gsn:Sn1> <assures:evidencedBy> <def:d1> .\n",
+        encoding="utf-8",
+    )
+    return str(argument), str(links)
+
+
+def test_trace_and_report_agree_on_a_chain_past_twelve_goals(capsys, tmp_path):
+    argument, links = _chain_files(capsys, tmp_path, 13)
+    code, out, err = run(capsys, "coverage", "trace", argument, links, "--attack", "atk:a1")
+    assert (code, err) == (0, "")
+    assert out.startswith("trace 1:\n  <atk:a1> <assures:mitigatedBy> <def:d1> .\n")
+    assert out.endswith("  <gsn:G1> <assures:operationalizes> <euaia:d9> .\n")
+    assert out.count("\n") == 1 + 16 and "trace 2:" not in out
+    store = tmp_path / "store.ttl"
+    assert run(capsys, "triples", "import", argument, links, "--with-registry", "-o", str(store))[0] == 0
+    code, out, _ = run(capsys, "coverage", "report", str(store))
+    assert code == 0
+    assert out.split("\n")[9] == "9\tcovered\tgsn:Sn1\t"
+
+
+def test_coverage_trace_follows_a_deep_chain(capsys, tmp_path):
+    # deeper than the recursion limit: the trace climbs with a stack
+    argument, links = _chain_files(capsys, tmp_path, 2000)
+    code, out, err = run(capsys, "coverage", "trace", argument, links, "--attack", "atk:a1")
+    assert (code, err) == (0, "")
+    assert out.startswith("trace 1:\n") and "trace 2:" not in out
+    assert out.count("\n") == 1 + 2003
+
+
 def test_coverage_trace_unknown_attack(capsys, store_ttl):
     code, _, err = run(capsys, "coverage", "trace", store_ttl, "--attack", "atk:nope")
     assert code == 1

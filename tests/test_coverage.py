@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coverage_oracle as oracle
+import recursive_trace
 from euaia_assurance import vocab
 from euaia_assurance.coverage import (
-    MAX_PATH_DEPTH,
     CoverageError,
     CoverageStatus,
     causal_trace,
@@ -22,6 +22,7 @@ from euaia_assurance.gsn import argument_to_triples, parse_gsn
 from euaia_assurance.triples import Iri, Literal, Store, Triple, serialize_triple
 
 from conftest import ATTACK, fixture_triples
+from coverage_oracle import MAX_PATH_DEPTH
 
 RDF_TYPE = Iri("rdf", "type")
 SUPPORTED_BY = Iri("gsn", "supportedBy")
@@ -226,9 +227,12 @@ def test_trace_follows_long_chains_up_to_the_depth_cap():
     assert len(causal_trace(reachable, Iri("atk", "a"))) == 1
 
 
-def test_trace_stops_at_the_depth_cap():
-    too_deep = _chain_store(MAX_PATH_DEPTH + 3)
-    assert causal_trace(too_deep, Iri("atk", "a")) == []
+def test_trace_follows_chains_past_the_old_depth_cap():
+    # the replaced search stopped 12 hops up and listed no trace
+    deep = _chain_store(MAX_PATH_DEPTH + 3)
+    (trace,) = causal_trace(deep, Iri("atk", "a"))
+    assert len(trace.hops) == MAX_PATH_DEPTH + 3 + 3
+    assert recursive_trace.causal_trace(deep, Iri("atk", "a")) == []
 
 
 def test_trace_emits_one_chain_per_operationalized_node():
@@ -314,6 +318,65 @@ def test_coverage_reaches_evidence_at_any_depth(registry, data):
     store = Store(frozenset(triples))
     expected = oracle.coverage_report(store, registry, subtree=oracle.fixed_point_subtree)
     assert coverage_report(store, registry) == expected
+
+
+@st.composite
+def _deep_stores(draw, registry, min_depth: int = 0) -> Store:
+    """Stores whose supportedBy spine N0 -> ... -> N<depth> climbs up to 31 hops
+    from a solution that evidences a defense of atk:a0 to a goal of duty 9, with
+    the registry asserted, a few random supportedBy edges that may close
+    cycles, and a literal object possible on every predicate traces read."""
+    depth = draw(st.integers(min_depth, 31))
+    nodes = [Iri("gsn", f"N{i}") for i in range(depth + 1 + draw(st.integers(0, 3)))]
+    triples = set(_duty_types(registry))
+    triples.update(Triple(nodes[i], vocab.GSN_SUPPORTED_BY, nodes[i + 1]) for i in range(depth))
+    triples.add(Triple(nodes[depth], vocab.RDF_TYPE, vocab.SOLUTION))
+    triples.add(Triple(nodes[depth], vocab.EVIDENCED_BY, _DEFENSES[0]))
+    triples.add(draw(st.sampled_from([
+        Triple(_ATTACKS[0], vocab.MITIGATED_BY, _DEFENSES[0]),
+        Triple(_DEFENSES[0], vocab.MITIGATES, _ATTACKS[0]),
+    ])))
+    triples.add(Triple(nodes[0], vocab.OPERATIONALIZES, vocab.duty_iri(9)))
+    for node in nodes:
+        triples.update(Triple(node, vocab.RDF_TYPE, kind) for kind in draw(st.lists(st.sampled_from(_KINDS), max_size=1)))
+
+    def link(subjects, predicate, objects, max_size):
+        pairs = st.tuples(st.sampled_from(subjects), st.sampled_from([*objects, Literal("x")]))
+        triples.update(Triple(s, predicate, o) for s, o in draw(st.lists(pairs, max_size=max_size)))
+
+    link(nodes, vocab.GSN_SUPPORTED_BY, nodes, 6)
+    link(nodes, vocab.EVIDENCED_BY, _DEFENSES, 3)
+    link(nodes, vocab.OPERATIONALIZES, [vocab.duty_iri(d) for d in (1, 2, 3)], 3)
+    link(_DEFENSES, vocab.MITIGATES, _ATTACKS, 3)
+    link(_ATTACKS, vocab.MITIGATED_BY, _DEFENSES, 3)
+    return Store(frozenset(triples))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_traces_agree_with_the_recursive_walk(registry, data):
+    store = data.draw(_deep_stores(registry))
+    attack = data.draw(st.sampled_from([*_ATTACKS, Iri("atk", "unknown")]))
+    traces = _outcome(causal_trace, store, attack)
+    assert traces == _outcome(recursive_trace.causal_trace, store, attack, None)
+    capped = _outcome(recursive_trace.causal_trace, store, attack)
+    if isinstance(traces, tuple) or all(len(t.hops) - 3 <= MAX_PATH_DEPTH for t in traces):
+        assert capped == traces
+    else:  # the replaced walk dropped the deeper traces
+        assert set(capped) < set(traces)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_traced_solution_covers_its_duty(registry, data):
+    store = data.draw(_deep_stores(registry, min_depth=MAX_PATH_DEPTH + 1))
+    report = {vocab.duty_iri(s.duty_id): s.status for s in coverage_report(store, registry)}
+    traces = causal_trace(store, _ATTACKS[0])
+    for trace in traces:
+        solution = trace.hops[1].subject
+        if trace.duty in report and Triple(solution, vocab.RDF_TYPE, vocab.SOLUTION) in store:
+            assert report[trace.duty] in (CoverageStatus.COVERED, CoverageStatus.CONTESTED)
+    assert vocab.duty_iri(9) in {trace.duty for trace in traces}  # the spine's trace is listed
 
 
 def test_evidence_below_the_trace_depth_cap_still_covers(registry):

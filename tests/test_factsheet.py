@@ -327,6 +327,17 @@ def test_refuses_store_without_argument_triples(registry, argument):
         render_factsheet(registry, argument, store)
 
 
+def test_refuses_a_node_typed_only_as_another_class(registry, argument):
+    # Sn1 is a goal in the store but a solution in the argument
+    sn1 = Iri("gsn", "Sn1")
+    triples = [t for t in argument_to_triples(argument) if t != Triple(sn1, vocab.RDF_TYPE, vocab.SOLUTION)]
+    store = Store().assert_all(registry_to_triples(registry))
+    store = store.assert_all([*triples, Triple(sn1, vocab.RDF_TYPE, vocab.GOAL)])
+    with pytest.raises(FactsheetError) as exc:
+        render_factsheet(registry, argument, store)
+    assert str(exc.value) == "store is missing the argument triples (node Sn1); assert them first"
+
+
 def test_refuses_store_without_registry(registry, argument):
     store = Store().assert_all(argument_to_triples(argument))
     with pytest.raises(CoverageError):

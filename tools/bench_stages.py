@@ -9,8 +9,9 @@ bigrams on 1,000, 2,000 and 4,000 generated prompts per class and
 generated prompts, ``coverage_report``, ``causal_trace`` and the
 case-audit 3-pattern ``Store.query`` on audit stores generated with 200,
 400 and 800 nodes per argument (about 13,000, 26,000 and 50,000
-statements), the four case-audit commands run through ``cli.main`` in
-process on those audit cases, the ``filter score`` and ``filter classify
+statements), ``causal_trace`` on plain goal chains of 250, 500 and 750
+``supportedBy`` hops, the four case-audit commands run through
+``cli.main`` in process on those audit cases, the ``filter score`` and ``filter classify
 --model`` commands run the same way on 12,500, 25,000 and 50,000
 prompts, and the start-up time of short commands, for one or more source
 trees, and write the records as JSON.
@@ -20,8 +21,8 @@ trees, and write the records as JSON.
 
 ``--group`` (repeatable) measures only the named groups of stages:
 ``startup``, ``gsn``, ``store``, ``train``, ``prompts``, ``audit``,
-``audit commands`` and ``filter commands``; by default every group is
-measured.
+``chains``, ``audit commands`` and ``filter commands``; by default every
+group is measured.
 
 Each tree is measured by its own long-lived worker process with
 ``PYTHONPATH=<tree>/src``, so no two trees share imported modules. The
@@ -52,7 +53,10 @@ merged from the two with ``merge_stores``, as the CLI merges them, outside
 the timed call, so that the time includes the indexes the analysis builds
 and the store walks its triples in the order the CLI's store does; the
 trace follows the case's planted attack, and the query stage's size is the
-store's number of statements. The ``audit commands`` stage runs ``coverage report``,
+store's number of statements. A chain stage's store is one goal chain whose
+bottom solution evidences the one defense of its attack, and its trace must
+be the one chain from the attack to the top goal's duty. The ``audit
+commands`` stage runs ``coverage report``,
 ``coverage trace``, ``triples query`` and ``factsheet render --format html``
 on the files ``case_audit`` writes, as the case-audit workload does, and
 times the four together; each must exit 0. The ``filter commands`` stage
@@ -110,6 +114,7 @@ STORE_SIZES = (12500, 25000, 50000, 100000)
 TRAIN_SIZES = (1000, 2000, 4000)
 PROMPT_SIZES = (12500, 25000, 50000)
 AUDIT_SIZES = (200, 400, 800)  # nodes per argument; 800 is the case-audit workload's
+CHAIN_SIZES = (250, 500, 750)  # supportedBy hops
 SEED = 2
 STARTUP_RUNS = 15
 FIXTURES = ROOT / "fixtures"
@@ -337,6 +342,29 @@ def _run_audit(inputs: dict, size: int) -> dict:
     }
 
 
+def _prepare_chains(size: int, stack: contextlib.ExitStack) -> dict:
+    """The store of a chain G1 -> ... -> G<size> -> Sn1 of duty 1, with Sn1 evidencing atk:a1's defense."""
+    from euaia_assurance.triples import import_triples
+
+    statements = [f"<gsn:G{i}> <gsn:supportedBy> <gsn:G{i + 1}> ." for i in range(1, size)] + [
+        f"<gsn:G{size}> <gsn:supportedBy> <gsn:Sn1> .",
+        "<gsn:G1> <assures:operationalizes> <euaia:d1> .",
+        "<gsn:Sn1> <assures:evidencedBy> <def:d1> .",
+        "<atk:a1> <assures:mitigatedBy> <def:d1> .",
+    ]
+    return {"store": import_triples(_generate()._triple_file(statements))}
+
+
+def _run_chains(inputs: dict, size: int) -> dict:
+    from euaia_assurance.coverage import causal_trace
+    from euaia_assurance.triples import Iri, merge_stores
+
+    traced, traces = _timed(causal_trace, merge_stores([inputs["store"]]), Iri("atk", "a1"))
+    if [len(trace.hops) for trace in traces] != [size + 3]:
+        raise RuntimeError(f"{size}-hop chain: {len(traces)} traces, not one of {size + 3} hops")
+    return {"causal_trace": [size, "supportedBy hops", traced]}
+
+
 def _prepare_commands(size: int, stack: contextlib.ExitStack) -> dict:
     """The argv lists of the case-audit workload's commands, on a generated case."""
     tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
@@ -391,6 +419,7 @@ GROUPS = {  # name -> (prepare, run, sizes), in the order the stages are measure
     "train": (_prepare_train, _run_train, TRAIN_SIZES),
     "prompts": (_prepare_prompts, _run_prompts, PROMPT_SIZES),
     "audit": (_prepare_audit, _run_audit, AUDIT_SIZES),
+    "chains": (_prepare_chains, _run_chains, CHAIN_SIZES),
     "audit commands": (_prepare_commands, _run_commands, AUDIT_SIZES),
     "filter commands": (_prepare_filter_commands, _run_commands, PROMPT_SIZES),
 }
