@@ -11,10 +11,10 @@ case-audit 3-pattern ``Store.query`` on audit stores generated with 200,
 400 and 800 nodes per argument (about 13,000, 26,000 and 50,000
 statements), ``causal_trace`` on plain goal chains of 250, 500 and 750
 ``supportedBy`` hops, the four case-audit commands run through
-``cli.main`` in process on those audit cases, the ``filter score`` and ``filter classify
---model`` commands run the same way on 12,500, 25,000 and 50,000
-prompts, and the start-up time of short commands, for one or more source
-trees, and write the records as JSON.
+``cli.main`` in process on those audit cases, the ``filter score`` and
+``filter classify --model`` commands run the same way on 12,500, 25,000
+and 50,000 prompts, and the start-up time of short commands, for one or
+more source trees, and write the records as JSON.
 
     python3 tools/bench_stages.py --tree before=../old-checkout --tree after=. -o BENCH_11.json
     python3 tools/bench_stages.py --tree now=. --group startup --group store -o /dev/null
@@ -56,8 +56,7 @@ trace follows the case's planted attack, and the query stage's size is the
 store's number of statements. A chain stage's store is one goal chain whose
 bottom solution evidences the one defense of its attack, and its trace must
 be the one chain from the attack to the top goal's duty. The ``audit
-commands`` stage runs ``coverage report``,
-``coverage trace``, ``triples query`` and ``factsheet render --format html``
+commands`` stage runs ``coverage report``, ``coverage trace``, ``triples query`` and ``factsheet render --format html``
 on the files ``case_audit`` writes, as the case-audit workload does, and
 times the four together; each must exit 0. The ``filter commands`` stage
 does the same for ``filter score`` and ``filter classify --model`` on a
