@@ -198,11 +198,6 @@ def _cmd_triples_import(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_triples_export(args: argparse.Namespace) -> int:
-    sys.stdout.write(export_triples(_read_triples([args.file])))
-    return 0
-
-
 def _cmd_triples_query(args: argparse.Namespace) -> int:
     store = _read_triples([args.file])
     patterns = []
@@ -258,7 +253,6 @@ def _cmd_filter_classify(args: argparse.Namespace) -> int:
         verdict_of = lambda prompt: classify_static(blocklist, prompt)[0]
     else:
         args.parser.error("one of --model or --blocklist/--block-script is required")
-        return 2
     prompts = _read_prompts(args, args.parser)
     line_of = lambda prompt: f"{'A' if verdict_of(prompt) is Verdict.ADVERSARIAL else 'B'}\t{prompt}\n"
     write_lines(line_of, prompts, sys.stdout)
@@ -368,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     triples_import.add_argument("-o", "--output")
     triples_import.set_defaults(func=_cmd_triples_import)
     triples_export = triples.add_parser("export", help="reprint one file in canonical form")
-    triples_export.add_argument("file")
-    triples_export.set_defaults(func=_cmd_triples_export)
+    triples_export.add_argument("files", nargs=1, metavar="file")
+    triples_export.set_defaults(func=_cmd_triples_import, with_registry=False, output=None)
     triples_query = triples.add_parser("query", help="conjunctive pattern query")
     triples_query.add_argument("file")
     triples_query.add_argument("patterns", nargs="+")

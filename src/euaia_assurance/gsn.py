@@ -108,10 +108,19 @@ class GsnNode(_Record, namedtuple("GsnNode", "id kind statement undeveloped")):
         return (_KIND_ORDER[self.kind], int(self.id[len(ID_PREFIXES[self.kind]):]))
 
 
-class GsnEdge(NamedTuple):
-    source: str
-    target: str
-    relation: GsnRelation
+class GsnEdge(_Record, namedtuple("GsnEdge", "source target relation")):
+    """One edge, source first. Every way of building one, as for
+    :class:`GsnNode`, checks its relation and the type of its endpoints.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, source: str, target: str, relation: GsnRelation) -> "GsnEdge":
+        if not isinstance(relation, GsnRelation):
+            raise GsnError(f"an edge's relation must be a GsnRelation, not {type(relation).__name__}")
+        if not isinstance(source, str) or not isinstance(target, str):
+            raise GsnError(f"an edge's endpoints must be strings, not {type(source).__name__} and {type(target).__name__}")
+        return tuple.__new__(cls, (source, target, relation))
 
 
 class Severity(Enum):

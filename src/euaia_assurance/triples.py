@@ -164,10 +164,22 @@ class Variable(_Record, namedtuple("Variable", "name")):
 PatternTerm = Iri | Literal | Variable
 
 
-class Triple(namedtuple("Triple", "subject predicate object")):
-    """One statement: an IRI subject and predicate, and an IRI or literal object."""
+class Triple(_Record, namedtuple("Triple", "subject predicate object")):
+    """One statement: an IRI subject and predicate, and an IRI or literal object.
+
+    Every way of building one, as for :class:`Iri`, checks the terms' types.
+    """
 
     __slots__ = ()
+
+    def __new__(cls, subject: Iri, predicate: Iri, object: Term) -> "Triple":
+        if not isinstance(subject, Iri):
+            raise TypeError(f"a triple's subject must be an Iri, not {type(subject).__name__}")
+        if not isinstance(predicate, Iri):
+            raise TypeError(f"a triple's predicate must be an Iri, not {type(predicate).__name__}")
+        if not isinstance(object, (Iri, Literal)):
+            raise TypeError(f"a triple's object must be an Iri or a Literal, not {type(object).__name__}")
+        return tuple.__new__(cls, (subject, predicate, object))
 
 
 class TriplePattern(NamedTuple):

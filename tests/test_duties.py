@@ -5,6 +5,8 @@ from collections import Counter
 
 import pytest
 
+import checked_registry
+from euaia_assurance import duties
 from euaia_assurance.duties import (
     PROVENANCE,
     QUALIFIER_VOCABULARY,
@@ -24,6 +26,36 @@ def test_registry_has_exactly_23_duties(registry):
 
 def test_load_registry_is_cached():
     assert load_registry() is load_registry()
+
+
+def test_registry_equals_the_checked_loader():
+    checked = checked_registry.load_registry()
+    assert load_registry() == checked
+    for duty, expected in zip(load_registry().duties, checked.duties, strict=True):
+        assert duty._fields == expected._fields
+        for field, value, expected_value in zip(duty._fields, duty, expected, strict=True):
+            assert value == expected_value and type(value) is type(expected_value), (duty.id, field)
+        for ref, expected_ref in zip(duty.article_refs, expected.article_refs, strict=True):
+            assert list(map(type, ref)) == list(map(type, expected_ref)), (duty.id, ref)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((2, "9.2", "A", "x", ()), "duty 2: out of order (expected 1)"),
+        ((1, "9.2", "A", "", ()), "duty 1: empty text"),
+        ((1, "9.2", "Z", "x", ()), "duty 1: unknown stakeholder code 'Z'"),
+        ((1, "9.2", "A", "x", ("vague",)), "duty 1: qualifiers outside vocabulary: ['vague']"),
+        ((1, "9.5-2", "A", "x", ()), "duty 1: descending paragraph range '9.5-2'"),
+        ((1, "9.2, 10.1", "A", "x", ()), "duty 1: citation names two articles"),
+        ((1, "Annex IV", "A", "x", ()), "duty 1: citation 'Annex IV' names no article paragraph"),
+    ],
+)
+def test_the_checked_loader_refuses_a_broken_row(monkeypatch, row, message):
+    monkeypatch.setattr(duties, "_ROWS", (row, *duties._ROWS[1:]))
+    with pytest.raises(checked_registry.RegistryError) as exc:
+        checked_registry.load_registry()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(

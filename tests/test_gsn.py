@@ -29,7 +29,7 @@ from euaia_assurance.gsn import (
     _is_cyclic,
     _strip_comment,
 )
-from euaia_assurance.triples import Iri, Literal, Variable
+from euaia_assurance.triples import Iri, Literal, Triple, Variable
 from char_scanner import strip_comment as char_strip_comment
 from graphlib_cycle import find_cycle
 from incremental_gsn import parse_gsn_incrementally
@@ -319,6 +319,14 @@ _RECORDS = {
         pair_argument(node(K.GOAL, 1), node(K.SOLUTION, 1)).add_edge(GsnEdge("G1", "Sn1", R.SUPPORTED_BY)),
         ((node(K.GOAL, 1), node(K.GOAL, 1)), (), None), GsnError, "duplicate node id 'G1'",
     ),
+    "GsnEdge": (
+        GsnEdge("G1", "G2", R.SUPPORTED_BY), ("G1", "G2", "supportedBy"), GsnError,
+        "an edge's relation must be a GsnRelation, not str",
+    ),
+    "Triple": (
+        Triple(Iri("gsn", "G1"), Iri("rdf", "type"), Literal("x")), ("a", "b", "c"), TypeError,
+        "a triple's subject must be an Iri, not str",
+    ),
 }
 _COPIES = {
     **{f"pickle-{p}": lambda r, p=p: pickle.loads(pickle.dumps(r, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)},
@@ -335,6 +343,16 @@ def test_copies_and_unpickling_rebuild_every_record_through_its_constructor(vali
     assert type(exc.value) is error and str(exc.value) == message
     copied = copy_of(valid)
     assert copied == valid and type(copied) is type(valid)
+
+
+def test_an_edge_whose_relation_or_endpoint_is_not_checked_is_refused():
+    # the relation's name, not the GsnRelation, once ended in a KeyError from LEGAL_EDGES
+    with pytest.raises(GsnError, match="an edge's relation must be a GsnRelation, not str"):
+        GsnArgument([node(K.GOAL, 1), node(K.GOAL, 2)], [GsnEdge("G1", "G2", "supportedBy")])
+    with pytest.raises(GsnError, match="an edge's endpoints must be strings, not str and int"):
+        GsnEdge("G1", 2, R.SUPPORTED_BY)
+    with pytest.raises(GsnError, match="an edge's relation must be a GsnRelation"):
+        GsnEdge("G1", "G2", R.SUPPORTED_BY)._replace(relation="challenges")
 
 
 def test_constructor_gives_back_canonical_order_without_repeated_edges():

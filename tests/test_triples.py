@@ -120,6 +120,24 @@ def test_a_literal_datatype_is_an_iri():
     assert Literal._make(["5", Iri("rdf", "int")]) == Literal("5", Iri("rdf", "int"))
 
 
+def test_a_store_refuses_a_triple_of_strings():
+    # it once ended in an AttributeError from the prefix check
+    with pytest.raises(TypeError, match="a triple's subject must be an Iri, not str"):
+        Store([Triple("a", "b", "c")])
+
+
+def test_a_triple_of_other_types_is_refused_before_it_is_serialized():
+    # serialize_triple once ended in an AttributeError
+    with pytest.raises(TypeError, match="a triple's subject must be an Iri, not int"):
+        serialize_triple(Triple(1, 2, 3))
+    subject, predicate = Iri("gsn", "G1"), Iri("rdf", "type")
+    with pytest.raises(TypeError, match="a triple's predicate must be an Iri, not Literal"):
+        Triple(subject, Literal("type"), subject)
+    with pytest.raises(TypeError, match="a triple's object must be an Iri or a Literal, not Variable"):
+        Triple(subject, predicate, Variable("x"))
+    assert Triple(subject, predicate, Literal("x")).object == Literal("x")
+
+
 def test_terms_keep_their_fields_and_repr():
     term = Iri("rdf", "type")
     literal = Literal("5", term)

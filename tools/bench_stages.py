@@ -1,5 +1,5 @@
-"""Time ``parse_gsn`` and ``validate`` on generated arguments of 1,500,
-3,000 and 6,000 nodes, ``import_triples`` on generated store text of
+"""Time ``parse_gsn``, ``validate`` and ``argument_to_triples`` on generated
+arguments of 1,500, 3,000 and 6,000 nodes, ``import_triples`` on generated store text of
 12,500, 25,000, 50,000 and 100,000 statements, then ``merge_stores`` of
 that store with a case-audit links store, ``assert_all`` of the duty
 registry's triples and ``export_triples`` of the result, ``train_dynamic`` with
@@ -211,13 +211,20 @@ def _prepare_gsn(size: int, stack: contextlib.ExitStack) -> dict:
 
 
 def _run_gsn(inputs: dict, size: int) -> dict:
-    from euaia_assurance.gsn import parse_gsn, validate
+    from euaia_assurance.gsn import argument_to_triples, parse_gsn, validate
 
     parsed, argument = _timed(parse_gsn, inputs["text"])
     validated, diagnostics = _timed(validate, argument)
+    converted, triples = _timed(argument_to_triples, argument)
     if len(argument.nodes) != size or diagnostics:
         raise RuntimeError(f"{size}-node argument: {len(argument.nodes)} nodes, {diagnostics[:3]}")
-    return {"parse_gsn": [size, "nodes", parsed], "validate": [size, "nodes", validated]}
+    if len(triples) != 2 * size + len(argument.edges) + 1:
+        raise RuntimeError(f"{size}-node argument: {len(triples)} triples, not 2 * nodes + edges + 1")
+    return {
+        "parse_gsn": [size, "nodes", parsed],
+        "validate": [size, "nodes", validated],
+        "argument_to_triples": [size, "nodes", converted],
+    }
 
 
 def _prepare_store(size: int, stack: contextlib.ExitStack) -> dict:
