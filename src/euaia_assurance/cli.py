@@ -114,12 +114,12 @@ def _read_triples(paths: list[str]) -> Store:
     return merge_stores(stores) if stores else Store(namespaces=extra)
 
 
-def _read_prompts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> list[str]:
+def _read_prompts(args: argparse.Namespace) -> list[str]:
     prompts = list(args.prompts)
     if args.prompts_file:
         prompts.extend(parse_corpus(_read_file(args.prompts_file, corpus=True)))
     if not prompts:
-        parser.error("no prompts given (positional arguments or --prompts-file)")
+        args.parser.error("no prompts given (positional arguments or --prompts-file)")
     return prompts
 
 
@@ -236,7 +236,7 @@ def _cmd_filter_train(args: argparse.Namespace) -> int:
 def _cmd_filter_score(args: argparse.Namespace) -> int:
     _bind("prompt_filter")
     model = load_model(_read_file(args.model))
-    prompts = _read_prompts(args, args.parser)
+    prompts = _read_prompts(args)
     write_lines(lambda prompt: f"{score(model, prompt):.6f}\t{prompt}\n", prompts, sys.stdout)
     return 0
 
@@ -253,7 +253,7 @@ def _cmd_filter_classify(args: argparse.Namespace) -> int:
         verdict_of = lambda prompt: classify_static(blocklist, prompt)[0]
     else:
         args.parser.error("one of --model or --blocklist/--block-script is required")
-    prompts = _read_prompts(args, args.parser)
+    prompts = _read_prompts(args)
     line_of = lambda prompt: f"{'A' if verdict_of(prompt) is Verdict.ADVERSARIAL else 'B'}\t{prompt}\n"
     write_lines(line_of, prompts, sys.stdout)
     return 0
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     score_parser.add_argument("--model", required=True)
     score_parser.add_argument("--prompts-file")
     score_parser.add_argument("prompts", nargs="*")
-    score_parser.set_defaults(func=_cmd_filter_score)
+    score_parser.set_defaults(func=_cmd_filter_score, parser=score_parser)
     classify = filter_sub.add_parser("classify", help="A/B verdicts per prompt")
     classify.add_argument("--model")
     classify.add_argument("--blocklist", help="characters to block, as one string")
@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     classify.add_argument("--prompts-file")
     classify.add_argument("prompts", nargs="*")
-    classify.set_defaults(func=_cmd_filter_classify)
+    classify.set_defaults(func=_cmd_filter_classify, parser=classify)
     eval_parser = filter_sub.add_parser("eval", help="metrics on a labeled corpus")
     eval_parser.add_argument("--model", required=True)
     eval_parser.add_argument("--corpus", required=True)
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("--system", default="LLM-based system")
     render.add_argument("--format", choices=["md", "html"], default="md")
     render.add_argument("-o", "--output")
-    render.set_defaults(func=_cmd_factsheet_render)
+    render.set_defaults(func=_cmd_factsheet_render, parser=render)
 
     return parser
 
@@ -438,7 +438,6 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         args = parser.parse_args(argv)
-        args.parser = parser
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

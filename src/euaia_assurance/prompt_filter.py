@@ -25,7 +25,7 @@ from collections import Counter
 from enum import Enum
 from itertools import chain, groupby, repeat
 from operator import add, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence, TextIO
 
 from . import vocab
 from .vocab import ScriptClass
@@ -250,7 +250,7 @@ def classify_dynamic(model: FilterModel, prompt: str) -> Verdict:
 # one output line per prompt, over the usable CPUs
 
 # prompts: on 2 cores, two slices of 250-375 prompts were slower than one
-# process and two of 500 faster (fork, pipe and copy-out against scoring)
+# process and two of 500 faster (fork, temporary file and copy-out against scoring)
 MIN_SLICE = 500
 
 
@@ -259,42 +259,45 @@ def write_lines(line_of: Callable[[str], str], prompts: Sequence[str], out: Text
 
     The prompts are cut into contiguous slices, one per CPU this process may
     run on and none shorter than ``MIN_SLICE``. This process writes the
-    first slice while a forked worker formats each of the others and sends
-    its text through a pipe. The workers are then taken in slice order: each
-    one's text is read to its end and its exit awaited before the text is
-    copied out, so this process holds one slice's text at a time. A worker
-    that fails, dies or cannot be forked has its slice redone here, so an
-    error stops the output at the same line, with the same exception, as
-    writing every line in this process. Without ``os.fork``, or while other
-    threads run, there is one slice and nothing is forked.
+    first slice while a forked worker formats each of the others into an
+    unnamed temporary file. The workers are then taken in slice order: each
+    one's exit is awaited and its file read back before the text is copied
+    out, so this process holds one slice's text at a time. A worker that
+    fails, dies or cannot be forked, or whose file cannot be made or read,
+    has its slice redone here, so an error stops the output at the same
+    line, with the same exception, as writing every line in this process.
+    Without ``os.fork``, or while other threads run, there is one slice and
+    nothing is forked.
     """
     (_, head), *rest = _slices(len(prompts))
-    workers: list[tuple[int, int]] = []  # (pid, pipe read end) per slice not yet taken, in slice order
+    workers: list[tuple[int, BinaryIO]] = []  # (pid, temporary file) per slice not yet taken, in slice order
     try:
         for start, stop in rest:
-            read, write = os.pipe()
+            import tempfile  # here, so that only a call that forks loads it
+            try:
+                file = tempfile.TemporaryFile()
+            except OSError:
+                break
             try:
                 pid = os.fork()
             except OSError:
-                pid = None
-            if pid == 0:
-                _work(line_of, prompts[start:stop], out, write, [read, *(fd for _, fd in workers)])
-            os.close(write)
-            if pid is None:
-                os.close(read)
+                file.close()
                 break
-            workers.append((pid, read))
+            if pid == 0:
+                _work(line_of, prompts[start:stop], out, file.fileno())
+            workers.append((pid, file))
         out.writelines(map(line_of, prompts[:head]))
         for start, stop in rest:
             text = None
             if workers:
-                pid, read = workers.pop(0)
-                try:
-                    text = _drain(read)
-                finally:
-                    os.close(read)
-                    if os.waitpid(pid, 0)[1]:
-                        text = None
+                pid, file = workers.pop(0)
+                with file:
+                    if not os.waitpid(pid, 0)[1]:
+                        try:
+                            file.seek(0)
+                            text = file.read()
+                        except OSError:
+                            pass
             if text is None:
                 out.writelines(map(line_of, prompts[start:stop]))
                 continue
@@ -303,10 +306,9 @@ def write_lines(line_of: Callable[[str], str], prompts: Sequence[str], out: Text
                 end = text.find(b"\n", at + (1 << 16)) + 1 or len(text)
                 out.write(text[at:end].decode("utf-8", "surrogatepass"))
                 at = end
-    finally:  # no worker may stay blocked on a full pipe or outlive the call
-        for _, read in workers:
-            os.close(read)
-        for pid, _ in workers:
+    finally:  # no worker may outlive the call
+        for pid, file in workers:
+            file.close()
             os.waitpid(pid, 0)
 
 
@@ -327,35 +329,22 @@ def _other_threads() -> bool:
         return len(sys._current_frames()) > 1
 
 
-def _work(
-    line_of: Callable[[str], str], prompts: Sequence[str], out: TextIO, write: int, inherited: list[int]
-) -> NoReturn:
-    """In a forked worker: send the slice's text through ``write`` and exit,
-    with status 0 only if every line was formatted, fits ``out``'s encoding
-    and was sent. The inherited read ends, its own pipe's among them, are
-    closed first, so that once the parent closes a read end, that pipe's
-    worker gets a broken pipe instead of waiting.
+def _work(line_of: Callable[[str], str], prompts: Sequence[str], out: TextIO, file: int) -> NoReturn:
+    """In a forked worker: write the slice's text to ``file`` and exit, with
+    status 0 only if every line was formatted, fits ``out``'s encoding and
+    was written.
     """
     status = 1
     try:
-        for fd in inherited:
-            os.close(fd)
         text = "".join(map(line_of, prompts))
         if getattr(out, "encoding", None):
             text.encode(out.encoding, getattr(out, "errors", None) or "strict")
         data = memoryview(text.encode("utf-8", "surrogatepass"))
         while data:
-            data = data[os.write(write, data):]
+            data = data[os.write(file, data):]
         status = 0
     finally:  # whatever happened, never return into the forking caller's stack
         os._exit(status)
-
-
-def _drain(read: int) -> bytes:
-    chunks = []
-    while chunk := os.read(read, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
 
 
 # ----------------------------------------------------------------------

@@ -495,7 +495,7 @@ def scan_quoted(
 # `_scan_error` then names the fault.
 _TERM_RE = re.compile(
     rf"[ \t]*(?:{_IRI}|{_LITERAL}|(\.)[ \t]*\Z|(\.)(?=[ \t])|(\Z)"
-    r'|\?([A-Za-z_][A-Za-z0-9_]*)|([^\s<"?]\S*))'.format("", _IRI.format(""))
+    rf'|\?({_VARIABLE_RE.pattern})|([^\s<"?]\S*))'.format("", _IRI.format(""))
 )
 _BLANKS_RE = re.compile(r"[ \t]*")
 

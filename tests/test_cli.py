@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from euaia_assurance import cli, triples
 from euaia_assurance.cli import main
@@ -367,6 +372,63 @@ def test_coverage_report(capsys, store_ttl):
     assert lines[9] == "9\tcontested\tgsn:Sn1\tgsn:CC1"
 
 
+@pytest.fixture(scope="module")
+def walkthrough_store(tmp_path_factory) -> Path:
+    """The README walkthrough's store: registry, argument and both link files."""
+    directory = tmp_path_factory.mktemp("walkthrough")
+    argument = directory / "argument.ttl"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["gsn", "triples", GSN]) == 0
+    argument.write_text(out.getvalue(), encoding="utf-8")
+    store = directory / "store.ttl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["triples", "import", str(argument), LINKS, DYNAMIC, "--with-registry", "-o", str(store)]) == 0
+    return store
+
+
+def _audit_outputs(stores: list[str], whole: str) -> list[str]:
+    """The stdout of each audit command over ``stores``; ``triples query``,
+    which reads one file, reads ``whole``."""
+    commands = [
+        ["coverage", "report", *stores],
+        ["coverage", "trace", *stores, "--attack", "atk:charCombo"],
+        ["triples", "query", whole, "?a <assures:mitigatedBy> ?d", "?s <assures:evidencedBy> ?d",
+         "?g <gsn:supportedBy> ?s"],
+        ["factsheet", "render", *(f"--store={store}" for store in stores), "--gsn", GSN, "--format", "md"],
+    ]
+    outputs = []
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0, argv
+        outputs.append(out.getvalue())
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def walkthrough_outputs(walkthrough_store) -> list[str]:
+    outputs = _audit_outputs([str(walkthrough_store)], str(walkthrough_store))
+    assert "\ntrace 2:\n" in outputs[1] and outputs[2].count("\n") > 1
+    return outputs
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_audit_commands_ignore_line_order_and_file_splits(walkthrough_store, walkthrough_outputs, data):
+    """Each store file carries the whole ``@prefix`` header; the statement
+    lines are permuted, then cut into two files."""
+    lines = walkthrough_store.read_text(encoding="utf-8").rstrip("\n").split("\n")
+    header = [line for line in lines if line.startswith("@prefix")]
+    body = data.draw(st.permutations([line for line in lines if not line.startswith("@prefix")]))
+    cut = data.draw(st.integers(0, len(body)))
+    with tempfile.TemporaryDirectory() as directory:
+        paths = []
+        for name, part in [("whole", body), ("first", body[:cut]), ("second", body[cut:])]:
+            paths.append(os.path.join(directory, f"{name}.ttl"))
+            Path(paths[-1]).write_text("\n".join(header + part) + "\n", encoding="utf-8")
+        whole, first, second = paths
+        assert _audit_outputs([first, second], whole) == walkthrough_outputs
+
+
 def test_coverage_report_multiple_files(capsys, argument_ttl):
     registry_only = run(capsys, "coverage", "report", argument_ttl, LINKS)
     # registry triples absent: refuse
@@ -550,10 +612,22 @@ def test_factsheet_model_requires_eval_corpus(capsys, toy_model_file):
 # plumbing
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, toy_model_file):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "duties")[0] == 2
+    # errors found after parsing print the usage of their own command
+    for argv in (
+        ["filter", "score", "--model", toy_model_file],
+        ["filter", "classify", "--model", toy_model_file, "--blocklist", "!", "hello"],
+        ["filter", "classify", "hello"],
+        ["factsheet", "render", "--model", toy_model_file],
+    ):
+        code, out, err = run(capsys, *argv)
+        command = f"euaia-assure {argv[0]} {argv[1]}"
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"usage: {command} [-h]"), err
+        assert f"\n{command}: error: " in err, err
 
 
 def test_help_exits_zero(capsys):

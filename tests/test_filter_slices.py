@@ -14,6 +14,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -37,10 +38,10 @@ class _Deadline(Exception):
 
 @pytest.fixture(autouse=True)
 def _deadline():
-    """Fail a test that waits for a worker blocked on a full pipe, instead of hanging."""
+    """Fail a test that waits for a worker that never exits, instead of hanging."""
 
     def expire(signum, frame):
-        raise _Deadline("still waiting after 120 s: is a worker blocked on its pipe?")
+        raise _Deadline("still waiting after 120 s: has a worker not exited?")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(120)
@@ -207,6 +208,45 @@ def test_a_worker_that_fails_dies_or_never_starts_has_its_slice_redone_here(how)
     _no_child_left()
 
 
+@pytest.mark.parametrize("failing", [1, 2, 3])
+def test_a_slice_whose_file_cannot_be_made_is_written_here_with_the_rest(failing):
+    """The ``failing``-th temporary file cannot be made: that slice and every
+    one after it are written here, and no file is asked for after it."""
+    prompts, made = [f"p{number}" for number in range(16)], []
+    real_temporary_file = tempfile.TemporaryFile
+
+    def temporary_file():
+        made.append(None)
+        if len(made) == failing:
+            raise OSError(28, "No space left on device")
+        return real_temporary_file()
+
+    out = io.StringIO()
+    with _machine(cpus=4, min_slice=4) as forks, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tempfile, "TemporaryFile", temporary_file)
+        prompt_filter.write_lines(lambda prompt: f"{prompt}\n", prompts, out)
+    assert (len(made), len(forks)) == (failing, failing - 1)
+    assert out.getvalue() == _lines(prompts)
+    _no_child_left()
+
+
+class _Unreadable(io.BufferedRandom):
+    def read(self, size=-1):
+        raise OSError(5, "Input/output error")
+
+
+def test_a_slice_whose_file_cannot_be_read_back_is_redone_here():
+    prompts = [f"p{number}" for number in range(12)]
+    real_temporary_file = tempfile.TemporaryFile
+    out = io.StringIO()
+    with _machine(cpus=3, min_slice=4) as forks, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tempfile, "TemporaryFile", lambda: _Unreadable(real_temporary_file().detach()))
+        prompt_filter.write_lines(lambda prompt: f"{prompt}\n", prompts, out)
+    assert len(forks) == 2
+    assert out.getvalue() == _lines(prompts)
+    _no_child_left()
+
+
 def test_a_worker_text_longer_than_a_piece_is_copied_out_whole():
     """The text comes back decoded a line-ended piece at a time; pieces end
     only at a newline, so no character or lone surrogate is split."""
@@ -225,8 +265,8 @@ class _BrokenPipe(io.StringIO):
 
 
 def test_a_failed_write_here_leaves_no_worker_blocked_or_behind():
-    """Each worker's text outgrows a pipe's buffer; closing the read ends
-    before waiting lets the blocked workers fail and exit."""
+    """Each worker's text is larger than a pipe would hold; when writing here
+    fails, every worker is still awaited and its temporary file closed."""
     with _machine(cpus=4, min_slice=100) as forks, pytest.raises(BrokenPipeError):
         prompt_filter.write_lines(lambda prompt: f"{prompt}\n", ["x" * 1000] * 400, _BrokenPipe())
     assert len(forks) == 3

@@ -78,11 +78,22 @@ in run order, the Python version, the tree's git commit (or null) and a
 digest of its ``src/euaia_assurance``, which identifies uncommitted trees
 too.
 
+A record also holds ``calls``: the number of Python function calls that
+``cProfile`` counts in one extra, untimed run of the stage at that size,
+made after its timed runs. The timed runs are never profiled. A count
+leaves out what runs in other processes: the start-up stage's commands
+(its ``calls`` is null) and the slices that ``filter score`` and ``filter
+classify`` hand to forked workers, so a filter stage counts this process's
+slice and the copy-out only. It also leaves out work done in C, such as
+regex matching and dict and set operations, and it differs between Python
+versions. Counts record and do not gate; read them beside the times.
+
 Run ``i`` of every tree at a stage and size falls in the same round, so the
 runs pair up. For each tree after the first, the standard error gets one
 line per stage and size: the median over the rounds of the ratio of that
 tree's seconds to the first tree's, the quartiles of those ratios, and the
-number of rounds it was faster.
+number of rounds it was faster, then the ratio of its call count to the
+first tree's.
 Drift of a shared machine that outlasts a round cancels in the ratio, where
 it would stay in each tree's median.
 """
@@ -91,12 +102,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import cProfile
 import gc
 import hashlib
 import io
 import json
 import os
 import platform
+import pstats
 import random
 import shutil
 import statistics
@@ -171,9 +184,17 @@ def _prompts(size: int) -> list[str]:
     return [(generate._adversarial if rng.random() < 0.5 else generate._benign)(rng)[0] for _ in range(size)]
 
 
+_counting = False  # in a worker: whether this run counts calls instead of timing them
+
+
 def _timed(call, *args, **kwargs) -> tuple[float, object]:
-    """The seconds one call takes, timed after a full collection, and its result."""
+    """The seconds one call takes, timed after a full collection, and its
+    result; in a counting run, the calls it makes instead of the seconds."""
     gc.collect()
+    if _counting:
+        profile = cProfile.Profile()
+        result = profile.runcall(call, *args, **kwargs)
+        return pstats.Stats(profile).total_calls, result
     start = time.perf_counter()
     result = call(*args, **kwargs)
     return time.perf_counter() - start, result
@@ -432,16 +453,17 @@ GROUPS = {  # name -> (prepare, run, sizes), in the order the stages are measure
 
 
 def _serve() -> None:
-    """Worker loop: for each request line ``[group, size]`` on stdin, write one
-    line of ``{stage: [size, unit, seconds]}`` or ``{"error": ...}``.
+    """Worker loop: for each request line ``[group, size, counting]`` on stdin,
+    write one line of ``{stage: [size, unit, seconds or calls]}`` or ``{"error": ...}``.
 
     Only the inputs of the group and size last asked for are kept; they are
     dropped, and their files removed, before the next ones are built.
     """
+    global _counting
     channel, sys.stdout = sys.stdout, sys.stderr  # stray prints must not reach the coordinator
     current, inputs, stack = None, None, contextlib.ExitStack()
     for line in sys.stdin:
-        group, size = json.loads(line)
+        group, size, _counting = json.loads(line)
         try:
             prepare, run, _ = GROUPS[group]
             if current != (group, size):
@@ -471,8 +493,8 @@ class _Worker:
             env=dict(env, PYTHONPATH=str(tree / "src")),
         )
 
-    def ask(self, group: str, size: int) -> dict:
-        self.process.stdin.write(json.dumps([group, size]) + "\n")
+    def ask(self, group: str, size: int, counting: bool = False) -> dict:
+        self.process.stdin.write(json.dumps([group, size, counting]) + "\n")
         self.process.stdin.flush()
         line = self.process.stdout.readline()
         reply = json.loads(line) if line else {"error": f"worker exited {self.process.wait()}"}
@@ -485,7 +507,7 @@ class _Worker:
         self.process.wait()
 
 
-def _record(stage: str, size: int, unit: str, samples: list[float]) -> dict:
+def _record(stage: str, size: int, unit: str, samples: list[float], calls: int | None) -> dict:
     return {
         "stage": stage,
         "size": size,
@@ -494,23 +516,29 @@ def _record(stage: str, size: int, unit: str, samples: list[float]) -> dict:
         "median_s": round(statistics.median(samples), 6),
         "min_s": round(min(samples), 6),
         "samples_s": [round(seconds, 6) for seconds in samples],
+        "calls": calls,
     }
 
 
-def _report_pairs(samples: dict[str, dict[tuple, list[float]]], base: str, other: str) -> None:
+def _report_pairs(samples: dict[str, dict[tuple, list[float]]], calls: dict[str, dict[tuple, int]],
+                  base: str, other: str) -> None:
     """Print the paired per-round comparison of tree ``other`` against tree ``base``."""
     for (stage, size, unit), before in samples[base].items():
         after = samples[other][(stage, size, unit)]
         ratios = [b / a for a, b in zip(before, after)]
         q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else (ratios[0],) * 3
         faster = sum(b < a for a, b in zip(before, after))
+        count = calls[base].get((stage, size, unit))
+        counted = f", calls ratio {calls[other][(stage, size, unit)] / count:.3f}" if count else ""
         print(f"{stage} at {size} {unit}: {other}/{base} median ratio {median:.3f} [{q1:.3f}, {q3:.3f}],"
-              f" {other} faster in {faster} of {len(before)} rounds", file=sys.stderr)
+              f" {other} faster in {faster} of {len(before)} rounds{counted}", file=sys.stderr)
 
 
-def _measure(workers: list[_Worker], repeats: int, groups: list[str]) -> dict[str, dict[tuple, list[float]]]:
-    """Samples per tree label and (stage, size, unit) of the named groups, the trees interleaved."""
+def _measure(workers: list[_Worker], repeats: int, groups: list[str]) -> tuple[dict, dict]:
+    """Samples and call counts per tree label and (stage, size, unit) of the
+    named groups, the trees interleaved; each count from one run after the timed ones."""
     samples: dict[str, dict[tuple, list[float]]] = {worker.label: {} for worker in workers}
+    calls: dict[str, dict[tuple, int]] = {worker.label: {} for worker in workers}
     for group, (_, _, sizes) in GROUPS.items():
         if group not in groups:
             continue
@@ -520,8 +548,11 @@ def _measure(workers: list[_Worker], repeats: int, groups: list[str]) -> dict[st
                 for worker in workers if repeat % 2 == 0 else workers[::-1]:
                     for stage, (stage_size, unit, seconds) in worker.ask(group, size).items():
                         samples[worker.label].setdefault((stage, stage_size, unit), []).append(seconds)
+            for worker in workers if group != "startup" else ():
+                for stage, (stage_size, unit, count) in worker.ask(group, size, counting=True).items():
+                    calls[worker.label][(stage, stage_size, unit)] = count
             print(f"measured {group} at size {size}", file=sys.stderr)
-    return samples
+    return samples, calls
 
 
 def _tree_digest(src: Path) -> str:
@@ -563,12 +594,12 @@ def main() -> int:
     try:
         for label, tree in trees:
             workers.append(_Worker(label, tree))
-        samples = _measure(workers, args.repeats, args.group or list(GROUPS))
+        samples, calls = _measure(workers, args.repeats, args.group or list(GROUPS))
     finally:
         for worker in workers:
             worker.close()
     for label, _ in trees[1:]:
-        _report_pairs(samples, trees[0][0], label)
+        _report_pairs(samples, calls, trees[0][0], label)
     records = []
     for label, tree in trees:
         identity = {
@@ -577,7 +608,8 @@ def main() -> int:
             "commit": _commit(tree),
             "src_sha256": _tree_digest(tree / "src" / "euaia_assurance"),
         }
-        records.extend({**identity, **_record(*key, times)} for key, times in samples[label].items())
+        records.extend({**identity, **_record(*key, times, calls[label].get(key))}
+                       for key, times in samples[label].items())
     text = json.dumps(records, indent=1) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
