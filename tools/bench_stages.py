@@ -25,7 +25,12 @@ more source trees, and write the records as JSON.
 group is measured.
 
 Each tree is measured by its own long-lived worker process with
-``PYTHONPATH=<tree>/src``, so no two trees share imported modules. The
+``PYTHONPATH=<tree>/src``, so no two trees share imported modules, and
+with ``PYTHONHASHSEED=0``, so every worker lays out its string-keyed dicts
+alike. (With a random seed per worker, the unchanged ``score`` stage read
+1.06-1.07 at all three sizes in one 20-round comparison of two trees, and
+0.99 in the next with the seeds fixed: one worker's draw tilts every round
+of its tree.) The
 trees are interleaved: for each stage and size, every repeat asks each
 worker for one timed run in turn, and the order of the trees alternates
 from one repeat to the next. Drift of a shared machine then falls on every
@@ -429,7 +434,7 @@ def _run_commands(inputs: dict, size: int) -> dict:
     """The seconds the commands take together; each must exit 0 and write something."""
     from euaia_assurance import cli
 
-    total = 0.0
+    total = 0
     for argv in inputs["commands"]:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             seconds, status = _timed(cli.main, argv)
@@ -490,7 +495,7 @@ class _Worker:
         env = {k: v for k, v in os.environ.items() if k != "EUAIA_ASSURE_NAMESPACES"}
         self.process = subprocess.Popen(
             [sys.executable, __file__, "--worker"], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-            env=dict(env, PYTHONPATH=str(tree / "src")),
+            env=dict(env, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0"),
         )
 
     def ask(self, group: str, size: int, counting: bool = False) -> dict:
