@@ -235,8 +235,8 @@ def _cmd_filter_train(args: argparse.Namespace) -> int:
 
 def _cmd_filter_score(args: argparse.Namespace) -> int:
     _bind("prompt_filter")
-    model = load_model(_read_file(args.model))
     prompts = _read_prompts(args)
+    model = load_model(_read_file(args.model))
     write_lines(lambda prompt: f"{score(model, prompt):.6f}\t{prompt}\n", prompts, sys.stdout)
     return 0
 
@@ -245,15 +245,15 @@ def _cmd_filter_classify(args: argparse.Namespace) -> int:
     _bind("prompt_filter")
     if args.model and (args.blocklist or args.block_script):
         args.parser.error("use either --model or a static blocklist, not both")
+    if not (args.model or args.blocklist or args.block_script):
+        args.parser.error("one of --model or --blocklist/--block-script is required")
+    prompts = _read_prompts(args)
     if args.model:
         model = load_model(_read_file(args.model))
         verdict_of = lambda prompt: classify_dynamic(model, prompt)
-    elif args.blocklist or args.block_script:
+    else:
         blocklist = compile_blocklist([*(args.blocklist or ""), *map(ScriptClass, args.block_script)])
         verdict_of = lambda prompt: classify_static(blocklist, prompt)[0]
-    else:
-        args.parser.error("one of --model or --blocklist/--block-script is required")
-    prompts = _read_prompts(args)
     line_of = lambda prompt: f"{'A' if verdict_of(prompt) is Verdict.ADVERSARIAL else 'B'}\t{prompt}\n"
     write_lines(line_of, prompts, sys.stdout)
     return 0
@@ -295,6 +295,8 @@ def _cmd_coverage_trace(args: argparse.Namespace) -> int:
 
 def _cmd_factsheet_render(args: argparse.Namespace) -> int:
     _bind("duties", "gsn", "factsheet")
+    if args.model and not args.eval_corpus:
+        args.parser.error("--model requires --eval-corpus")
     registry = load_registry()
     store = _read_triples(args.store)
     triples = registry_to_triples(registry)
@@ -303,8 +305,6 @@ def _cmd_factsheet_render(args: argparse.Namespace) -> int:
         triples.extend(argument_to_triples(argument))
     metrics = None
     if args.model:
-        if not args.eval_corpus:
-            args.parser.error("--model requires --eval-corpus")
         _bind("prompt_filter")
         model = load_model(_read_file(args.model))
         labeled = parse_labeled_corpus(_read_file(args.eval_corpus, corpus=True))

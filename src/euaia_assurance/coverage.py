@@ -86,6 +86,13 @@ def _develops(children: dict[Term, list[Triple]], node: Iri) -> bool:
     return any(isinstance(hop.object, Iri) for hop in children.get(node, ()))
 
 
+def _evidenced_solutions(store: Store) -> set[Iri]:
+    """What holds evidence, for coverage and traces alike: each node typed
+    ``gsn:Solution`` that is the subject of an ``evidencedBy`` triple."""
+    evidenced = store._index(vocab.EVIDENCED_BY, 0)
+    return {node for node in evidenced if Triple(node, vocab.RDF_TYPE, vocab.SOLUTION) in store}
+
+
 def coverage_report(store: Store, registry: DutyRegistry) -> list[DutyStatus]:
     """One status per duty, ascending by id.
 
@@ -104,8 +111,7 @@ def coverage_report(store: Store, registry: DutyRegistry) -> list[DutyStatus]:
             )
     children = store._index(vocab.GSN_SUPPORTED_BY, 0)
     typed = store._index(vocab.RDF_TYPE, 2)
-    evidence = store._index(vocab.EVIDENCED_BY, 0)
-    evidenced = {t.subject for t in typed.get(vocab.SOLUTION, ()) if t.subject in evidence}
+    evidenced = _evidenced_solutions(store)
     branch_points = {t.subject for kind in (vocab.GOAL, vocab.STRATEGY) for t in typed.get(kind, ())}
     goals = store._index(vocab.OPERATIONALIZES, 2)
     open_by_node: dict[Iri, list[Iri]] = {}
@@ -151,15 +157,15 @@ def causal_trace(store: Store, attack: Iri) -> list[CausalTrace]:
     """All attack-to-duty chains for the given attack.
 
     Chains run attack, defense (via mitigates or its asserted inverse),
-    solution (via evidencedBy), upward through supportedBy to each goal
-    that operationalizes a duty. Paths are simple and of any length, as
-    coverage's are, so the number of chains can grow exponentially with
-    shared sub-goals. Hops are store triples; when the inverse
-    ``mitigatedBy`` triple is asserted it is preferred so the first hop's
-    subject is the attack itself.
+    solution (a holder of evidence as coverage counts it, via evidencedBy),
+    upward through supportedBy to each goal that operationalizes a duty.
+    Paths are simple and of any length, as coverage's are, so the number of
+    chains can grow exponentially with shared sub-goals. Hops are store
+    triples; when the inverse ``mitigatedBy`` triple is asserted it is
+    preferred so the first hop's subject is the attack itself.
     """
     mitigates = store._index(vocab.MITIGATES, 2).get(attack, ())
-    defenses = {hop.subject: hop for hop in mitigates if isinstance(hop.subject, Iri)}
+    defenses = {hop.subject: hop for hop in mitigates}
     mitigated_by = store._index(vocab.MITIGATED_BY, 0).get(attack, ())
     defenses.update((hop.object, hop) for hop in mitigated_by if isinstance(hop.object, Iri))
     if not defenses and not any(attack in t for t in store.triples):  # a defended attack appears
@@ -167,12 +173,12 @@ def causal_trace(store: Store, attack: Iri) -> list[CausalTrace]:
     parents = store._index(vocab.GSN_SUPPORTED_BY, 2)
     duties = store._index(vocab.OPERATIONALIZES, 0)
     evidence = store._index(vocab.EVIDENCED_BY, 2)
-
+    solutions = _evidenced_solutions(store)
     stack = [
         (hop.subject, (first_hop, hop), {hop.subject})
         for defense, first_hop in defenses.items()
         for hop in evidence.get(defense, ())
-        if isinstance(hop.subject, Iri)
+        if hop.subject in solutions
     ]
     traces: list[CausalTrace] = []
     while stack:

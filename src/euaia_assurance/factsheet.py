@@ -69,10 +69,9 @@ def render_factsheet(
     the same inputs produce byte-identical output."""
     _check_inputs(registry, argument, store)
     report = coverage_report(store, registry)
-    dynamic_filter = Iri("def", "dynamicFilter")
     trained_on = sorted(
         t.object.curie
-        for t in store._index(vocab.TRAINED_ON, 0).get(dynamic_filter, ())
+        for t in store._index(vocab.TRAINED_ON, 0).get(vocab.DYNAMIC_FILTER, ())
         if isinstance(t.object, Iri)
     )
 
@@ -235,15 +234,13 @@ def _counterclaim_lines(store: Store, counterclaims: list[tuple[Iri, Iri]]) -> l
 
 def _source_lines(store: Store, trained_on: list[str]) -> list[str]:
     lines = []
-    sources = sorted(
-        t.subject.curie for t in store._index(vocab.RDF_TYPE, 2).get(vocab.SOURCE, ()) if isinstance(t.subject, Iri)
-    )
+    sources = sorted(t.subject.curie for t in store._index(vocab.RDF_TYPE, 2).get(vocab.SOURCE, ()))
     if sources:
         lines.append(f"- Sources: {', '.join(sources)}")
     derived = store._by_predicate.get(vocab.DERIVED_FROM, ())
     # Store.match's order for `?x derivedFrom ?s`: by source, then by subject.
     for t in sorted(derived, key=lambda t: _binding_key({"x": t.subject, "s": t.object})):
-        if isinstance(t.subject, Iri) and isinstance(t.object, Iri):
+        if isinstance(t.object, Iri):
             lines.append(f"- {t.subject.curie} derives from {t.object.curie}")
     if trained_on:
         lines.append(f"- Training corpora: {', '.join(trained_on)}")

@@ -360,14 +360,6 @@ _RELATIONS = {rel.value: rel for rel in GsnRelation}
 _NODE_HEAD_RE = re.compile(r"\s*\S+\s+(\S+)\s+")  # keyword and id, before the statement
 _EDGE_RE = re.compile(r"^edge\s+(\S+)\s+->\s+(\S+)\s+(\S+)$")
 _DUTY_RE = re.compile(r"^duty\s+(\S+)$")
-# A line up to its comment: text other than '"' and '#', and quoted strings,
-# in which '\' escapes any character and '#' is text; an unterminated string
-# runs to the end of the line.
-_CODE_RE = re.compile(r'[^"#]*(?:"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)[^"#]*)*', re.DOTALL)
-
-
-def _strip_comment(line: str) -> str:
-    return line[: _CODE_RE.match(line).end()]
 
 
 def _scan_gsn(
@@ -379,7 +371,7 @@ def _scan_gsn(
     duty_line: tuple[int, str] | None = None
 
     for lineno, raw in enumerate(text.split("\n"), 1):
-        code = _strip_comment(raw).rstrip()  # columns count within this, as in the raw line
+        code = raw.partition("#")[0].rstrip()  # columns count within this, as in the raw line
         line = code.lstrip()
         if not line:
             continue
@@ -391,8 +383,9 @@ def _scan_gsn(
             node_id = match.group(1)
             if not code.startswith('"', match.end()):
                 raise GsnParseError("expected quoted statement", lineno, match.end() + 1)
-            statement, end = scan_quoted(code, match.end(), lineno, "statement", GsnParseError)
-            tail = code[end:].strip()
+            # read from the raw line, in which a '#' of the statement is text
+            statement, end = scan_quoted(raw.rstrip(), match.end(), lineno, "statement", GsnParseError)
+            tail = raw[end:].partition("#")[0].strip()
             undeveloped = False
             if tail == "undeveloped":
                 undeveloped = True
@@ -427,8 +420,9 @@ def _scan_gsn(
 
 def parse_gsn(text: str) -> GsnArgument:
     """Parse the DSL: node lines, ``edge A -> B relation`` lines, one optional
-    ``duty <iri>`` line, ``#`` comments. Nodes may be declared in any order
-    relative to the edges that use them.
+    ``duty <iri>`` line, and comments: a ``#`` outside a node's quoted
+    statement starts one. Nodes may be declared in any order relative to
+    the edges that use them.
     """
     node_lines, edge_lines, duty_line = _scan_gsn(text)
     argument = _assemble(node_lines, edge_lines, None if duty_line is None else duty_line[1])

@@ -409,7 +409,7 @@ def filter_to_triples(model: FilterModel, metrics: FilterMetrics) -> list[Triple
     """Evidence triples for the dynamic filter: metrics, training corpora
     and exactly one mitigates link to the character-combination attack.
     """
-    defense = Iri("def", "dynamicFilter")
+    defense = vocab.DYNAMIC_FILTER
     triples = [
         Triple(defense, vocab.HAS_METRIC, Literal(f"tpr={metrics.true_positive_rate:.4f}")),
         Triple(defense, vocab.HAS_METRIC, Literal(f"fpr={metrics.false_positive_rate:.4f}")),
@@ -419,7 +419,7 @@ def filter_to_triples(model: FilterModel, metrics: FilterMetrics) -> list[Triple
         triples.append(Triple(defense, vocab.HAS_METRIC, Literal(f"auc={metrics.auc:.4f}")))
     for corpus_id in model.provenance.corpora:
         triples.append(Triple(defense, vocab.TRAINED_ON, Iri("src", _iri_safe(corpus_id))))
-    triples.append(Triple(defense, vocab.MITIGATES, Iri("atk", "charCombo")))
+    triples.append(Triple(defense, vocab.MITIGATES, vocab.CHAR_COMBO))
     return triples
 
 

@@ -44,6 +44,8 @@ TRAINED_ON = Iri("assures", "trainedOn")
 ATTACK = Iri("assures", "Attack")
 DEFENSE = Iri("assures", "Defense")
 SOURCE = Iri("assures", "Source")
+DYNAMIC_FILTER = Iri("def", "dynamicFilter")  # the toolkit's own defense, and the attack it mitigates
+CHAR_COMBO = Iri("atk", "charCombo")
 
 
 def duty_iri(duty_id: int) -> Iri:

@@ -1,8 +1,7 @@
-"""The character-by-character scanners that compiled patterns replaced,
-kept as differential oracles: the statement scanner of
-``triples._scan_terms`` and the comment stripper of ``gsn._strip_comment``.
+"""The character-by-character statement scanner that the compiled term
+pattern of ``triples._scan_terms`` replaced, kept as a differential oracle.
 
-The statement scanner walks a line one character at a time and decides
+The scanner walks a line one character at a time and decides
 each term by its first character, so every error it raises is the first
 one a reader meets going left to right. The lexer must return the same
 terms, or raise the same message at the same line and column, on every
@@ -107,20 +106,3 @@ def _scan_terms(
     if require_dot and not saw_dot:
         raise TripleParseError("statement must end with ' .'", lineno, n)
     return terms
-
-
-def strip_comment(line: str) -> str:
-    """A GSN line up to its first ``#`` outside a quoted string."""
-    in_quote = False
-    i = 0
-    while i < len(line):
-        c = line[i]
-        if c == "\\" and in_quote:
-            i += 2
-            continue
-        if c == '"':
-            in_quote = not in_quote
-        elif c == "#" and not in_quote:
-            return line[:i]
-        i += 1
-    return line

@@ -475,6 +475,23 @@ def test_coverage_trace_two_defenses(capsys, store_ttl, tmp_path):
     assert "trace 1:" in out and "trace 2:" in out
 
 
+def test_evidence_on_a_goal_is_neither_counted_nor_traced(capsys, argument_ttl, tmp_path):
+    # the walkthrough store with the static filter's evidencedBy triple moved
+    # from the solution Sn1 to the goal G1: only Sn2 holds evidence
+    links = tmp_path / "links.ttl"
+    text = Path(LINKS).read_text(encoding="utf-8").replace("<gsn:Sn1> <assures:evidencedBy>", "<gsn:G1> <assures:evidencedBy>")
+    links.write_text(text, encoding="utf-8")
+    store = tmp_path / "store.ttl"
+    argv = ["triples", "import", argument_ttl, str(links), DYNAMIC, "--with-registry", "-o", str(store)]
+    assert run(capsys, *argv)[0] == 0
+    code, out, _ = run(capsys, "coverage", "report", str(store))
+    assert (code, out.split("\n")[9]) == (0, "9\tcontested\tgsn:Sn2\tgsn:CC1")
+    code, out, _ = run(capsys, "coverage", "trace", str(store), "--attack", "atk:charCombo")
+    assert code == 0
+    assert out.startswith("trace 1:\n") and "trace 2:" not in out and "<gsn:G1> <assures:evidencedBy>" not in out
+    assert "  <gsn:Sn2> <assures:evidencedBy> <def:dynamicFilter> .\n" in out
+
+
 def _chain_files(capsys, tmp_path, goals: int) -> tuple[str, str]:
     """The triples of a chain G1 -> ... -> G<goals> -> Sn1 of duty 9, and links
     from atk:a1 through def:d1 to Sn1."""
@@ -612,16 +629,22 @@ def test_factsheet_model_requires_eval_corpus(capsys, toy_model_file):
 # plumbing
 
 
-def test_usage_errors_exit_two(capsys, toy_model_file):
+def test_usage_errors_exit_two(capsys, toy_model_file, tmp_path):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "duties")[0] == 2
-    # errors found after parsing print the usage of their own command
+    # errors found after parsing print the usage of their own command, and
+    # come before any input file is read
+    bad_store, missing = tmp_path / "bad.ttl", str(tmp_path / "missing.jsonl")
+    bad_store.write_text("not a statement\n", encoding="utf-8")
     for argv in (
         ["filter", "score", "--model", toy_model_file],
         ["filter", "classify", "--model", toy_model_file, "--blocklist", "!", "hello"],
         ["filter", "classify", "hello"],
         ["factsheet", "render", "--model", toy_model_file],
+        ["factsheet", "render", "--store", str(bad_store), "--model", toy_model_file],
+        ["filter", "score", "--model", missing],
+        ["filter", "classify", "--model", missing],
     ):
         code, out, err = run(capsys, *argv)
         command = f"euaia-assure {argv[0]} {argv[1]}"

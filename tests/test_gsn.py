@@ -4,6 +4,7 @@ import copy
 import itertools
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import event, given, settings
@@ -27,10 +28,8 @@ from euaia_assurance.gsn import (
     validate,
     _edge_key,
     _is_cyclic,
-    _strip_comment,
 )
 from euaia_assurance.triples import Iri, Literal, Triple, Variable
-from char_scanner import strip_comment as char_strip_comment
 from graphlib_cycle import find_cycle
 from incremental_gsn import parse_gsn_incrementally
 
@@ -475,6 +474,49 @@ def test_parse_comments_and_quoted_hash():
     assert argument.node("G1").statement == "uses # inside"
 
 
+def test_a_hash_in_a_statement_is_text():
+    (node,) = parse_gsn('goal G1 "a#b" undeveloped # c').nodes
+    assert (node.statement, node.undeveloped) == ("a#b", True)
+
+
+# A '#' outside a node's statement starts a comment, even after a '"': each
+# message quotes the text up to the '#'.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('goal G1 "a" "#"', "line 1: unexpected trailing text '\"'"),
+        ('duty "a#b"', "line 1: not a prefix:local CURIE: '\"a'"),
+        ('edge G1 -> G2 "#"', "line 1: unknown relation '\"'"),
+        ('goal G"1 "#x"', "line 1: node id 'G\"1' must be 'G' followed by a positive integer"),
+    ],
+)
+def test_a_hash_after_a_quote_outside_a_statement_starts_a_comment(text, message):
+    with pytest.raises(GsnParseError) as exc:
+        parse_gsn(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (" " * 100_000 + "x", "line 1: unknown keyword 'x'"),
+        ('goal G1 "' + "a" * 100_000, "line 1, column 9: unterminated statement"),
+        ('goal G1 "' + "\\\\" * 50_000 + "\\", "line 1, column 100010: dangling escape in statement"),
+        ("#" * 100_000, None),
+        ("\n" * 100_000, None),
+    ],
+    ids=["blanks", "unclosed", "backslashes", "comment", "blank lines"],
+)
+def test_a_hostile_document_is_read_in_linear_time(text, message):
+    start = time.perf_counter()
+    try:
+        outcome = parse_gsn(text)
+    except GsnParseError as exc:
+        outcome = str(exc)
+    assert time.perf_counter() - start < 1
+    assert outcome == (GsnArgument() if message is None else message)
+
+
 def test_parse_statement_escapes():
     argument = parse_gsn('goal G1 "say \\"hi\\" \\\\ twice\\n" undeveloped\n')
     assert argument.node("G1").statement == 'say "hi" \\ twice\n'
@@ -761,9 +803,3 @@ def test_argument_without_duty_link_emits_no_operationalizes():
     triples = argument_to_triples(argument)
     assert len(triples) == 2
     assert all(t.predicate != Iri("assures", "operationalizes") for t in triples)
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.text(alphabet='"#\\ab\n', max_size=24) | st.text(max_size=12))
-def test_strip_comment_matches_the_character_loop(line):
-    assert _strip_comment(line) == char_strip_comment(line)

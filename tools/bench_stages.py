@@ -6,10 +6,11 @@ registry's triples and ``export_triples`` of the result, ``train_dynamic`` with
 bigrams on 1,000, 2,000 and 4,000 generated prompts per class and
 ``evaluate`` of the trained model on the labeled union of those prompts,
 ``classify_static`` and ``score`` over 12,500, 25,000 and 50,000
-generated prompts, ``coverage_report``, ``causal_trace`` and the
-case-audit 3-pattern ``Store.query`` on audit stores generated with 200,
-400 and 800 nodes per argument (about 13,000, 26,000 and 50,000
-statements), ``causal_trace`` on plain goal chains of 250, 500 and 750
+generated prompts, ``coverage_report``, ``causal_trace``, the
+case-audit 3-pattern ``Store.query``, ``render_factsheet`` of the case's
+factsheet argument and ``render_html`` of its Markdown on audit stores
+generated with 200, 400 and 800 nodes per argument (about 13,000, 26,000
+and 50,000 statements), ``causal_trace`` on plain goal chains of 250, 500 and 750
 ``supportedBy`` hops, the four case-audit commands run through
 ``cli.main`` in process on those audit cases, the ``filter score`` and
 ``filter classify --model`` commands run the same way on 12,500, 25,000
@@ -58,7 +59,9 @@ merged from the two with ``merge_stores``, as the CLI merges them, outside
 the timed call, so that the time includes the indexes the analysis builds
 and the store walks its triples in the order the CLI's store does; the
 trace follows the case's planted attack, and the query stage's size is the
-store's number of statements. A chain stage's store is one goal chain whose
+store's number of statements. ``render_factsheet`` gets such a store with the
+registry's and the argument's triples asserted, as ``factsheet render``
+assembles it, and ``render_html`` wraps the Markdown that it returns. A chain stage's store is one goal chain whose
 bottom solution evidences the one defense of its attack, and its trace must
 be the one chain from the attack to the top goal's duty. The ``audit
 commands`` stage runs ``coverage report``, ``coverage trace``, ``triples query`` and ``factsheet render --format html``
@@ -338,23 +341,30 @@ def _run_prompts(inputs: dict, size: int) -> dict:
 
 
 def _prepare_audit(size: int, stack: contextlib.ExitStack) -> dict:
-    """The imported stores of a generated audit case, and its plan."""
-    from euaia_assurance.duties import load_registry
+    """The imported stores of a generated audit case, its plan, and its
+    factsheet argument with the triples that ``factsheet render`` asserts."""
+    from euaia_assurance.duties import load_registry, registry_to_triples
+    from euaia_assurance.gsn import argument_to_triples, parse_gsn
     from euaia_assurance.triples import Iri, import_triples, parse_pattern
 
     tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
     plan = _generate().case_audit(SEED, tmp, size=size)
+    registry = load_registry()
+    argument = parse_gsn((tmp / "factsheet.gsn").read_text(encoding="utf-8"))
     return {
         "stores": [import_triples((tmp / name).read_text(encoding="utf-8")) for name in ("store.ttl", "links.ttl")],
         "plan": plan,
         "attack": Iri.parse(plan.attack),
         "patterns": [parse_pattern(pattern) for pattern in plan.query],
-        "registry": load_registry(),
+        "registry": registry,
+        "argument": argument,
+        "asserted": registry_to_triples(registry) + argument_to_triples(argument),
     }
 
 
 def _run_audit(inputs: dict, size: int) -> dict:
     from euaia_assurance.coverage import causal_trace, coverage_report
+    from euaia_assurance.factsheet import render_factsheet, render_html
     from euaia_assurance.triples import merge_stores
 
     stores, plan = inputs["stores"], inputs["plan"]
@@ -366,21 +376,29 @@ def _run_audit(inputs: dict, size: int) -> dict:
     if statuses != plan.statuses or len(traces) != plan.chains or not found:
         raise RuntimeError(f"{size}-node audit case: wrong statuses, {len(traces)} of {plan.chains} chains"
                            f" or {len(found)} query results")
+    assembled = merge_stores(stores).assert_all(inputs["asserted"])
+    rendered, markdown = _timed(render_factsheet, inputs["registry"], inputs["argument"], assembled)
+    wrapped, page = _timed(render_html, markdown)
+    if "\n## 6. Source provenance\n" not in markdown or not page.endswith("</html>\n"):
+        raise RuntimeError(f"{size}-node audit case: the factsheet lacks its last section or the page its end")
     unit = "nodes per argument"
     return {
         "coverage_report": [size, unit, reported],
         "causal_trace": [size, unit, traced],
         "query": [len(store), "statements", queried],
+        "render_factsheet": [size, unit, rendered],
+        "render_html": [size, unit, wrapped],
     }
 
 
 def _prepare_chains(size: int, stack: contextlib.ExitStack) -> dict:
-    """The store of a chain G1 -> ... -> G<size> -> Sn1 of duty 1, with Sn1 evidencing atk:a1's defense."""
+    """The store of a chain G1 -> ... -> G<size> -> Sn1 of duty 1, with the solution Sn1 evidencing atk:a1's defense."""
     from euaia_assurance.triples import import_triples
 
     statements = [f"<gsn:G{i}> <gsn:supportedBy> <gsn:G{i + 1}> ." for i in range(1, size)] + [
         f"<gsn:G{size}> <gsn:supportedBy> <gsn:Sn1> .",
         "<gsn:G1> <assures:operationalizes> <euaia:d1> .",
+        "<gsn:Sn1> <rdf:type> <gsn:Solution> .",
         "<gsn:Sn1> <assures:evidencedBy> <def:d1> .",
         "<atk:a1> <assures:mitigatedBy> <def:d1> .",
     ]
