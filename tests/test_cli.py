@@ -479,8 +479,10 @@ def test_evidence_on_a_goal_is_neither_counted_nor_traced(capsys, argument_ttl, 
     # the walkthrough store with the static filter's evidencedBy triple moved
     # from the solution Sn1 to the goal G1: only Sn2 holds evidence
     links = tmp_path / "links.ttl"
-    text = Path(LINKS).read_text(encoding="utf-8").replace("<gsn:Sn1> <assures:evidencedBy>", "<gsn:G1> <assures:evidencedBy>")
-    links.write_text(text, encoding="utf-8")
+    evidence = "<assures:evidencedBy> <def:staticFilter> ."
+    text = Path(LINKS).read_text(encoding="utf-8")
+    assert f"<gsn:Sn1> {evidence}" in text
+    links.write_text(text.replace(f"<gsn:Sn1> {evidence}", f"<gsn:G1> {evidence}"), encoding="utf-8")
     store = tmp_path / "store.ttl"
     argv = ["triples", "import", argument_ttl, str(links), DYNAMIC, "--with-registry", "-o", str(store)]
     assert run(capsys, *argv)[0] == 0
@@ -488,7 +490,7 @@ def test_evidence_on_a_goal_is_neither_counted_nor_traced(capsys, argument_ttl, 
     assert (code, out.split("\n")[9]) == (0, "9\tcontested\tgsn:Sn2\tgsn:CC1")
     code, out, _ = run(capsys, "coverage", "trace", str(store), "--attack", "atk:charCombo")
     assert code == 0
-    assert out.startswith("trace 1:\n") and "trace 2:" not in out and "<gsn:G1> <assures:evidencedBy>" not in out
+    assert out.startswith("trace 1:\n") and "trace 2:" not in out and f"<gsn:G1> {evidence}" not in out
     assert "  <gsn:Sn2> <assures:evidencedBy> <def:dynamicFilter> .\n" in out
 
 

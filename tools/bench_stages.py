@@ -10,8 +10,8 @@ generated prompts, ``coverage_report``, ``causal_trace``, the
 case-audit 3-pattern ``Store.query``, ``render_factsheet`` of the case's
 factsheet argument and ``render_html`` of its Markdown on audit stores
 generated with 200, 400 and 800 nodes per argument (about 13,000, 26,000
-and 50,000 statements), ``causal_trace`` on plain goal chains of 250, 500 and 750
-``supportedBy`` hops, the four case-audit commands run through
+and 50,000 statements), ``causal_trace`` on plain goal chains of 250, 500
+and 750 ``supportedBy`` hops, the four case-audit commands run through
 ``cli.main`` in process on those audit cases, the ``filter score`` and
 ``filter classify --model`` commands run the same way on 12,500, 25,000
 and 50,000 prompts, and the start-up time of short commands, for one or
@@ -61,9 +61,10 @@ and the store walks its triples in the order the CLI's store does; the
 trace follows the case's planted attack, and the query stage's size is the
 store's number of statements. ``render_factsheet`` gets such a store with the
 registry's and the argument's triples asserted, as ``factsheet render``
-assembles it, and ``render_html`` wraps the Markdown that it returns. A chain stage's store is one goal chain whose
-bottom solution evidences the one defense of its attack, and its trace must
-be the one chain from the attack to the top goal's duty. The ``audit
+assembles it, and ``render_html`` wraps the Markdown that it returns. A
+chain stage's store is one goal chain whose bottom solution evidences the
+one defense of its attack, and its trace must be the one chain from the
+attack to the top goal's duty. The ``audit
 commands`` stage runs ``coverage report``, ``coverage trace``, ``triples query`` and ``factsheet render --format html``
 on the files ``case_audit`` writes, as the case-audit workload does, and
 times the four together; each must exit 0. The ``filter commands`` stage
@@ -392,7 +393,7 @@ def _run_audit(inputs: dict, size: int) -> dict:
 
 
 def _prepare_chains(size: int, stack: contextlib.ExitStack) -> dict:
-    """The store of a chain G1 -> ... -> G<size> -> Sn1 of duty 1, with the solution Sn1 evidencing atk:a1's defense."""
+    """The store of a chain G1 -> ... -> G<size> -> Sn1 of duty 1, whose solution Sn1 evidences atk:a1's defense."""
     from euaia_assurance.triples import import_triples
 
     statements = [f"<gsn:G{i}> <gsn:supportedBy> <gsn:G{i + 1}> ." for i in range(1, size)] + [
