@@ -14,6 +14,7 @@ import os
 import sys
 from importlib import import_module
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .triples import (
     _binding_key,
@@ -67,38 +68,45 @@ def __getattr__(name: str):
 
 
 NAMESPACES_ENV = "EUAIA_ASSURE_NAMESPACES"
+T = TypeVar("T")
 
 
-def _read_file(path: str, corpus: bool = False) -> str:
-    """A file's text as strict UTF-8, with universal newlines except in a corpus.
+def _read(path: str, parse: Callable[[str], T], corpus: bool = False) -> T:
+    """``parse`` of a file's text, read as strict UTF-8 with universal newlines except in a corpus.
 
     A corpus keeps a lone ``\\r`` in its prompt, as stored; in any other file
     it ends a line, as ``\\r\\n`` does, and every line end reads as ``\\n``.
-    A byte that is not UTF-8 raises InputError at its line and column.
+    A ValueError of the decode (a byte that is not UTF-8, at its line and
+    column) or of the parse gets ``PATH: `` in front of its message.
     """
     data = Path(path).read_bytes()
     try:
-        text, bad = data.decode("utf-8"), None
-    except UnicodeDecodeError as exc:
-        text, bad = data[: exc.start].decode("utf-8"), exc.start
-    if not corpus and "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if bad is not None:
-        message = f"invalid UTF-8 byte 0x{data[bad]:02x} in {path}"
-        raise InputError(message, text.count("\n") + 1, len(text) - text.rfind("\n"))
-    return text
+        try:
+            text, bad = data.decode("utf-8"), None
+        except UnicodeDecodeError as exc:
+            text, bad = data[: exc.start].decode("utf-8"), exc.start
+        if not corpus and "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        if bad is not None:
+            raise InputError(f"invalid UTF-8 byte 0x{data[bad]:02x}", text.count("\n") + 1, len(text) - text.rfind("\n"))
+        return parse(text)
+    except ValueError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _extra_namespaces() -> dict[str, str]:
     path = os.environ.get(NAMESPACES_ENV)
-    if not path:
-        return {}
-    data = load_json(_read_file(path), f"invalid JSON in {path}")
+    return _read(path, _namespace_map) if path else {}
+
+
+def _namespace_map(text: str) -> dict[str, str]:
+    data = load_json(text, "invalid JSON")
     if not isinstance(data, dict):
-        raise NamespaceError(f"{path}: {NAMESPACES_ENV} must point to a JSON object of prefix -> IRI")
+        raise NamespaceError(f"{NAMESPACES_ENV} must point to a JSON object of prefix -> IRI")
     for prefix, expansion in data.items():  # a JSON object's keys are strings
         if not isinstance(expansion, str):
-            raise NamespaceError(f"{path}: the IRI of namespace prefix {prefix!r} must be a JSON string")
+            raise NamespaceError(f"the IRI of namespace prefix {prefix!r} must be a JSON string")
         check_namespace(prefix, expansion)
     return data
 
@@ -110,14 +118,14 @@ def _read_triples(paths: list[str]) -> Store:
     ``@prefix`` lines; across files the last file wins for each prefix.
     """
     extra = _extra_namespaces()
-    stores = [import_triples(_read_file(path), namespaces=extra) for path in paths]
+    stores = [_read(path, lambda text: import_triples(text, namespaces=extra)) for path in paths]
     return merge_stores(stores) if stores else Store(namespaces=extra)
 
 
 def _read_prompts(args: argparse.Namespace) -> list[str]:
     prompts = list(args.prompts)
     if args.prompts_file:
-        prompts.extend(parse_corpus(_read_file(args.prompts_file, corpus=True)))
+        prompts.extend(_read(args.prompts_file, parse_corpus, corpus=True))
     if not prompts:
         args.parser.error("no prompts given (positional arguments or --prompts-file)")
     return prompts
@@ -147,13 +155,9 @@ def _cmd_duties_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_gsn_file(path: str) -> GsnArgument:
-    return parse_gsn(_read_file(path))
-
-
 def _cmd_gsn_validate(args: argparse.Namespace) -> int:
     _bind("gsn")
-    argument = _parse_gsn_file(args.file)
+    argument = _read(args.file, parse_gsn)
     diagnostics = validate(argument)
     for diagnostic in diagnostics:
         print(f"{diagnostic.severity.value}: {diagnostic.subject}: {diagnostic.message}")
@@ -166,14 +170,14 @@ def _cmd_gsn_validate(args: argparse.Namespace) -> int:
 
 def _cmd_gsn_dot(args: argparse.Namespace) -> int:
     _bind("gsn")
-    sys.stdout.write(render_dot(_parse_gsn_file(args.file)))
+    sys.stdout.write(render_dot(_read(args.file, parse_gsn)))
     return 0
 
 
 def _cmd_gsn_triples(args: argparse.Namespace) -> int:
     _bind("gsn")
     namespaces = _extra_namespaces()
-    argument = _parse_gsn_file(args.file)
+    argument = _read(args.file, parse_gsn)
     store = Store(argument_to_triples(argument), namespaces)
     sys.stdout.write(export_triples(store))
     return 0
@@ -181,7 +185,7 @@ def _cmd_gsn_triples(args: argparse.Namespace) -> int:
 
 def _cmd_gsn_format(args: argparse.Namespace) -> int:
     _bind("gsn")
-    sys.stdout.write(serialize_gsn(_parse_gsn_file(args.file)))
+    sys.stdout.write(serialize_gsn(_read(args.file, parse_gsn)))
     return 0
 
 
@@ -199,13 +203,17 @@ def _cmd_triples_import(args: argparse.Namespace) -> int:
 
 
 def _cmd_triples_query(args: argparse.Namespace) -> int:
-    store = _read_triples([args.file])
     patterns = []
     for number, text in enumerate(args.patterns, 1):
         try:
             patterns.append(parse_pattern(text))
         except InputError as exc:
             raise InputError(f"pattern {number}: {exc}") from None
+    store = _read_triples([args.file])
+    for number, pattern in enumerate(patterns, 1):  # a prefix the store lacks matches nothing
+        for iri in (term if isinstance(term, Iri) else getattr(term, "datatype", None) for term in pattern):
+            if iri and iri.prefix not in store.namespaces:
+                raise NamespaceError(f"pattern {number}: undeclared namespace prefix {iri.prefix!r}")
     for binding in store.query(patterns):
         if not binding:
             print("true")
@@ -216,8 +224,8 @@ def _cmd_triples_query(args: argparse.Namespace) -> int:
 
 def _cmd_filter_train(args: argparse.Namespace) -> int:
     _bind("prompt_filter")
-    adversarial = parse_corpus(_read_file(args.adversarial, corpus=True))
-    benign = parse_corpus(_read_file(args.benign, corpus=True))
+    adversarial = _read(args.adversarial, parse_corpus, corpus=True)
+    benign = _read(args.benign, parse_corpus, corpus=True)
     model = train_dynamic(
         adversarial,
         benign,
@@ -236,7 +244,7 @@ def _cmd_filter_train(args: argparse.Namespace) -> int:
 def _cmd_filter_score(args: argparse.Namespace) -> int:
     _bind("prompt_filter")
     prompts = _read_prompts(args)
-    model = load_model(_read_file(args.model))
+    model = _read(args.model, load_model)
     write_lines(lambda prompt: f"{score(model, prompt):.6f}\t{prompt}\n", prompts, sys.stdout)
     return 0
 
@@ -249,7 +257,7 @@ def _cmd_filter_classify(args: argparse.Namespace) -> int:
         args.parser.error("one of --model or --blocklist/--block-script is required")
     prompts = _read_prompts(args)
     if args.model:
-        model = load_model(_read_file(args.model))
+        model = _read(args.model, load_model)
         verdict_of = lambda prompt: classify_dynamic(model, prompt)
     else:
         blocklist = compile_blocklist([*(args.blocklist or ""), *map(ScriptClass, args.block_script)])
@@ -261,8 +269,8 @@ def _cmd_filter_classify(args: argparse.Namespace) -> int:
 
 def _cmd_filter_eval(args: argparse.Namespace) -> int:
     _bind("prompt_filter")
-    model = load_model(_read_file(args.model))
-    labeled = parse_labeled_corpus(_read_file(args.corpus, corpus=True))
+    model = _read(args.model, load_model)
+    labeled = _read(args.corpus, parse_labeled_corpus, corpus=True)
     metrics = evaluate(model, labeled)
     print(f"tpr={metrics.true_positive_rate:.4f}")
     print(f"fpr={metrics.false_positive_rate:.4f}")
@@ -282,8 +290,8 @@ def _cmd_coverage_report(args: argparse.Namespace) -> int:
 
 def _cmd_coverage_trace(args: argparse.Namespace) -> int:
     _bind("coverage")
-    store = _read_triples(args.stores)
-    traces = causal_trace(store, Iri.parse(args.attack))
+    attack = Iri.parse(args.attack)
+    traces = causal_trace(_read_triples(args.stores), attack)
     for index, trace in enumerate(traces, start=1):
         print(f"trace {index}:")
         for hop in trace.hops:
@@ -300,14 +308,14 @@ def _cmd_factsheet_render(args: argparse.Namespace) -> int:
     registry = load_registry()
     store = _read_triples(args.store)
     triples = registry_to_triples(registry)
-    argument = _parse_gsn_file(args.gsn) if args.gsn else GsnArgument()
+    argument = _read(args.gsn, parse_gsn) if args.gsn else GsnArgument()
     if argument.nodes:
         triples.extend(argument_to_triples(argument))
     metrics = None
     if args.model:
         _bind("prompt_filter")
-        model = load_model(_read_file(args.model))
-        labeled = parse_labeled_corpus(_read_file(args.eval_corpus, corpus=True))
+        model = _read(args.model, load_model)
+        labeled = _read(args.eval_corpus, parse_labeled_corpus, corpus=True)
         metrics = evaluate(model, labeled)
         triples.extend(filter_to_triples(model, metrics))
     store = store.assert_all(triples)

@@ -138,7 +138,7 @@ def test_gsn_parse_failure_exits_one(tmp_path, capsys):
     path.write_text("widget W1\n", encoding="utf-8")
     code, _, err = run(capsys, "gsn", "validate", str(path))
     assert code == 1
-    assert err.startswith("error: line 1")
+    assert err.startswith(f"error: {path}: line 1")
 
 
 def test_gsn_dot(capsys):
@@ -208,7 +208,7 @@ def test_triples_parse_error_exits_one(tmp_path, capsys):
     bad.write_text("<atk:a> <rdf:type>\n", encoding="utf-8")
     code, _, err = run(capsys, "triples", "export", str(bad))
     assert code == 1
-    assert err.startswith("error: line 1")
+    assert err.startswith(f"error: {bad}: line 1")
 
 
 @pytest.mark.parametrize("pattern", ["?s rdf:type\x0b?o", "?s\r?p ?o", "?s ?p ?o\n.", "\u00a0?s ?p ?o"])
@@ -233,6 +233,27 @@ def test_triples_query_iri_with_a_trailing_newline_exits_one(capsys, store_ttl):
     code, out, err = run(capsys, "triples", "query", store_ttl, "?s <rdf:type\n> ?o")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "invalid local name" in err
+
+
+@pytest.mark.parametrize("pattern", ["?s ex:p ?o", '?s ?p "x"^^<ex:dt>'])
+def test_triples_query_rejects_a_prefix_the_store_does_not_declare(capsys, store_ttl, pattern):
+    """Every stored triple's prefixes are declared, so such a pattern could never match."""
+    code, out, err = run(capsys, "triples", "query", store_ttl, "?s ?p ?o", pattern)
+    assert (code, out, err) == (1, "", "error: pattern 2: undeclared namespace prefix 'ex'\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["triples", "query", "BAD", "?s <rdf:type ?o"], "pattern 1: column 4: unterminated '<'"),
+        (["coverage", "trace", "BAD", "--attack", "charCombo"], "not a prefix:local CURIE: 'charCombo'"),
+    ],
+)
+def test_arguments_are_checked_before_any_file_is_read(capsys, tmp_path, argv, message):
+    bad = tmp_path / "bad.ttl"
+    bad.write_text("x\n", encoding="utf-8")
+    argv = [str(bad) if arg == "BAD" else arg for arg in argv]
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +284,7 @@ def test_filter_score_malformed_model_exits_one(tmp_path, capsys, model):
     path.write_text(model, encoding="utf-8")
     code, out, err = run(capsys, "filter", "score", "--model", str(path), "xy")
     assert (code, out) == (1, "")
-    assert err.startswith("error: line ")
+    assert err.startswith(f"error: {path}: line ")
 
 
 def test_filter_classify_dynamic(capsys, toy_model_file):
@@ -713,7 +734,7 @@ def test_triple_files_declare_their_own_prefixes(capsys, tmp_path, store_ttl):
     third.write_text("<ex:z> <rdf:type> <assures:Attack> .\n", encoding="utf-8")
     code, _, err = run(capsys, "triples", "import", str(first), str(third))
     assert code == 1
-    assert err == "error: line 1: undeclared namespace prefix 'ex'\n"
+    assert err == f"error: {third}: line 1: undeclared namespace prefix 'ex'\n"
 
 
 @pytest.mark.parametrize("user_first", [True, False], ids=["user-first", "declarer-first"])
@@ -730,7 +751,7 @@ def test_a_prefix_declared_in_another_file_of_the_command_is_rejected_at_its_lin
         ("coverage", "trace", *files, "--attack", "atk:a"),
         ("factsheet", "render", "--store", files[0], "--store", files[1], "--gsn", GSN),
     ):
-        assert run(capsys, *argv) == (1, "", "error: line 2: undeclared namespace prefix 'ex'\n"), argv
+        assert run(capsys, *argv) == (1, "", f"error: {user}: line 2: undeclared namespace prefix 'ex'\n"), argv
 
 
 def test_triples_made_in_memory_are_checked_against_the_namespace_map(capsys, tmp_path):
@@ -752,7 +773,7 @@ def test_namespace_env_var_rejects_invalid_prefixes(capsys, tmp_path, monkeypatc
     for argv in (("triples", "export", LINKS), ("gsn", "triples", GSN)):
         code, _, err = run(capsys, *argv)
         assert code == 1
-        assert err == f"error: invalid namespace prefix {shown}\n"
+        assert err == f"error: {namespaces}: invalid namespace prefix {shown}\n"
 
 
 @pytest.mark.parametrize("expansion", ["", "http://example.org/a b#", "http://example.org/<a>#"])
@@ -764,7 +785,7 @@ def test_namespace_env_var_rejects_expansions_no_prefix_line_can_spell(capsys, t
     for argv in (("triples", "import", missing), ("gsn", "triples", missing)):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err == f"error: invalid expansion {expansion!r} for namespace prefix 'ex'\n"
+        assert err == f"error: {namespaces}: invalid expansion {expansion!r} for namespace prefix 'ex'\n"
 
 
 @pytest.mark.parametrize(
@@ -785,7 +806,7 @@ def test_store_reading_commands_report_a_bad_namespace_entry_once(capsys, tmp_pa
         ("triples", "export", LINKS),
         ("factsheet", "render", "--store", LINKS, "--gsn", GSN),
     ):
-        assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
+        assert run(capsys, *argv) == (1, "", f"error: {namespaces}: {message}\n"), argv
 
 
 @pytest.mark.parametrize(
@@ -798,7 +819,7 @@ def test_store_reading_commands_report_a_bad_namespace_entry_once(capsys, tmp_pa
         ('{"ex": ["https://example.org/ns/ex#"]}', "{path}: the IRI of namespace prefix 'ex' must be a JSON string"),
         # JSON spells every key as a string, so a bare key is a located syntax error
         ('{1: "https://example.org/ns/ex#"}',
-         "line 1, column 2: invalid JSON in {path}: Expecting property name enclosed in double quotes"),
+         "{path}: line 1, column 2: invalid JSON: Expecting property name enclosed in double quotes"),
     ],
 )
 def test_namespace_file_structure_errors_name_the_file_and_the_entry(capsys, tmp_path, monkeypatch, text, message):
@@ -844,17 +865,17 @@ def test_a_byte_that_is_not_utf8_names_its_file_line_and_column(tmp_path, capsys
     path.write_bytes(_NOT_UTF8)
     code, out, err = run(capsys, *[str(path) if arg == "FILE" else arg for arg in argv])
     assert (code, out) == (1, "")
-    assert err == f"error: line 2, column 11: invalid UTF-8 byte 0xff in {path}\n"
+    assert err == f"error: {path}: line 2, column 11: invalid UTF-8 byte 0xff\n"
 
 
 def test_utf8_columns_count_characters_and_lines_follow_the_file_kind(tmp_path, capsys):
     path = tmp_path / "input"
     path.write_bytes('goal G1 "ä\r€'.encode() + b"\xe2\x82")  # a lone \r ends a GSN line
     assert run(capsys, "gsn", "validate", str(path)) == (
-        1, "", f"error: line 2, column 2: invalid UTF-8 byte 0xe2 in {path}\n"
+        1, "", f"error: {path}: line 2, column 2: invalid UTF-8 byte 0xe2\n"
     )
     assert run(capsys, "filter", "classify", "--blocklist", "x", "--prompts-file", str(path)) == (
-        1, "", f"error: line 1, column 13: invalid UTF-8 byte 0xe2 in {path}\n"
+        1, "", f"error: {path}: line 1, column 13: invalid UTF-8 byte 0xe2\n"
     )
 
 
@@ -879,7 +900,52 @@ def test_namespace_json_errors_name_their_position(capsys, tmp_path, monkeypatch
     monkeypatch.setenv("EUAIA_ASSURE_NAMESPACES", str(namespaces))
     code, _, err = run(capsys, "triples", "export", LINKS)
     assert code == 1
-    assert err == f"error: line 2, column 10: invalid JSON in {namespaces}: Expecting value\n"
+    assert err == f"error: {namespaces}: line 2, column 10: invalid JSON: Expecting value\n"
+
+
+@pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (["gsn", "validate", "FILE"], b"widget W1\n", "line 1: unknown keyword 'widget'"),
+        (["triples", "export", "FILE"], b"<atk:a> <rdf:type>\n", "line 1, column 18: statement must end with ' .'"),
+        (["filter", "score", "--model", "FILE", "xy"], b'{"format": "charfilter/1"}\n',
+         "line 1: header field 'alpha' must be a number"),
+        (["filter", "eval", "--model", "MODEL", "--corpus", "FILE"], b"A\tok\nC\tbad\n",
+         "line 2: expected 'A<TAB>prompt' or 'B<TAB>prompt'"),
+        (["filter", "classify", "--blocklist", "x", "--prompts-file", "FILE"], b"ok\nb\xffad\n",
+         "line 2, column 2: invalid UTF-8 byte 0xff"),
+        (["triples", "export", LINKS, "NS=FILE"], b'{\n "ex": x}', "line 2, column 8: invalid JSON: Expecting value"),
+        # json names no position for an entry, so a bad entry has only its file
+        (["coverage", "report", LINKS, "NS=FILE"], b'{"1x": "https://example.org/ns/x#"}',
+         "invalid namespace prefix '1x'"),
+    ],
+    ids=["gsn", "triples", "model", "labeled corpus", "corpus byte", "namespace JSON", "namespace entry"],
+)
+def test_every_input_error_names_its_file_first(capsys, tmp_path, monkeypatch, toy_model_file, argv, content,
+                                               message):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    if argv[-1] == "NS=FILE":
+        monkeypatch.setenv("EUAIA_ASSURE_NAMESPACES", str(path))
+        argv = argv[:-1]
+    argv = [str(path) if arg == "FILE" else toy_model_file if arg == "MODEL" else arg for arg in argv]
+    assert run(capsys, *argv) == (1, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coverage", "report", "GOOD", "BAD"],
+        ["coverage", "trace", "GOOD", "BAD", "--attack", "atk:charCombo"],
+        ["triples", "import", "GOOD", "BAD"],
+        ["factsheet", "render", "--store", "GOOD", "--store", "BAD"],
+    ],
+)
+def test_a_multi_file_command_names_the_file_that_is_bad(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.ttl"
+    bad.write_text("<atk:a> <rdf:type> <assures:Attack> .\nx\n", encoding="utf-8")
+    argv = [LINKS if arg == "GOOD" else str(bad) if arg == "BAD" else arg for arg in argv]
+    assert run(capsys, *argv) == (1, "", f"error: {bad}: line 2, column 1: unexpected character 'x'\n")
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0"])

@@ -7,6 +7,8 @@ code of 0, 1 or 2, never an escaping exception.
 
 from __future__ import annotations
 
+import re
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -114,13 +116,15 @@ def _contents(kind: str) -> st.SearchStrategy[bytes]:
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(_COMMANDS), st.data())
 def test_cli_never_lets_an_exception_escape(tmp_path, capsys, monkeypatch, command, data):
-    argv = []
+    argv, written = [], []
     for arg in command:
         if arg in _FILES:
             (tmp_path / arg).write_bytes(data.draw(_contents(arg), label=arg))
+            written.append(str(tmp_path / arg))
         argv.append(str(tmp_path / arg) if arg in _FILES or arg == "OUT" else arg)
     if data.draw(st.booleans(), label="namespaces"):
         (tmp_path / "NS").write_bytes(data.draw(_contents("NS"), label="NS"))
+        written.append(str(tmp_path / "NS"))
         monkeypatch.setenv(NAMESPACES_ENV, str(tmp_path / "NS"))
     else:
         monkeypatch.delenv(NAMESPACES_ENV, raising=False)
@@ -128,3 +132,5 @@ def test_cli_never_lets_an_exception_escape(tmp_path, capsys, monkeypatch, comma
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     assert code != 1 or err.startswith("error: ") or command[:2] == ["gsn", "validate"], err
+    if code == 1 and re.search(r"\bline \d", err):  # a located error names its file first
+        assert any(err.startswith(f"error: {path}: ") for path in written), err

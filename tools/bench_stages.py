@@ -1,12 +1,15 @@
-"""Time ``parse_gsn``, ``validate`` and ``argument_to_triples`` on generated
-arguments of 1,500, 3,000 and 6,000 nodes, ``import_triples`` on generated store text of
+"""Time ``parse_gsn``, ``validate``, ``argument_to_triples``, ``serialize_gsn`` and
+``render_dot`` on generated arguments of 1,500, 3,000 and 6,000 nodes,
+``import_triples`` on generated store text of
 12,500, 25,000, 50,000 and 100,000 statements, then ``merge_stores`` of
 that store with a case-audit links store, ``assert_all`` of the duty
 registry's triples and ``export_triples`` of the result, ``train_dynamic`` with
-bigrams on 1,000, 2,000 and 4,000 generated prompts per class and
+bigrams on 1,000, 2,000 and 4,000 generated prompts per class,
 ``evaluate`` of the trained model on the labeled union of those prompts,
+and ``save_model`` of the model and ``load_model`` of its text,
 ``classify_static`` and ``score`` over 12,500, 25,000 and 50,000
-generated prompts, ``coverage_report``, ``causal_trace``, the
+generated prompts, ``coverage_report`` and ``coverage_to_tsv`` of its report,
+``causal_trace``, the
 case-audit 3-pattern ``Store.query``, ``render_factsheet`` of the case's
 factsheet argument and ``render_html`` of its Markdown on audit stores
 generated with 200, 400 and 800 nodes per argument (about 13,000, 26,000
@@ -241,19 +244,25 @@ def _prepare_gsn(size: int, stack: contextlib.ExitStack) -> dict:
 
 
 def _run_gsn(inputs: dict, size: int) -> dict:
-    from euaia_assurance.gsn import argument_to_triples, parse_gsn, validate
+    from euaia_assurance.gsn import argument_to_triples, parse_gsn, render_dot, serialize_gsn, validate
 
     parsed, argument = _timed(parse_gsn, inputs["text"])
     validated, diagnostics = _timed(validate, argument)
     converted, triples = _timed(argument_to_triples, argument)
+    serialized, text = _timed(serialize_gsn, argument)
+    rendered, dot = _timed(render_dot, argument)
     if len(argument.nodes) != size or diagnostics:
         raise RuntimeError(f"{size}-node argument: {len(argument.nodes)} nodes, {diagnostics[:3]}")
     if len(triples) != 2 * size + len(argument.edges) + 1:
         raise RuntimeError(f"{size}-node argument: {len(triples)} triples, not 2 * nodes + edges + 1")
+    if text.count("\n") < size + len(argument.edges) or dot.count(" -> ") != len(argument.edges):
+        raise RuntimeError(f"{size}-node argument: the canonical text or the DOT graph lacks nodes or edges")
     return {
         "parse_gsn": [size, "nodes", parsed],
         "validate": [size, "nodes", validated],
         "argument_to_triples": [size, "nodes", converted],
+        "serialize_gsn": [size, "nodes", serialized],
+        "render_dot": [size, "nodes", rendered],
     }
 
 
@@ -298,14 +307,23 @@ def _prepare_train(size: int, stack: contextlib.ExitStack) -> dict:
 
 
 def _run_train(inputs: dict, size: int) -> dict:
-    from euaia_assurance.prompt_filter import evaluate, train_dynamic
+    from euaia_assurance.prompt_filter import evaluate, load_model, save_model, train_dynamic
 
     trained, model = _timed(train_dynamic, *inputs["corpora"], bigrams=True)
     evaluated, metrics = _timed(evaluate, model, inputs["labeled"])
+    saved, text = _timed(save_model, model)
+    loaded, reloaded = _timed(load_model, text)
     if metrics.corpus_sizes != (size, size):
         raise RuntimeError(f"{size} prompts per class: evaluated {metrics.corpus_sizes}")
+    if save_model(reloaded) != text:
+        raise RuntimeError(f"{size} prompts per class: the saved model does not read back as itself")
     unit = "prompts per class"
-    return {"train_dynamic": [size, unit, trained], "evaluate": [size, unit, evaluated]}
+    return {
+        "train_dynamic": [size, unit, trained],
+        "evaluate": [size, unit, evaluated],
+        "save_model": [size, unit, saved],
+        "load_model": [size, unit, loaded],
+    }
 
 
 def _prepare_prompts(size: int, stack: contextlib.ExitStack) -> dict:
@@ -364,18 +382,19 @@ def _prepare_audit(size: int, stack: contextlib.ExitStack) -> dict:
 
 
 def _run_audit(inputs: dict, size: int) -> dict:
-    from euaia_assurance.coverage import causal_trace, coverage_report
+    from euaia_assurance.coverage import causal_trace, coverage_report, coverage_to_tsv
     from euaia_assurance.factsheet import render_factsheet, render_html
     from euaia_assurance.triples import merge_stores
 
     stores, plan = inputs["stores"], inputs["plan"]
     reported, report = _timed(coverage_report, merge_stores(stores), inputs["registry"])
+    tabulated, table = _timed(coverage_to_tsv, report)
     traced, traces = _timed(causal_trace, merge_stores(stores), inputs["attack"])
     store = merge_stores(stores)
     queried, found = _timed(store.query, inputs["patterns"])
     statuses = {status.duty_id: status.status.value for status in report}
-    if statuses != plan.statuses or len(traces) != plan.chains or not found:
-        raise RuntimeError(f"{size}-node audit case: wrong statuses, {len(traces)} of {plan.chains} chains"
+    if statuses != plan.statuses or table.count("\n") != len(report) + 1 or len(traces) != plan.chains or not found:
+        raise RuntimeError(f"{size}-node audit case: wrong statuses or table, {len(traces)} of {plan.chains} chains"
                            f" or {len(found)} query results")
     assembled = merge_stores(stores).assert_all(inputs["asserted"])
     rendered, markdown = _timed(render_factsheet, inputs["registry"], inputs["argument"], assembled)
@@ -385,6 +404,7 @@ def _run_audit(inputs: dict, size: int) -> dict:
     unit = "nodes per argument"
     return {
         "coverage_report": [size, unit, reported],
+        "coverage_to_tsv": [size, unit, tabulated],
         "causal_trace": [size, unit, traced],
         "query": [len(store), "statements", queried],
         "render_factsheet": [size, unit, rendered],
