@@ -60,7 +60,7 @@ def open_counterclaims(store: Store) -> list[tuple[Iri, Iri]]:
     return sorted(
         (
             (t.subject, t.object)
-            for t in store._by_predicate.get(vocab.GSN_CHALLENGES, ())
+            for t in store._index(None, 1).get(vocab.GSN_CHALLENGES, ())
             if t.subject not in rebutted and isinstance(t.object, Iri)
         ),
         key=lambda pair: (pair[0].curie, pair[1].curie),

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 from . import vocab
 from .coverage import CoverageStatus, coverage_report, open_counterclaims
 from .gsn import _CLASS_IRIS, GsnArgument, GsnNodeKind, GsnRelation, Severity, validate
-from .triples import Iri, Literal, Store, Triple, _binding_key, serialize_term
+from .triples import Iri, Literal, Store, Triple, TriplePattern, Variable, serialize_term
 
 if TYPE_CHECKING:
     from .duties import DutyRegistry
@@ -190,14 +190,20 @@ def _argument_tree(argument: GsnArgument, store: Store, counterclaims: list[tupl
         challenges.setdefault(node, []).append(counterclaim.curie.removeprefix("gsn:"))
     evidence = store._index(vocab.EVIDENCED_BY, 0)
 
-    # Depth first with an explicit stack, roots in canonical order and
-    # children sorted, so that no depth of argument exhausts the call stack.
+    # Depth first with an explicit stack, roots in canonical order and children
+    # sorted, so that no depth of argument exhausts the call stack; a node met
+    # again is one "[shown above]" line, and its subtree is not walked again.
     out: list[str] = []
+    printed: set[str] = set()
     stack = [(root.id, 0) for root in reversed(argument.root_goals())]
     while stack:
         node_id, depth = stack.pop()
         node = argument.node(node_id)
         indent = "  " * depth
+        if node_id in printed:
+            out.append(f"{indent}{node.id} ({node.kind.value}) [shown above]")
+            continue
+        printed.add(node_id)
         line = f"{indent}{node.id} ({node.kind.value}) {_one_line(node.statement)}"
         if node.undeveloped:
             line += " [undeveloped]"
@@ -237,11 +243,9 @@ def _source_lines(store: Store, trained_on: list[str]) -> list[str]:
     sources = sorted(t.subject.curie for t in store._index(vocab.RDF_TYPE, 2).get(vocab.SOURCE, ()))
     if sources:
         lines.append(f"- Sources: {', '.join(sources)}")
-    derived = store._by_predicate.get(vocab.DERIVED_FROM, ())
-    # Store.match's order for `?x derivedFrom ?s`: by source, then by subject.
-    for t in sorted(derived, key=lambda t: _binding_key({"x": t.subject, "s": t.object})):
-        if isinstance(t.object, Iri):
-            lines.append(f"- {t.subject.curie} derives from {t.object.curie}")
+    for b in store.match(TriplePattern(Variable("x"), vocab.DERIVED_FROM, Variable("s"))):
+        if isinstance(b["s"], Iri):
+            lines.append(f"- {b['x'].curie} derives from {b['s'].curie}")
     if trained_on:
         lines.append(f"- Training corpora: {', '.join(trained_on)}")
     return lines

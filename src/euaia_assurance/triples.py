@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import cached_property
 from typing import Collection, Iterable, Iterator, KeysView, Mapping, NamedTuple, Sequence
 
 # Namespaces every store knows about, whatever else the caller declares.
@@ -222,29 +221,6 @@ def _binding_key(binding: Binding) -> str:
     return " ".join(f"?{name}={serialize_term(binding[name])}" for name in sorted(binding))
 
 
-def _unify(pattern: TriplePattern, triple: Triple) -> Binding | None:
-    binding: Binding = {}
-    for pat, val in zip(pattern, triple):
-        if isinstance(pat, Variable):
-            bound = binding.get(pat.name)
-            if bound is None:
-                binding[pat.name] = val
-            elif bound != val:
-                return None
-        elif pat != val:
-            return None
-    return binding
-
-
-def _substitute(pattern: TriplePattern, binding: Binding) -> TriplePattern:
-    def sub(term: PatternTerm) -> PatternTerm:
-        if isinstance(term, Variable) and term.name in binding:
-            return binding[term.name]
-        return term
-
-    return TriplePattern(*map(sub, pattern))
-
-
 class Store:
     """An immutable set of triples plus the namespace map they resolve against.
 
@@ -341,16 +317,13 @@ class Store:
     # ------------------------------------------------------------------
     # matching
 
-    @cached_property
-    def _by_predicate(self) -> dict[Iri, list[Triple]]:
-        return _position_index(self._triples, 1)
-
     def _index(self, predicate: Term | None, position: int) -> dict[Term, list[Triple]]:
         """The predicate's bucket, or with None the whole store, by the term at ``position``; built
-        once and shared by every caller, which reads its lists and never changes them."""
+        once and shared by every caller, which reads its lists and never changes them. The
+        predicate buckets are ``_index(None, 1)``."""
         indexes, key = self.__dict__.setdefault("_indexes", {}), (predicate, position)
         if key not in indexes:
-            bucket = self._triples if predicate is None else self._by_predicate.get(predicate, ())
+            bucket = self._triples if predicate is None else self._index(None, 1).get(predicate, ())
             indexes[key] = _position_index(bucket, position)
         return indexes[key]
 
@@ -363,18 +336,22 @@ class Store:
         if s and p and o:
             return (pattern,) if pattern in self._triples else ()
         if p and not (s or o):
-            return self._by_predicate.get(pattern.predicate, ())
+            return self._index(None, 1).get(pattern.predicate, ())
         scope = pattern.predicate if p else None
         found = [self._index(scope, at).get(pattern[at], ()) for at, bound in ((0, s), (2, o)) if bound]
         return min(found, key=len, default=self._triples)
 
-    def _match_unsorted(self, pattern: TriplePattern) -> list[Binding]:
-        out = []
+    def _extend(self, binding: Binding, pattern: TriplePattern) -> Iterator[Binding]:
+        """The binding extended by each triple that the pattern, with the binding's values put
+        in, matches; a variable repeated within the pattern takes one value."""
+        pattern = TriplePattern(*(binding.get(t.name, t) if isinstance(t, Variable) else t for t in pattern))
         for triple in self._candidates(pattern):
-            binding = _unify(pattern, triple)
-            if binding is not None:
-                out.append(binding)
-        return out
+            extended = dict(binding)
+            for term, value in zip(pattern, triple):
+                if (extended.setdefault(term.name, value) if isinstance(term, Variable) else term) != value:
+                    break
+            else:
+                yield extended
 
     def match(self, pattern: TriplePattern) -> list[Binding]:
         """All bindings of the pattern's variables against asserted triples.
@@ -383,7 +360,7 @@ class Store:
         serialized form. An all-constant pattern yields one empty binding
         when the triple is present and nothing otherwise.
         """
-        return sorted(self._match_unsorted(pattern), key=_binding_key)
+        return self.query((pattern,))
 
     def query(self, patterns: Iterable[TriplePattern]) -> list[Binding]:
         """Conjunctive query: the natural join of the patterns' matches.
@@ -408,15 +385,7 @@ class Store:
             bound_names |= pick.variables()
         solutions: list[Binding] = [{}]
         for pattern in plan:
-            step: list[Binding] = []
-            for binding in solutions:
-                for found in self._match_unsorted(_substitute(pattern, binding)):
-                    merged = dict(binding)
-                    merged.update(found)
-                    step.append(merged)
-            solutions = step
-            if not solutions:
-                break
+            solutions = [e for b in solutions for e in self._extend(b, pattern)]
         return sorted(solutions, key=_binding_key)
 
 

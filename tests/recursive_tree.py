@@ -23,7 +23,7 @@ def argument_tree(argument: GsnArgument, store: Store, counterclaims: list[tuple
     for counterclaim, node in counterclaims:
         challenges.setdefault(node, []).append(counterclaim.curie.removeprefix("gsn:"))
     evidence: dict[Iri, list[str]] = {}
-    for t in store._by_predicate.get(vocab.EVIDENCED_BY, ()):
+    for t in store._index(None, 1).get(vocab.EVIDENCED_BY, ()):
         text = t.object.curie if isinstance(t.object, Iri) else _one_line(t.object.text)
         evidence.setdefault(t.subject, []).append(text)
 

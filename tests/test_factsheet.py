@@ -205,14 +205,14 @@ def test_lists_read_from_the_index_keep_the_order_of_store_match(registry, argum
 
 def test_the_analyses_index_only_the_buckets_they_read(registry, argument, full_store):
     """Coverage, a causal trace and the factsheet group no bucket by hand: they
-    read the store's cached indexes of the predicates they use, and never index
-    the whole store."""
+    read the store's cached indexes of the predicates they use, and index the
+    whole store only by predicate."""
     store = Store(full_store.triples)
     coverage_report(store, registry)
     causal_trace(store, Iri("atk", "charCombo"))
     render_factsheet(registry, argument, store)
-    assert {(p.curie, at) for p, at in store._indexes} == {
-        ("gsn:supportedBy", 0), ("gsn:supportedBy", 2), ("rdf:type", 2), ("assures:evidencedBy", 0),
+    assert {(None if p is None else p.curie, at) for p, at in store._indexes} == {
+        (None, 1), ("gsn:supportedBy", 0), ("gsn:supportedBy", 2), ("rdf:type", 2), ("assures:evidencedBy", 0),
         ("assures:evidencedBy", 2), ("assures:operationalizes", 0), ("assures:operationalizes", 2),
         ("assures:rebuttedBy", 0), ("assures:mitigates", 2), ("assures:mitigatedBy", 0),
         ("assures:trainedOn", 0), ("gsn:statement", 0),
@@ -377,9 +377,9 @@ def test_html_escapes_angle_brackets():
 
 
 @st.composite
-def _trees(draw):
+def _trees(draw, forest=False):
     """A random DAG of goals with shared sub-goals, solutions, contexts,
-    evidence and open counterclaims."""
+    evidence and open counterclaims; with ``forest``, no goal has two parents."""
     size = draw(st.integers(1, 8))
     goals = [
         GsnNode(f"G{i}", GsnNodeKind.GOAL, f"goal {i}", draw(st.booleans())) for i in range(1, size + 1)
@@ -388,6 +388,8 @@ def _trees(draw):
     contexts = [GsnNode(f"C{i}", GsnNodeKind.CONTEXT, f"context {i}") for i in range(1, draw(st.integers(1, 3)))]
     goal_ids = st.sampled_from([g.id for g in goals])
     pairs = draw(st.lists(st.tuples(st.integers(1, size), st.integers(1, size)), max_size=16))
+    if forest:
+        pairs = list({b: (a, b) for a, b in pairs}.values())
     edges = [GsnEdge(f"G{a}", f"G{b}", GsnRelation.SUPPORTED_BY) for a, b in pairs if a < b]
     edges += [GsnEdge(draw(goal_ids), s.id, GsnRelation.SUPPORTED_BY) for s in solutions]
     edges += [GsnEdge(draw(goal_ids), c.id, GsnRelation.IN_CONTEXT_OF) for c in contexts]
@@ -401,6 +403,58 @@ def _trees(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_trees())
+@given(_trees(forest=True))
 def test_argument_tree_matches_the_recursive_walk(case):
+    """In a forest no node is met twice, so printing each node once changes nothing."""
     assert _argument_tree(*case) == recursive_argument_tree(*case)
+
+
+def _node_lines(lines: list[str]) -> list[tuple[str, bool]]:
+    """(id, shown above) of each node line of a printed tree, in order; attachment lines are skipped."""
+    return [
+        (line.split(" ", 1)[0], line.endswith(") [shown above]"))
+        for line in map(str.strip, lines)
+        if not line.startswith("[")
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees())
+def test_argument_tree_prints_each_node_once(case):
+    argument = case[0]
+    nodes = _node_lines(_argument_tree(*case))
+    reachable, stack = set(), [root.id for root in argument.root_goals()]
+    while stack:
+        node_id = stack.pop()
+        if node_id not in reachable:
+            reachable.add(node_id)
+            stack.extend(argument.supported_children(node_id))
+    full = {node_id: at for at, (node_id, again) in enumerate(nodes) if not again}
+    assert sorted(node_id for node_id, again in nodes if not again) == sorted(reachable)
+    supported = [edge for edge in argument.edges if edge.relation is GsnRelation.SUPPORTED_BY]
+    assert len(nodes) == len(argument.root_goals()) + len(supported)
+    assert all(full[node_id] < at for at, (node_id, again) in enumerate(nodes) if again)
+
+
+def _diamonds(layers: int) -> GsnArgument:
+    """A top goal, then ``layers`` diamonds: two goals that both support the goal
+    above and are both supported by one join goal, the next diamond's top; the last
+    join goal is supported by one solution. Every path down is printed in full
+    without print-once: 2 ** layers of them."""
+    nodes = [GsnNode("G1", GsnNodeKind.GOAL, "top"), GsnNode("Sn1", GsnNodeKind.SOLUTION, "evidence")]
+    edges = [GsnEdge(f"G{3 * layers + 1}", "Sn1", GsnRelation.SUPPORTED_BY)]
+    for top in range(1, 3 * layers, 3):
+        nodes += [GsnNode(f"G{top + k}", GsnNodeKind.GOAL, f"goal {top + k}") for k in (1, 2, 3)]
+        edges += [GsnEdge(f"G{top}", f"G{top + k}", GsnRelation.SUPPORTED_BY) for k in (1, 2)]
+        edges += [GsnEdge(f"G{top + k}", f"G{top + 3}", GsnRelation.SUPPORTED_BY) for k in (1, 2)]
+    return GsnArgument(nodes, edges, "euaia:d9")
+
+
+def test_a_deep_diamond_argument_prints_in_linear_size(registry):
+    argument = _diamonds(40)
+    assert (len(argument.nodes), len(argument.edges)) == (122, 161)
+    store = Store().assert_all(registry_to_triples(registry) + argument_to_triples(argument))
+    text = render_factsheet(registry, argument, store)
+    tree = text.split("## 3. Argument summary\n\n```\n", 1)[1].split("\n```\n", 1)[0].split("\n")
+    assert len(_node_lines(tree)) == 162  # the root goal plus one line per supportedBy edge
+    assert len(text.encode("utf-8")) < 25_000

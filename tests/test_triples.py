@@ -457,23 +457,23 @@ def test_match_and_query_equal_full_scan():
     [
         ("?s ?p ?o", False, set()),
         ("gsn:G1 gsn:supportedBy gsn:S1", False, set()),
-        ("?s rdf:type ?o", True, set()),
-        ("?s rdf:type gsn:Goal", True, {("rdf:type", 2)}),
-        ("gsn:G1 gsn:supportedBy ?o", True, {("gsn:supportedBy", 0)}),
+        ("?s rdf:type ?o", True, {(None, 1)}),
+        ("?s rdf:type gsn:Goal", True, {(None, 1), ("rdf:type", 2)}),
+        ("gsn:G1 gsn:supportedBy ?o", True, {(None, 1), ("gsn:supportedBy", 0)}),
         ("gsn:G1 ?p ?o", False, {(None, 0)}),
         ("gsn:G1 ?p gsn:S1", False, {(None, 0), (None, 2)}),
     ],
 )
 def test_match_scopes_its_indexes_to_the_predicate_bucket(base_store, pattern, by_predicate, indexes):
     """A pattern without variables is one set lookup; a bound predicate builds
-    its bucket and at most an index of that bucket by the bound subject or
-    object; only a variable predicate indexes the whole store, by the
-    positions the pattern binds."""
+    the predicate buckets, the store's index by position 1, and at most an
+    index of its bucket by the bound subject or object; only a variable
+    predicate indexes the whole store by the positions the pattern binds."""
     store = Store(base_store.triples)
     found = store.match(parse_pattern(pattern))
     assert found == _oracle_match(store, parse_pattern(pattern))
     assert len(store._candidates(parse_pattern(pattern))) == len(found)  # no triple scanned in vain
-    assert ("_by_predicate" in vars(store)) is by_predicate
+    assert ((None, 1) in vars(store).get("_indexes", {})) is by_predicate
     keys = {(None if p is None else p.curie, at) for p, at in vars(store).get("_indexes", {})}
     assert keys == indexes
 
@@ -486,7 +486,8 @@ def test_a_join_under_bound_predicates_indexes_only_their_buckets(base_store):
         parse_pattern("?g rdf:type gsn:Goal"),
     ]
     assert store.query(chain) == _oracle_query(store, chain) != []
-    assert {p for p, _ in store._indexes} <= {iri("assures:evidencedBy"), iri("gsn:supportedBy"), iri("rdf:type")}
+    assert (None, 0) not in store._indexes and (None, 2) not in store._indexes
+    assert {p for p, _ in store._indexes} <= {None, iri("assures:evidencedBy"), iri("gsn:supportedBy"), iri("rdf:type")}
 
 
 # Small pools, so that random patterns hit: the subject and predicate pools

@@ -14,7 +14,8 @@ case-audit 3-pattern ``Store.query``, ``render_factsheet`` of the case's
 factsheet argument and ``render_html`` of its Markdown on audit stores
 generated with 200, 400 and 800 nodes per argument (about 13,000, 26,000
 and 50,000 statements), ``causal_trace`` on plain goal chains of 250, 500
-and 750 ``supportedBy`` hops, the four case-audit commands run through
+and 750 ``supportedBy`` hops, ``render_factsheet`` of arguments of 10, 12
+and 14 diamond layers, the four case-audit commands run through
 ``cli.main`` in process on those audit cases, the ``filter score`` and
 ``filter classify --model`` commands run the same way on 12,500, 25,000
 and 50,000 prompts, and the start-up time of short commands, for one or
@@ -25,8 +26,8 @@ more source trees, and write the records as JSON.
 
 ``--group`` (repeatable) measures only the named groups of stages:
 ``startup``, ``gsn``, ``store``, ``train``, ``prompts``, ``audit``,
-``chains``, ``audit commands`` and ``filter commands``; by default every
-group is measured.
+``chains``, ``diamonds``, ``audit commands`` and ``filter commands``; by
+default every group is measured.
 
 Each tree is measured by its own long-lived worker process with
 ``PYTHONPATH=<tree>/src``, so no two trees share imported modules, and
@@ -67,7 +68,11 @@ registry's and the argument's triples asserted, as ``factsheet render``
 assembles it, and ``render_html`` wraps the Markdown that it returns. A
 chain stage's store is one goal chain whose bottom solution evidences the
 one defense of its attack, and its trace must be the one chain from the
-attack to the top goal's duty. The ``audit
+attack to the top goal's duty. A diamond layer is two goals that both
+support the goal above and are both supported by one join goal, the next
+layer's top, so an argument of ``n`` layers has ``2 ** n`` paths down; its
+factsheet is rendered from the store that ``factsheet render`` assembles,
+and its argument summary must begin with the root goal's line. The ``audit
 commands`` stage runs ``coverage report``, ``coverage trace``, ``triples query`` and ``factsheet render --format html``
 on the files ``case_audit`` writes, as the case-audit workload does, and
 times the four together; each must exit 0. The ``filter commands`` stage
@@ -139,6 +144,7 @@ TRAIN_SIZES = (1000, 2000, 4000)
 PROMPT_SIZES = (12500, 25000, 50000)
 AUDIT_SIZES = (200, 400, 800)  # nodes per argument; 800 is the case-audit workload's
 CHAIN_SIZES = (250, 500, 750)  # supportedBy hops
+DIAMOND_SIZES = (10, 12, 14)  # diamond layers
 SEED = 2
 STARTUP_RUNS = 15
 FIXTURES = ROOT / "fixtures"
@@ -436,6 +442,33 @@ def _run_chains(inputs: dict, size: int) -> dict:
     return {"causal_trace": [size, "supportedBy hops", traced]}
 
 
+def _prepare_diamonds(size: int, stack: contextlib.ExitStack) -> dict:
+    """The registry, an argument of ``size`` diamond layers under G1, whose last join goal
+    Sn1 supports, and the store of their triples."""
+    from euaia_assurance.duties import load_registry, registry_to_triples
+    from euaia_assurance.gsn import argument_to_triples, parse_gsn
+    from euaia_assurance.triples import Store
+
+    lines = ['goal G1 "top"', 'solution Sn1 "evidence"', f"edge G{3 * size + 1} -> Sn1 supportedBy"]
+    for top in range(1, 3 * size, 3):
+        lines += [f'goal G{top + k} "goal {top + k}"' for k in (1, 2, 3)]
+        lines += [f"edge G{top} -> G{top + k} supportedBy" for k in (1, 2)]
+        lines += [f"edge G{top + k} -> G{top + 3} supportedBy" for k in (1, 2)]
+    argument = parse_gsn("\n".join(lines) + "\n")
+    registry = load_registry()
+    store = Store().assert_all(registry_to_triples(registry) + argument_to_triples(argument))
+    return {"registry": registry, "argument": argument, "store": store}
+
+
+def _run_diamonds(inputs: dict, size: int) -> dict:
+    from euaia_assurance.factsheet import render_factsheet
+
+    rendered, markdown = _timed(render_factsheet, inputs["registry"], inputs["argument"], inputs["store"])
+    if "\n## 3. Argument summary\n\n```\nG1 (goal) top\n" not in markdown:
+        raise RuntimeError(f"{size} diamond layers: the argument summary does not begin with the root goal")
+    return {"render_factsheet": [size, "diamond layers", rendered]}
+
+
 def _prepare_commands(size: int, stack: contextlib.ExitStack) -> dict:
     """The argv lists of the case-audit workload's commands, on a generated case."""
     tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
@@ -491,6 +524,7 @@ GROUPS = {  # name -> (prepare, run, sizes), in the order the stages are measure
     "prompts": (_prepare_prompts, _run_prompts, PROMPT_SIZES),
     "audit": (_prepare_audit, _run_audit, AUDIT_SIZES),
     "chains": (_prepare_chains, _run_chains, CHAIN_SIZES),
+    "diamonds": (_prepare_diamonds, _run_diamonds, DIAMOND_SIZES),
     "audit commands": (_prepare_commands, _run_commands, AUDIT_SIZES),
     "filter commands": (_prepare_filter_commands, _run_commands, PROMPT_SIZES),
 }
