@@ -105,10 +105,30 @@ def _namespace_map(text: str) -> dict[str, str]:
     if not isinstance(data, dict):
         raise NamespaceError(f"{NAMESPACES_ENV} must point to a JSON object of prefix -> IRI")
     for prefix, expansion in data.items():  # a JSON object's keys are strings
-        if not isinstance(expansion, str):
-            raise NamespaceError(f"the IRI of namespace prefix {prefix!r} must be a JSON string")
-        check_namespace(prefix, expansion)
+        try:
+            if not isinstance(expansion, str):
+                raise NamespaceError(f"the IRI of namespace prefix {prefix!r} must be a JSON string")
+            check_namespace(prefix, expansion)
+        except NamespaceError as exc:
+            raise InputError(str(exc), *_key_position(text, prefix)) from None
     return data
+
+
+def _key_position(text: str, key: str) -> tuple[int, int]:
+    """The line and column of ``key`` in ``text``, a JSON object that parses.
+    Of a repeated key it is the last, whose value ``json`` keeps."""
+    from json.decoder import WHITESPACE, JSONDecoder, scanstring
+
+    skip = lambda at: WHITESPACE.match(text, at).end()
+    value = JSONDecoder().raw_decode
+    at = skip(skip(0) + 1)  # the first member's key, past the "{"
+    while text.startswith('"', at):
+        name, end = scanstring(text, at + 1)
+        if name == key:
+            found = at
+        _, end = value(text, skip(skip(end) + 1))  # the value, past the ":"
+        at = skip(skip(end) + 1)  # the next key, past the "," or the closing "}"
+    return text.count("\n", 0, found) + 1, found - text.rfind("\n", 0, found)
 
 
 def _read_triples(paths: list[str]) -> Store:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
 from pathlib import Path
 from typing import KeysView
 
 import pytest
 
+from euaia_assurance.cli import main
 from euaia_assurance.duties import load_registry, registry_to_triples
 from euaia_assurance.gsn import argument_to_triples, parse_gsn
 from euaia_assurance.prompt_filter import parse_corpus, train_dynamic
@@ -58,3 +61,18 @@ def toy_corpora():
 @pytest.fixture(scope="session")
 def toy_model(toy_corpora):
     return train_dynamic(*toy_corpora, corpus_ids=("toy-adversarial", "toy-benign"))
+
+
+@pytest.fixture(scope="session")
+def walkthrough_store(tmp_path_factory) -> Path:
+    """The README walkthrough's store: registry, argument and both link files."""
+    directory = tmp_path_factory.mktemp("walkthrough")
+    argument = directory / "argument.ttl"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["gsn", "triples", str(FIXTURES / "art15-5.gsn")]) == 0
+    argument.write_text(out.getvalue(), encoding="utf-8")
+    store = directory / "store.ttl"
+    links = [str(FIXTURES / name) for name in ("knowledge-links.ttl", "dynamic-links.ttl")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["triples", "import", str(argument), *links, "--with-registry", "-o", str(store)]) == 0
+    return store

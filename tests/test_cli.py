@@ -393,20 +393,6 @@ def test_coverage_report(capsys, store_ttl):
     assert lines[9] == "9\tcontested\tgsn:Sn1\tgsn:CC1"
 
 
-@pytest.fixture(scope="module")
-def walkthrough_store(tmp_path_factory) -> Path:
-    """The README walkthrough's store: registry, argument and both link files."""
-    directory = tmp_path_factory.mktemp("walkthrough")
-    argument = directory / "argument.ttl"
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        assert main(["gsn", "triples", GSN]) == 0
-    argument.write_text(out.getvalue(), encoding="utf-8")
-    store = directory / "store.ttl"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["triples", "import", str(argument), LINKS, DYNAMIC, "--with-registry", "-o", str(store)]) == 0
-    return store
-
-
 def _audit_outputs(stores: list[str], whole: str) -> list[str]:
     """The stdout of each audit command over ``stores``; ``triples query``,
     which reads one file, reads ``whole``."""
@@ -773,7 +759,7 @@ def test_namespace_env_var_rejects_invalid_prefixes(capsys, tmp_path, monkeypatc
     for argv in (("triples", "export", LINKS), ("gsn", "triples", GSN)):
         code, _, err = run(capsys, *argv)
         assert code == 1
-        assert err == f"error: {namespaces}: invalid namespace prefix {shown}\n"
+        assert err == f"error: {namespaces}: line 1, column 2: invalid namespace prefix {shown}\n"
 
 
 @pytest.mark.parametrize("expansion", ["", "http://example.org/a b#", "http://example.org/<a>#"])
@@ -785,14 +771,15 @@ def test_namespace_env_var_rejects_expansions_no_prefix_line_can_spell(capsys, t
     for argv in (("triples", "import", missing), ("gsn", "triples", missing)):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err == f"error: {namespaces}: invalid expansion {expansion!r} for namespace prefix 'ex'\n"
+        message = f"line 1, column 2: invalid expansion {expansion!r} for namespace prefix 'ex'"
+        assert err == f"error: {namespaces}: {message}\n"
 
 
 @pytest.mark.parametrize(
     "entry, message",
     [
-        ({"1x": "https://example.org/ns/x#"}, "invalid namespace prefix '1x'"),
-        ({"ex": "http://a b/"}, "invalid expansion 'http://a b/' for namespace prefix 'ex'"),
+        ({"1x": "https://example.org/ns/x#"}, "line 1, column 2: invalid namespace prefix '1x'"),
+        ({"ex": "http://a b/"}, "line 1, column 2: invalid expansion 'http://a b/' for namespace prefix 'ex'"),
     ],
 )
 def test_store_reading_commands_report_a_bad_namespace_entry_once(capsys, tmp_path, monkeypatch, entry, message):
@@ -815,8 +802,9 @@ def test_store_reading_commands_report_a_bad_namespace_entry_once(capsys, tmp_pa
         ("[]", "{path}: EUAIA_ASSURE_NAMESPACES must point to a JSON object of prefix -> IRI"),
         ('"ex"', "{path}: EUAIA_ASSURE_NAMESPACES must point to a JSON object of prefix -> IRI"),
         ('{"lab": "https://example.org/ns/lab#", "ex": 1}',
-         "{path}: the IRI of namespace prefix 'ex' must be a JSON string"),
-        ('{"ex": ["https://example.org/ns/ex#"]}', "{path}: the IRI of namespace prefix 'ex' must be a JSON string"),
+         "{path}: line 1, column 40: the IRI of namespace prefix 'ex' must be a JSON string"),
+        ('{"ex": ["https://example.org/ns/ex#"]}',
+         "{path}: line 1, column 2: the IRI of namespace prefix 'ex' must be a JSON string"),
         # JSON spells every key as a string, so a bare key is a located syntax error
         ('{1: "https://example.org/ns/ex#"}',
          "{path}: line 1, column 2: invalid JSON: Expecting property name enclosed in double quotes"),
@@ -904,6 +892,29 @@ def test_namespace_json_errors_name_their_position(capsys, tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        # json keeps a repeated key's last value, so the error is at the last key
+        ('{"ok": "https://a.org/#",\n\t "ok" :\n 5, "z": "https://z.org/#"}',
+         "line 2, column 3: the IRI of namespace prefix 'ok' must be a JSON string"),
+        ('{"ok": 5,\n "ok": "https://a.org/#", "1x": "x"}', "line 2, column 27: invalid namespace prefix '1x'"),
+        # a key spelled with an escape, among blanks
+        ('  { "a" : "https://a.org/#" ,\n "\\u0031x" : "https://x.org/#"}  ',
+         "line 2, column 2: invalid namespace prefix '1x'"),
+        # the keys and braces inside a value are not members
+        ('{"ok": {"}": ["\\"{", "ok"]},\n  "ok": [1]}',
+         "line 2, column 3: the IRI of namespace prefix 'ok' must be a JSON string"),
+    ],
+    ids=["repeated key", "repeated good key", "escaped key", "nested value"],
+)
+def test_a_bad_namespace_entry_is_located_at_its_key(capsys, tmp_path, monkeypatch, text, message):
+    namespaces = tmp_path / "ns.json"
+    namespaces.write_text(text, encoding="utf-8")
+    monkeypatch.setenv("EUAIA_ASSURE_NAMESPACES", str(namespaces))
+    assert run(capsys, "triples", "export", LINKS) == (1, "", f"error: {namespaces}: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv, content, message",
     [
         (["gsn", "validate", "FILE"], b"widget W1\n", "line 1: unknown keyword 'widget'"),
@@ -915,9 +926,9 @@ def test_namespace_json_errors_name_their_position(capsys, tmp_path, monkeypatch
         (["filter", "classify", "--blocklist", "x", "--prompts-file", "FILE"], b"ok\nb\xffad\n",
          "line 2, column 2: invalid UTF-8 byte 0xff"),
         (["triples", "export", LINKS, "NS=FILE"], b'{\n "ex": x}', "line 2, column 8: invalid JSON: Expecting value"),
-        # json names no position for an entry, so a bad entry has only its file
-        (["coverage", "report", LINKS, "NS=FILE"], b'{"1x": "https://example.org/ns/x#"}',
-         "invalid namespace prefix '1x'"),
+        # a bad entry is at its key
+        (["coverage", "report", LINKS, "NS=FILE"], b'{\n "lab": "https://example.org/ns/lab#",\n  "1x": "x"}',
+         "line 3, column 3: invalid namespace prefix '1x'"),
     ],
     ids=["gsn", "triples", "model", "labeled corpus", "corpus byte", "namespace JSON", "namespace entry"],
 )
