@@ -117,13 +117,15 @@ def _namespace_map(text: str) -> dict[str, str]:
 def _key_position(text: str, key: str) -> tuple[int, int]:
     """The line and column of ``key`` in ``text``, a JSON object that parses.
     Of a repeated key it is the last, whose value ``json`` keeps."""
-    from json.decoder import WHITESPACE, JSONDecoder, scanstring
+    import re
+    from json import JSONDecoder
 
-    skip = lambda at: WHITESPACE.match(text, at).end()
+    whitespace = re.compile(r"[ \t\n\r]*")  # JSON's
+    skip = lambda at: whitespace.match(text, at).end()
     value = JSONDecoder().raw_decode
     at = skip(skip(0) + 1)  # the first member's key, past the "{"
     while text.startswith('"', at):
-        name, end = scanstring(text, at + 1)
+        name, end = value(text, at)
         if name == key:
             found = at
         _, end = value(text, skip(skip(end) + 1))  # the value, past the ":"
@@ -475,7 +477,3 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if collecting:
             gc.enable()
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
