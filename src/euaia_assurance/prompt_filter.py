@@ -12,7 +12,14 @@ The dynamic score of a prompt is the mean over its characters of
 
 with Laplace smoothing ``a`` and vocabulary size ``V`` equal to the number
 of distinct characters across both corpora plus one shared bucket for
-unseen characters. Training, scoring and evaluation are deterministic.
+unseen characters; a bigram model averages in, at equal weight, the same
+mean over adjacent character pairs. Each mean's sum is the correctly
+rounded exact sum (what ``math.fsum`` gives). A bigram model is scored with
+exact fixed-point integers in one lookup per pair, from a table built on
+its first score and cached on the identity of its tables, which must not
+change afterwards. A model file's llr magnitudes are at most ``MAX_LLR``,
+so no such sum overflows. Training, scoring and evaluation are
+deterministic.
 """
 
 from __future__ import annotations
@@ -21,10 +28,11 @@ import math
 import os
 import re
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from enum import Enum
+from functools import partial
 from itertools import chain, groupby, repeat
-from operator import add, itemgetter
+from operator import add, getitem, is_, itemgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence, TextIO
 
 from . import vocab
@@ -152,6 +160,11 @@ def _llr_table(
         ben = math.log((ben_counts.get(key, 0) + alpha) / (n_ben + alpha * v))
         return adv - ben
 
+    for n in (n_adv, n_ben):
+        if n + alpha * v == math.inf:
+            raise ValueError(f"smoothing alpha {alpha!r} is too large: N + alpha * V overflows")
+        if not alpha / (n + alpha * v) > 0.0:
+            raise ValueError(f"smoothing alpha {alpha!r} is too small: alpha / (N + alpha * V) underflows to 0")
     table = {key: llr(key) for key in union}
     oov = math.log(alpha / (n_adv + alpha * v)) - math.log(alpha / (n_ben + alpha * v))
     return table, v, oov
@@ -218,9 +231,70 @@ def _youden_threshold(
     return best_t
 
 
-# The row of a first character that begins no pair in the table: real and
-# empty, because score calls the unbound dict.get on every row.
-_NO_ROW: dict[str, float] = {}
+def _row(pairs: dict[str, int], unseen: int) -> dict[str, int]:
+    """The packed integers of the pairs that begin with one character, as a
+    dict whose every other key reads ``unseen`` and is not stored. Each row
+    gets its own class, so that its ``__missing__`` is a C call, not a
+    Python one: a pair the model never saw costs 0.10 µs instead of 0.16
+    (Python 3.11, 2 shared cores). The staticmethod keeps the partial
+    unbound on every Python, where 3.14 makes a partial a method."""
+    missing = staticmethod(partial(next, repeat(unseen)))
+    return type("_Row", (dict,), {"__slots__": (), "__missing__": missing})(pairs)
+
+
+class _Kernel(NamedTuple):
+    """A bigram model in fixed point: every llr times ``scale`` (a power of
+    two) is an integer, and the pair ``(first, second)`` reads
+    ``u(first) + (b(first, second) << shift)`` from ``rows``."""
+
+    rows: dict[str, dict[str, int]]  # each made by _row
+    oov_row: defaultdict[str, int]  # the row of a first character outside the vocabulary
+    last: dict[str, int]  # u(char), for the last character of a prompt
+    u_oov: int
+    shift: int
+    half: int  # 1 << (shift - 1), which rounds the split of a packed sum
+    scale: int
+
+
+def _build_kernel(model: FilterModel) -> _Kernel:
+    bigram_llr = model.bigram_llr or {}
+    values = [model.oov_score, model.bigram_oov_score, *model.llr.values()]
+    values += [value for row in bigram_llr.values() for value in row.values()]
+    try:  # as_integer_ratio, not a product of floats, which overflows for subnormals
+        ratios = {value: float(value).as_integer_ratio() for value in values}
+    except (OverflowError, ValueError, TypeError):
+        raise ValueError("a bigram model's llr values must be finite numbers") from None
+    bits = max(denominator.bit_length() for _, denominator in ratios.values()) - 1
+    exact = {value: top << (bits + 1 - bottom.bit_length()) for value, (top, bottom) in ratios.items()}
+    last = {char: exact[value] for char, value in model.llr.items()}
+    u_oov, b_oov = exact[model.oov_score], exact[model.bigram_oov_score]
+    # |sum of u| < 2 ** (shift - 1) for any prompt of up to sys.maxsize characters
+    shift = max(map(abs, [u_oov, *last.values()])).bit_length() + 64
+    rows = {}
+    for first in {**last, **bigram_llr}:
+        u = last.get(first, u_oov)
+        pairs = bigram_llr.get(first, {})
+        rows[first] = _row({second: u + (exact[value] << shift) for second, value in pairs.items()},
+                           u + (b_oov << shift))
+    oov_row = defaultdict(repeat(u_oov + (b_oov << shift)).__next__)
+    return _Kernel(rows, oov_row, last, u_oov, shift, 1 << (shift - 1), 1 << bits)
+
+
+# One entry: the model scored last, the tables and OOV scores its kernel was
+# built from, and the kernel. A model with those same objects, such as one
+# that _replace gave a new threshold, gets the same kernel.
+_cached: tuple = (None, (object(),) * 4, None)
+
+
+def _kernel(model: FilterModel) -> _Kernel:
+    global _cached
+    cached_model, built_from, kernel = _cached
+    if cached_model is not model:
+        key = (model.llr, model.bigram_llr, model.oov_score, model.bigram_oov_score)
+        if not all(map(is_, key, built_from)):
+            kernel = _build_kernel(model)
+        _cached = (model, key, kernel)
+    return kernel
 
 
 def score(model: FilterModel, prompt: str) -> float:
@@ -229,16 +303,21 @@ def score(model: FilterModel, prompt: str) -> float:
     Unseen characters fall into the shared out-of-vocabulary bucket. With
     the bigram channel enabled, the unigram and bigram means are averaged
     at equal weight (single-character prompts have no bigrams and keep the
-    unigram score).
+    unigram score). Each channel's sum is the correctly rounded exact sum,
+    as ``math.fsum`` gives it; a bigram model sums both channels at once in
+    fixed-point integers, from a kernel cached on the identity of the
+    model's tables, which must therefore not change after its first score.
     """
     if not prompt:
         raise ValueError("score is undefined for an empty prompt")
-    unigram = math.fsum(map(model.llr.get, prompt, repeat(model.oov_score))) / len(prompt)
-    if model.bigram_llr is None or len(prompt) < 2:
-        return unigram
-    rows = map(model.bigram_llr.get, prompt[:-1], repeat(_NO_ROW))
-    bigram = math.fsum(map(dict.get, rows, prompt[1:], repeat(model.bigram_oov_score))) / (len(prompt) - 1)
-    return (unigram + bigram) / 2.0
+    n = len(prompt)
+    if model.bigram_llr is None or n < 2:
+        return math.fsum(map(model.llr.get, prompt, repeat(model.oov_score))) / n
+    rows, oov_row, last, u_oov, shift, half, scale = _kernel(model)
+    packed = sum(map(getitem, map(rows.get, prompt[:-1], repeat(oov_row)), prompt[1:])) + last.get(prompt[-1], u_oov)
+    bigram = (packed + half) >> shift
+    unigram = packed - (bigram << shift)
+    return (unigram / scale / n + bigram / scale / (n - 1)) / 2.0
 
 
 def classify_dynamic(model: FilterModel, prompt: str) -> Verdict:
@@ -252,6 +331,9 @@ def classify_dynamic(model: FilterModel, prompt: str) -> Verdict:
 # prompts: on 2 cores, two slices of 250-375 prompts were slower than one
 # process and two of 500 faster (fork, temporary file and copy-out against scoring)
 MIN_SLICE = 500
+# characters or bytes written at a time, so that a write-through stream (as
+# stdout is under PYTHONUNBUFFERED) makes one system call per piece, not per line
+PIECE = 1 << 16
 
 
 def write_lines(line_of: Callable[[str], str], prompts: Sequence[str], out: TextIO) -> None:
@@ -286,7 +368,7 @@ def write_lines(line_of: Callable[[str], str], prompts: Sequence[str], out: Text
             if pid == 0:
                 _work(line_of, prompts[start:stop], out, file.fileno())
             workers.append((pid, file))
-        out.writelines(map(line_of, prompts[:head]))
+        _write_here(line_of, prompts[:head], out)
         for start, stop in rest:
             text = None
             if workers:
@@ -299,17 +381,44 @@ def write_lines(line_of: Callable[[str], str], prompts: Sequence[str], out: Text
                         except OSError:
                             pass
             if text is None:
-                out.writelines(map(line_of, prompts[start:stop]))
+                _write_here(line_of, prompts[start:stop], out)
                 continue
             at = 0  # decoded a line-ended piece at a time, so that the text is never held twice
             while at < len(text):
-                end = text.find(b"\n", at + (1 << 16)) + 1 or len(text)
+                end = text.find(b"\n", at + PIECE) + 1 or len(text)
                 out.write(text[at:end].decode("utf-8", "surrogatepass"))
                 at = end
     finally:  # no worker may outlive the call
         for pid, file in workers:
             file.close()
             os.waitpid(pid, 0)
+
+
+def _write_here(line_of: Callable[[str], str], prompts: Sequence[str], out: TextIO) -> None:
+    """Write the prompts' lines in pieces of at least ``PIECE`` characters (the
+    last one shorter). A prompt that fails leaves every line before it
+    written, and a piece that ``out`` cannot encode, which it has not
+    written, is written line by line, so that it stops at the line that fails.
+    """
+    piece: list[str] = []
+    size = 0
+    try:
+        for line in map(line_of, prompts):
+            piece.append(line)
+            size += len(line)
+            if size >= PIECE:
+                full, piece, size = piece, [], 0
+                _write_piece(full, out)
+    finally:
+        if piece:
+            _write_piece(piece, out)
+
+
+def _write_piece(lines: list[str], out: TextIO) -> None:
+    try:  # out.writelines, the one method this writer calls for its own lines
+        out.writelines(("".join(lines),))
+    except UnicodeEncodeError:
+        out.writelines(lines)
 
 
 def _slices(count: int) -> list[tuple[int, int]]:
@@ -469,6 +578,15 @@ def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
+# The largest llr magnitude a model file may hold: a sum of sys.maxsize of them stays finite.
+MAX_LLR = sys.float_info.max / 2**63
+
+
+def _check_llr(value: float, name: str, lineno: int) -> None:
+    if abs(value) > MAX_LLR:
+        raise CorpusFormatError(f"{name} {value!r} is out of range: its magnitude must be at most {MAX_LLR!r}", lineno)
+
+
 def _is_code_point(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= sys.maxunicode
 
@@ -496,6 +614,8 @@ def load_model(text: str) -> FilterModel:
         if not _is_number(value) or (integer and not isinstance(value, int)):
             kind = "an integer" if integer else "a number"
             raise CorpusFormatError(f"header field {key!r} must be {kind}", head_line)
+        if key.endswith("oov_score"):
+            _check_llr(value, f"header field {key!r}", head_line)
     provenance = header.get("provenance", {})
     corpora = provenance.get("corpora", ()) if isinstance(provenance, dict) else None
     trained_at = provenance.get("trained_at") if isinstance(provenance, dict) else None
@@ -515,6 +635,7 @@ def load_model(text: str) -> FilterModel:
             raise CorpusFormatError("a record holds a char or chars, not both", lineno)
         if not _is_number(record.get("llr")):
             raise CorpusFormatError("llr must be a number", lineno)
+        _check_llr(record["llr"], "llr", lineno)
         if "char" in record:
             if not _is_code_point(record["char"]):
                 raise CorpusFormatError("char must be a code point", lineno)

@@ -971,6 +971,38 @@ def test_filter_train_rejects_a_non_finite_alpha_and_writes_no_model(tmp_path, c
     assert not model.exists()
 
 
+@pytest.mark.parametrize("alpha, message", [
+    ("5e-324", "smoothing alpha 5e-324 is too small: alpha / (N + alpha * V) underflows to 0"),
+    ("1e308", "smoothing alpha 1e+308 is too large: N + alpha * V overflows"),
+])
+def test_filter_train_rejects_an_alpha_whose_probabilities_leave_float_range(tmp_path, capsys, alpha, message):
+    model = tmp_path / "model.jsonl"
+    code, out, err = run(
+        capsys, "filter", "train", "--adversarial", TOY_ADV, "--benign", TOY_BEN,
+        "-o", str(model), f"--alpha={alpha}", "--bigrams",
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["filter", "score", "aa"],
+    ["filter", "classify", "aa"],
+    ["filter", "eval", "--corpus", TOY_LABELED],
+    ["factsheet", "render", "--eval-corpus", TOY_LABELED],
+], ids=["score", "classify", "eval", "factsheet"])
+def test_a_model_llr_whose_sum_could_overflow_is_rejected_at_its_line(tmp_path, capsys, argv):
+    model = tmp_path / "model.jsonl"
+    model.write_text(
+        '{"format": "charfilter/1", "alpha": 1.0, "vocab_size": 2, "oov_score": 0.0, "threshold": 0.0}\n'
+        '{"char": 97, "llr": 1.7e308}\n', encoding="utf-8",
+    )
+    code, out, err = run(capsys, *argv, "--model", str(model))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {model}: line 2: llr 1.7e+308 is out of range: its magnitude must be at most ")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 # ----------------------------------------------------------------------
 # the cyclic garbage collector and the one prefix check per command
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import random
 import re
@@ -11,7 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from euaia_assurance import prompt_filter
 from euaia_assurance.prompt_filter import (
+    MAX_LLR,
+    MIN_SLICE,
+    PIECE,
     CorpusFormatError,
     FilterMetrics,
     FilterModel,
@@ -30,6 +35,7 @@ from euaia_assurance.prompt_filter import (
     score,
     script_of,
     train_dynamic,
+    write_lines,
     _SCRIPT_RANGES,
     _llr_table,
     _trapezoid_auc,
@@ -696,3 +702,126 @@ def test_load_rejects_json_too_large_to_read_with_the_line():
         with pytest.raises(CorpusFormatError) as exc:
             load_model(_HEADER + "\n" + record + "\n")
         assert exc.value.line == 2 and str(exc.value).startswith("line 2: invalid JSON: ")
+
+
+@pytest.mark.parametrize("value", [MAX_LLR, -MAX_LLR])
+def test_load_accepts_an_llr_at_the_bound(value):
+    text = _HEADER.replace('"oov_score": 0.0', f'"oov_score": {value!r}') + f'\n{{"char": 120, "llr": {value!r}}}\n'
+    model = load_model(text)
+    assert (model.oov_score, model.llr["x"]) == (value, value)
+
+
+@pytest.mark.parametrize("value", [math.nextafter(MAX_LLR, math.inf), -1.7e308])
+def test_load_rejects_an_llr_beyond_the_bound_with_the_line(value):
+    for text, where in [
+        (_HEADER.replace('"oov_score": 0.0', f'"oov_score": {value!r}') + "\n", "line 1: header field 'oov_score'"),
+        (_HEADER + f'\n{{"char": 120, "llr": {value!r}}}\n', "line 2: llr"),
+    ]:
+        with pytest.raises(CorpusFormatError) as exc:
+            load_model(text)
+        assert str(exc.value) == f"{where} {value!r} is out of range: its magnitude must be at most {MAX_LLR!r}"
+
+
+# ----------------------------------------------------------------------
+# the fixed-point bigram kernel against the fsum oracle, bit for bit
+
+# Values at the edges of what the kernel must hold exactly: both zeros, the
+# smallest subnormals and the load bound. "a" and "b" may be in the tables;
+# "z", "y" and the lone surrogate U+DCFF never are.
+_EDGE_LLR = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, MAX_LLR, -MAX_LLR]) | st.floats(-50.0, 50.0)
+_IN_TABLES = st.sampled_from("ab\u00e9\U0001F600\ud800")
+_PROMPT_CHARS = "ab\u00e9\U0001F600\ud800zy\udcff"
+_PROMPTS = st.text(_PROMPT_CHARS, min_size=1, max_size=12) | st.builds(
+    lambda pair, times: pair * times, st.text(_PROMPT_CHARS, min_size=2, max_size=2), st.integers(1, 40)
+)
+
+
+@st.composite
+def _bigram_models(draw) -> FilterModel:
+    llr = draw(st.dictionaries(_IN_TABLES, _EDGE_LLR))
+    rows = draw(st.dictionaries(_IN_TABLES, st.dictionaries(_IN_TABLES, _EDGE_LLR)))
+    model = FilterModel(llr, 1.0, len(llr) + 1, draw(_EDGE_LLR), 0.0, ModelProvenance(()), rows, 1, draw(_EDGE_LLR))
+    if draw(st.booleans()):  # 6-decimal values, as a model file holds them
+        model = load_model(save_model(model))
+    return model
+
+
+def _same_bits(model: FilterModel, prompt: str) -> bool:
+    return score(model, prompt).hex() == filter_oracle.score(model, prompt).hex()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_bigram_models(), st.lists(_PROMPTS, min_size=1, max_size=4))
+def test_bigram_scores_are_bit_identical_to_the_oracle(model, prompts):
+    assert all(_same_bits(model, prompt) for prompt in prompts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bigram_models(), _bigram_models(), st.lists(_PROMPTS, min_size=1, max_size=3))
+def test_models_scored_in_turn_each_get_their_own_kernel(first, second, prompts):
+    swapped = first._replace(llr=second.llr, bigram_llr=second.bigram_llr)
+    rescored = first._replace(oov_score=second.oov_score, bigram_oov_score=second.bigram_oov_score)
+    for prompt in prompts:
+        assert all(_same_bits(model, prompt) for model in (first, second, first, swapped, rescored, first))
+
+
+def test_training_and_scoring_with_its_model_build_one_kernel(monkeypatch):
+    built = []
+    build = prompt_filter._build_kernel
+    monkeypatch.setattr(prompt_filter, "_build_kernel", lambda model: built.append(model) or build(model))
+    model = train_dynamic(TOY_ADV, TOY_BEN, bigrams=True)  # the threshold is set with _replace
+    assert all(_same_bits(model, prompt) for prompt in TOY_ADV + TOY_BEN)
+    assert len(built) == 1
+
+
+def test_a_bigram_model_with_a_non_finite_llr_is_refused():
+    model = train_dynamic(TOY_ADV, TOY_BEN, bigrams=True)._replace(oov_score=math.inf)
+    with pytest.raises(ValueError, match="llr values must be finite"):
+        score(model, "xy")
+
+
+# ----------------------------------------------------------------------
+# the lines this process writes itself
+
+class _CountingRaw(io.RawIOBase):
+    def __init__(self) -> None:
+        self.writes, self.data = 0, bytearray()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self.writes += 1
+        self.data += data
+        return len(data)
+
+
+def test_the_lines_written_here_reach_a_write_through_stream_in_pieces():
+    """As stdout is under PYTHONUNBUFFERED: one slice, so every line is written here."""
+    raw = _CountingRaw()
+    out = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+    prompts = [f"{number} " + "\u00e9" * (number % 300) for number in range(MIN_SLICE)]
+    write_lines(lambda prompt: f"{prompt}\n", prompts, out)
+    assert raw.data.decode("utf-8") == "".join(f"{prompt}\n" for prompt in prompts)
+    assert raw.writes <= -(-len(raw.data) // PIECE) + 1
+
+
+def _failing(prompt: str) -> str:
+    if prompt == "stop":
+        raise RuntimeError("failing prompt")
+    return f"{prompt}\n"
+
+
+@pytest.mark.parametrize("bad", ["stop", "\u00e9"], ids=["prompt-fails", "line-not-encodable"])
+@pytest.mark.parametrize("at", [0, 1, MIN_SLICE // 2, MIN_SLICE - 1])
+def test_a_failure_among_the_lines_written_here_stops_where_one_process_does(bad, at):
+    prompts = [f"prompt {number:04d} " + "x" * 400 for number in range(MIN_SLICE)]
+    prompts[at] = bad
+    written = []
+    for writer in (write_lines, filter_oracle.write_lines):
+        out = io.TextIOWrapper(io.BytesIO(), encoding="ascii", write_through=True)
+        with pytest.raises((RuntimeError, UnicodeEncodeError)) as exc:
+            writer(_failing, prompts, out)
+        written.append((out.buffer.getvalue(), type(exc.value), str(exc.value)))
+    assert written[0] == written[1]
+    assert written[0][0].count(b"\n") == at

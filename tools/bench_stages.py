@@ -8,7 +8,8 @@ bigrams on 1,000, 2,000 and 4,000 generated prompts per class,
 ``evaluate`` of the trained model on the labeled union of those prompts,
 and ``save_model`` of the model and ``load_model`` of its text,
 ``classify_static`` and ``score`` over 12,500, 25,000 and 50,000
-generated prompts, ``coverage_report`` and ``coverage_to_tsv`` of its report,
+generated prompts (``score`` also over three other shapes of prompt made
+from them), ``coverage_report`` and ``coverage_to_tsv`` of its report,
 ``causal_trace``, the
 case-audit 3-pattern ``Store.query``, ``render_factsheet`` of the case's
 factsheet argument and ``render_html`` of its Markdown on audit stores
@@ -57,7 +58,15 @@ prompt stages work as the ``filter`` workload's commands do:
 prepared once per run as the CLI prepares it (``compile_blocklist``
 where the tree has it, else the raw entries), and ``score`` scores each
 prompt with a bigram model trained on the workload's number of prompts
-per class. The coverage stages read the ``store.ttl`` and
+per class. The other score stages score with that model read back from
+its file, with 6-decimal values, as the ``filter`` commands score (the
+speed of ``math.fsum`` depends on the values' low bits), at the same three
+sizes: ``score model file`` scores the same prompts, ``score long`` the
+same text joined into prompts of about 3,000 characters, ``score out of
+vocabulary`` the prompts with every character mapped into the private-use
+area, which the model never saw, and ``score unseen pairs`` prompts of
+the same lengths drawn from the model's vocabulary so that no adjacent
+pair is in its pair table. The coverage stages read the ``store.ttl`` and
 ``links.ttl`` that ``case_audit`` writes, and each run gets a new store
 merged from the two with ``merge_stores``, as the CLI merges them, outside
 the timed call, so that the time includes the indexes the analysis builds
@@ -142,6 +151,7 @@ GSN_SIZES = (1500, 3000, 6000)
 STORE_SIZES = (12500, 25000, 50000, 100000)
 TRAIN_SIZES = (1000, 2000, 4000)
 PROMPT_SIZES = (12500, 25000, 50000)
+LONG_PROMPT = 3000  # characters, about what a long pasted document gives a prompt
 AUDIT_SIZES = (200, 400, 800)  # nodes per argument; 800 is the case-audit workload's
 CHAIN_SIZES = (250, 500, 750)  # supportedBy hops
 DIAMOND_SIZES = (10, 12, 14)  # diamond layers
@@ -332,14 +342,51 @@ def _run_train(inputs: dict, size: int) -> dict:
     }
 
 
+def _shapes(prompts: list[str], model) -> dict[str, list[str]]:
+    """The model-file score stages' prompts: the workload-like ones; the same text joined
+    into prompts of about ``LONG_PROMPT`` characters; each prompt with every
+    character moved outside the model's vocabulary; and prompts of the same
+    lengths made of vocabulary characters of which no adjacent pair is in the
+    model's pair table."""
+    long: list[str] = [""]
+    for prompt in prompts:
+        if len(long[-1]) >= LONG_PROMPT:
+            long.append("")
+        long[-1] += prompt + " "
+    vocabulary = sorted(model.llr)
+    outside = ["".join(chr(0xE000 + ord(char) % 0x1000) for char in prompt) for prompt in prompts]  # private use
+    unseen_after = {first: [char for char in vocabulary if char not in model.bigram_llr.get(first, {})]
+                    for first in vocabulary}
+    rng = random.Random(f"bench-unseen/{SEED}/{len(prompts)}")
+    unseen = []
+    for prompt in prompts:
+        chars = [rng.choice(vocabulary)]
+        while len(chars) < len(prompt):
+            chars.append(rng.choice(unseen_after[chars[-1]]))
+        unseen.append("".join(chars))
+    if any(char in model.llr for prompt in outside for char in prompt):
+        raise RuntimeError("a private-use character is in the model's vocabulary")
+    return {
+        "score model file": prompts,
+        "score long": long,
+        "score out of vocabulary": outside,
+        "score unseen pairs": unseen,
+    }
+
+
 def _prepare_prompts(size: int, stack: contextlib.ExitStack) -> dict:
     from euaia_assurance import prompt_filter
 
     generate = _generate()
+    prompts = _prompts(size)
+    model = prompt_filter.train_dynamic(*_corpora(generate.TRAIN_PER_CLASS), bigrams=True)
+    read_back = prompt_filter.load_model(prompt_filter.save_model(model))  # 6 decimals, as the commands read it
     return {
-        "prompts": _prompts(size),
+        "prompts": prompts,
         "entries": [*generate.BLOCKLIST, *map(prompt_filter.ScriptClass, generate.BLOCK_SCRIPTS)],
-        "model": prompt_filter.train_dynamic(*_corpora(generate.TRAIN_PER_CLASS), bigrams=True),
+        "model": model,
+        "read_back": read_back,
+        "shapes": _shapes(prompts, read_back),
     }
 
 
@@ -354,15 +401,18 @@ def _run_prompts(inputs: dict, size: int) -> dict:
         blocklist = prepare(inputs["entries"])
         return sum(classify_static(blocklist, prompt)[0] is Verdict.ADVERSARIAL for prompt in prompts)
 
-    def score_all() -> None:
-        for prompt in prompts:
+    def score_all(model, shape: list[str]) -> None:
+        for prompt in shape:
             score(model, prompt)
 
     classified, flagged = _timed(classify)
-    scored, _ = _timed(score_all)
     if not 0 < flagged < size:
         raise RuntimeError(f"{size} prompts: {flagged} flagged by the blocklist")
-    return {"classify_static": [size, "prompts", classified], "score": [size, "prompts", scored]}
+    times = {"classify_static": [size, "prompts", classified]}
+    times["score"] = [size, "prompts", _timed(score_all, model, prompts)[0]]
+    for stage, shape in inputs["shapes"].items():
+        times[stage] = [size, "prompts", _timed(score_all, inputs["read_back"], shape)[0]]
+    return times
 
 
 def _prepare_audit(size: int, stack: contextlib.ExitStack) -> dict:
