@@ -15,11 +15,11 @@ of distinct characters across both corpora plus one shared bucket for
 unseen characters; a bigram model averages in, at equal weight, the same
 mean over adjacent character pairs. Each mean's sum is the correctly
 rounded exact sum (what ``math.fsum`` gives). A bigram model is scored with
-exact fixed-point integers in one lookup per pair, from a table built on
-its first score and cached on the identity of its tables, which must not
-change afterwards. A model file's llr magnitudes are at most ``MAX_LLR``,
-so no such sum overflows. Training, scoring and evaluation are
-deterministic.
+exact fixed-point integers in one lookup per pair, or per repeated word
+from a bounded memo, from a table built on its first score and cached on
+the identity of its tables, which must not change afterwards. A model
+file's llr magnitudes are at most ``MAX_LLR``, so no such sum overflows.
+Training, scoring and evaluation are deterministic.
 """
 
 from __future__ import annotations
@@ -242,6 +242,42 @@ def _row(pairs: dict[str, int], unseen: int) -> dict[str, int]:
     return type("_Row", (dict,), {"__slots__": (), "__missing__": missing})(pairs)
 
 
+# The word memo's bounds: the words it keeps, the longest word it keeps
+# (characters), and the words looked up per window of its guard.
+MEMO_WORDS = 1 << 15
+MEMO_WORD = 32
+MEMO_WINDOW = 1 << 12
+
+
+class _Memo(dict):
+    """``M(w)`` per word ``w``: the packed sum of the pairs of ``" " + w + " "``,
+    computed on a word's first lookup and kept within ``MEMO_WORDS`` words of
+    at most ``MEMO_WORD`` characters. ``on`` is the guard: a window of
+    ``MEMO_WINDOW`` lookups that missed more words than it found turns the
+    memo off and empties it."""
+
+    __slots__ = ("rows", "oov_row", "space_row", "on", "seen", "missed")
+
+    def __init__(self, rows: dict[str, dict[str, int]], oov_row: defaultdict[str, int]) -> None:
+        self.rows, self.oov_row, self.space_row = rows, oov_row, rows.get(" ", oov_row)
+        self.on, self.seen, self.missed = True, 0, 0
+
+    def __missing__(self, word: str) -> int:
+        self.missed += 1
+        spaced = f" {word} "
+        value = sum(map(getitem, map(self.rows.get, spaced[:-1], repeat(self.oov_row)), spaced[1:]))
+        if len(word) <= MEMO_WORD and len(self) < MEMO_WORDS:
+            self[word] = value
+        return value
+
+    def judge(self) -> None:
+        """Close a window: turn the memo off if it missed more than it found."""
+        if 2 * self.missed > self.seen:
+            self.on = False
+            self.clear()
+        self.seen = self.missed = 0
+
+
 class _Kernel(NamedTuple):
     """A bigram model in fixed point: every llr times ``scale`` (a power of
     two) is an integer, and the pair ``(first, second)`` reads
@@ -254,6 +290,7 @@ class _Kernel(NamedTuple):
     shift: int
     half: int  # 1 << (shift - 1), which rounds the split of a packed sum
     scale: int
+    memo: _Memo
 
 
 def _build_kernel(model: FilterModel) -> _Kernel:
@@ -277,7 +314,7 @@ def _build_kernel(model: FilterModel) -> _Kernel:
         rows[first] = _row({second: u + (exact[value] << shift) for second, value in pairs.items()},
                            u + (b_oov << shift))
     oov_row = defaultdict(repeat(u_oov + (b_oov << shift)).__next__)
-    return _Kernel(rows, oov_row, last, u_oov, shift, 1 << (shift - 1), 1 << bits)
+    return _Kernel(rows, oov_row, last, u_oov, shift, 1 << (shift - 1), 1 << bits, _Memo(rows, oov_row))
 
 
 # One entry: the model scored last, the tables and OOV scores its kernel was
@@ -305,16 +342,37 @@ def score(model: FilterModel, prompt: str) -> float:
     at equal weight (single-character prompts have no bigrams and keep the
     unigram score). Each channel's sum is the correctly rounded exact sum,
     as ``math.fsum`` gives it; a bigram model sums both channels at once in
-    fixed-point integers, from a kernel cached on the identity of the
-    model's tables, which must therefore not change after its first score.
+    fixed-point integers.
+
+    A bigram prompt ``p`` that holds a space is summed a word at a time.
+    Split at each space into words ``w``, its packed sum is
+    ``sum(M(w)) + last[p[-1]] - rows[" "][p[0]] - rows[p[-1]][" "]``, where
+    ``M(w)`` is the packed sum of the pairs of ``" " + w + " "``: those
+    pieces hold exactly the pairs of ``" " + p + " "``, and a sum of
+    integers does not depend on its grouping, so the score is the pair-by-pair
+    one, bit for bit. ``M(w)`` comes from a memo of at most ``MEMO_WORDS``
+    words of at most ``MEMO_WORD`` characters. Once a window of
+    ``MEMO_WINDOW`` word lookups misses more than it finds, the memo is
+    emptied and no longer used, and every prompt is summed pair by pair, as
+    one without a space always is. The kernel, memo and guard included, is
+    cached on the identity of the model's tables, which must therefore not
+    change after its first score.
     """
     if not prompt:
         raise ValueError("score is undefined for an empty prompt")
     n = len(prompt)
     if model.bigram_llr is None or n < 2:
         return math.fsum(map(model.llr.get, prompt, repeat(model.oov_score))) / n
-    rows, oov_row, last, u_oov, shift, half, scale = _kernel(model)
-    packed = sum(map(getitem, map(rows.get, prompt[:-1], repeat(oov_row)), prompt[1:])) + last.get(prompt[-1], u_oov)
+    rows, oov_row, last, u_oov, shift, half, scale, memo = _kernel(model)
+    packed = last.get(prompt[-1], u_oov)
+    if memo.on and " " in prompt:
+        words = prompt.split(" ")
+        packed += sum(map(memo.__getitem__, words)) - memo.space_row[prompt[0]] - rows.get(prompt[-1], oov_row)[" "]
+        memo.seen += len(words)
+        if memo.seen >= MEMO_WINDOW:
+            memo.judge()
+    else:
+        packed += sum(map(getitem, map(rows.get, prompt[:-1], repeat(oov_row)), prompt[1:]))
     bigram = (packed + half) >> shift
     unigram = packed - (bigram << shift)
     return (unigram / scale / n + bigram / scale / (n - 1)) / 2.0
@@ -328,9 +386,10 @@ def classify_dynamic(model: FilterModel, prompt: str) -> Verdict:
 # ----------------------------------------------------------------------
 # one output line per prompt, over the usable CPUs
 
-# prompts: on 2 cores, two slices of 250-375 prompts were slower than one
-# process and two of 500 faster (fork, temporary file and copy-out against scoring)
-MIN_SLICE = 500
+# prompts: on 2 cores, two slices of 500-1,000 prompts were slower than one
+# process, two of 1,500-2,000 even and two of 2,500-3,000 faster (fork,
+# temporary file and copy-out against memoised scoring)
+MIN_SLICE = 2000
 # characters or bytes written at a time, so that a write-through stream (as
 # stdout is under PYTHONUNBUFFERED) makes one system call per piece, not per line
 PIECE = 1 << 16
@@ -582,9 +641,8 @@ def _is_number(value: object) -> bool:
 MAX_LLR = sys.float_info.max / 2**63
 
 
-def _check_llr(value: float, name: str, lineno: int) -> None:
-    if abs(value) > MAX_LLR:
-        raise CorpusFormatError(f"{name} {value!r} is out of range: its magnitude must be at most {MAX_LLR!r}", lineno)
+def _out_of_range(value: float, name: str, lineno: int) -> NoReturn:
+    raise CorpusFormatError(f"{name} {value!r} is out of range: its magnitude must be at most {MAX_LLR!r}", lineno)
 
 
 def _is_code_point(value: object) -> bool:
@@ -614,8 +672,8 @@ def load_model(text: str) -> FilterModel:
         if not _is_number(value) or (integer and not isinstance(value, int)):
             kind = "an integer" if integer else "a number"
             raise CorpusFormatError(f"header field {key!r} must be {kind}", head_line)
-        if key.endswith("oov_score"):
-            _check_llr(value, f"header field {key!r}", head_line)
+        if key.endswith("oov_score") and abs(value) > MAX_LLR:
+            _out_of_range(value, f"header field {key!r}", head_line)
     provenance = header.get("provenance", {})
     corpora = provenance.get("corpora", ()) if isinstance(provenance, dict) else None
     trained_at = provenance.get("trained_at") if isinstance(provenance, dict) else None
@@ -635,7 +693,8 @@ def load_model(text: str) -> FilterModel:
             raise CorpusFormatError("a record holds a char or chars, not both", lineno)
         if not _is_number(record.get("llr")):
             raise CorpusFormatError("llr must be a number", lineno)
-        _check_llr(record["llr"], "llr", lineno)
+        if abs(record["llr"]) > MAX_LLR:
+            _out_of_range(record["llr"], "llr", lineno)
         if "char" in record:
             if not _is_code_point(record["char"]):
                 raise CorpusFormatError("char must be a code point", lineno)

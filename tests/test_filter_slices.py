@@ -230,6 +230,32 @@ def test_a_slice_whose_file_cannot_be_made_is_written_here_with_the_rest(failing
     _no_child_left()
 
 
+def test_slices_scored_from_per_process_word_memos_write_what_one_process_writes(toy_corpora):
+    """Each worker inherits the memo as it stood at the fork and goes on with
+    its own: the slices of repeated words keep it on, the slice of words that
+    never repeat trips its guard. The scores, written as ``float.hex``, are
+    the one-process writer's and the oracle's, byte for byte."""
+    model = train_dynamic(*toy_corpora, bigrams=True)
+    repeated = ["x y!", "y x x", "xy yx", " x  y"] * 25
+    unique = [f"w{number}x w{number}y w{number}z" for number in range(30)]
+    prompts = repeated + unique + repeated
+    line_of = lambda prompt: f"{prompt_filter.score(model, prompt).hex()}\n"
+    expected = "".join(f"{filter_oracle.score(model, prompt).hex()}\n" for prompt in prompts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prompt_filter, "MEMO_WINDOW", 16)
+        for prompt in repeated[:4]:  # the memo the workers inherit is warm
+            line_of(prompt)
+        for cpus in (4, 6, 1):
+            out = io.StringIO()
+            with _machine(cpus=cpus, min_slice=30) as forks:
+                prompt_filter.write_lines(line_of, prompts, out)
+            assert len(forks) == cpus - 1
+            assert out.getvalue() == expected
+            _no_child_left()
+            # this process wrote only repeated words, unless it wrote every slice
+            assert prompt_filter._kernel(model).memo.on is (cpus > 1)
+
+
 class _Unreadable(io.BufferedRandom):
     def read(self, size=-1):
         raise OSError(5, "Input/output error")

@@ -726,20 +726,36 @@ def test_load_rejects_an_llr_beyond_the_bound_with_the_line(value):
 # the fixed-point bigram kernel against the fsum oracle, bit for bit
 
 # Values at the edges of what the kernel must hold exactly: both zeros, the
-# smallest subnormals and the load bound. "a" and "b" may be in the tables;
-# "z", "y" and the lone surrogate U+DCFF never are.
+# smallest subnormals and the load bound. "a", "b" and " " may be in the
+# tables; "z", "y" and the lone surrogate U+DCFF never are.
 _EDGE_LLR = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, MAX_LLR, -MAX_LLR]) | st.floats(-50.0, 50.0)
-_IN_TABLES = st.sampled_from("ab\u00e9\U0001F600\ud800")
-_PROMPT_CHARS = "ab\u00e9\U0001F600\ud800zy\udcff"
+_IN_TABLES = st.sampled_from("ab \u00e9\U0001F600\ud800")
+_WORD_CHARS = "ab\u00e9\U0001F600\ud800zy\udcff"
+_PROMPT_CHARS = _WORD_CHARS + " "
 _PROMPTS = st.text(_PROMPT_CHARS, min_size=1, max_size=12) | st.builds(
     lambda pair, times: pair * times, st.text(_PROMPT_CHARS, min_size=2, max_size=2), st.integers(1, 40)
 )
 
 
 @st.composite
+def _prompt_lists(draw, max_size: int) -> list[str]:
+    """Prompts, some of them words drawn from one small pool and joined by
+    spaces, so that words repeat across prompts; an empty word gives a
+    leading, trailing or repeated space."""
+    pool = draw(st.lists(st.text(_WORD_CHARS, max_size=5), min_size=1, max_size=4))
+    worded = st.lists(st.sampled_from(pool), min_size=1, max_size=8).map(" ".join).filter(bool)
+    return draw(st.lists(_PROMPTS | worded, min_size=1, max_size=max_size))
+
+
+@st.composite
 def _bigram_models(draw) -> FilterModel:
     llr = draw(st.dictionaries(_IN_TABLES, _EDGE_LLR))
     rows = draw(st.dictionaries(_IN_TABLES, st.dictionaries(_IN_TABLES, _EDGE_LLR)))
+    if draw(st.booleans()):  # " " outside the vocabulary, where its rows and pairs fall back to the OOV scores
+        llr.pop(" ", None)
+        rows.pop(" ", None)
+        for row in rows.values():
+            row.pop(" ", None)
     model = FilterModel(llr, 1.0, len(llr) + 1, draw(_EDGE_LLR), 0.0, ModelProvenance(()), rows, 1, draw(_EDGE_LLR))
     if draw(st.booleans()):  # 6-decimal values, as a model file holds them
         model = load_model(save_model(model))
@@ -751,13 +767,27 @@ def _same_bits(model: FilterModel, prompt: str) -> bool:
 
 
 @settings(max_examples=400, deadline=None)
-@given(_bigram_models(), st.lists(_PROMPTS, min_size=1, max_size=4))
+@given(_bigram_models(), _prompt_lists(max_size=6))
 def test_bigram_scores_are_bit_identical_to_the_oracle(model, prompts):
     assert all(_same_bits(model, prompt) for prompt in prompts)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_bigram_models(), _prompt_lists(max_size=12), st.integers(0, 3), st.integers(0, 3), st.integers(1, 6))
+def test_a_full_memo_and_a_tripped_guard_keep_the_scores_bit_identical(model, prompts, words, longest, window):
+    """With bounds and a window this small the memo fills, refuses long words
+    and turns itself off within a few prompts; every score must still be exact."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prompt_filter, "MEMO_WORDS", words)
+        patch.setattr(prompt_filter, "MEMO_WORD", longest)
+        patch.setattr(prompt_filter, "MEMO_WINDOW", window)
+        assert all(_same_bits(model, prompt) for prompt in prompts + prompts)
+        memo = prompt_filter._kernel(model).memo
+        assert len(memo) <= words and all(len(word) <= longest for word in memo)
+
+
 @settings(max_examples=100, deadline=None)
-@given(_bigram_models(), _bigram_models(), st.lists(_PROMPTS, min_size=1, max_size=3))
+@given(_bigram_models(), _bigram_models(), _prompt_lists(max_size=3))
 def test_models_scored_in_turn_each_get_their_own_kernel(first, second, prompts):
     swapped = first._replace(llr=second.llr, bigram_llr=second.bigram_llr)
     rescored = first._replace(oov_score=second.oov_score, bigram_oov_score=second.bigram_oov_score)
@@ -772,6 +802,38 @@ def test_training_and_scoring_with_its_model_build_one_kernel(monkeypatch):
     model = train_dynamic(TOY_ADV, TOY_BEN, bigrams=True)  # the threshold is set with _replace
     assert all(_same_bits(model, prompt) for prompt in TOY_ADV + TOY_BEN)
     assert len(built) == 1
+
+
+def test_the_memo_never_holds_more_words_or_longer_words_than_its_bounds():
+    """Each prompt brings one new word three times, so the guard stays on
+    while the memo fills and for the few words after it is full; words
+    beyond either bound are scored, not kept."""
+    model = train_dynamic(TOY_ADV, TOY_BEN, bigrams=True)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    count = prompt_filter.MEMO_WORDS + prompt_filter.MEMO_WORDS // 100 + 200  # a few hundred more than it keeps
+    words = ["".join(letters[number // 26**place % 26] for place in range(4)) for number in range(count)]
+    words[::100] = [word * 9 for word in words[::100]]  # 36 letters, longer than MEMO_WORD
+    for word in words:
+        score(model, f"{word} {word} {word}")
+    memo = prompt_filter._kernel(model).memo
+    assert memo.on
+    assert len(memo) == prompt_filter.MEMO_WORDS
+    assert max(map(len, memo)) <= prompt_filter.MEMO_WORD < len(words[0] * 9)
+    assert all(_same_bits(model, f"{word} {word} {word}") for word in words[-200:])
+
+
+def test_the_guard_turns_the_memo_off_only_for_words_that_do_not_repeat():
+    model = train_dynamic(TOY_ADV, TOY_BEN, bigrams=True)
+    for prompt in TOY_ADV * 200:  # a handful of words over and over
+        score(model, prompt)
+    assert prompt_filter._kernel(model).memo.on
+    rng = random.Random(32)
+    unique = [" ".join(f"{rng.getrandbits(64):x}" for _ in range(8)) for _ in range(prompt_filter.MEMO_WINDOW)]
+    for prompt in unique:
+        score(model, prompt)
+    memo = prompt_filter._kernel(model).memo
+    assert not memo.on and not memo
+    assert all(_same_bits(model, prompt) for prompt in unique[:50] + list(TOY_BEN))
 
 
 def test_a_bigram_model_with_a_non_finite_llr_is_refused():

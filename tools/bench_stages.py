@@ -61,12 +61,16 @@ prompt with a bigram model trained on the workload's number of prompts
 per class. The other score stages score with that model read back from
 its file, with 6-decimal values, as the ``filter`` commands score (the
 speed of ``math.fsum`` depends on the values' low bits), at the same three
-sizes: ``score model file`` scores the same prompts, ``score long`` the
+sizes, each run with a model read back anew outside the timed call, so
+that every run starts with an empty word memo, as a command does:
+``score model file`` scores the same prompts, ``score long`` the
 same text joined into prompts of about 3,000 characters, ``score out of
 vocabulary`` the prompts with every character mapped into the private-use
-area, which the model never saw, and ``score unseen pairs`` prompts of
+area, which the model never saw, ``score unseen pairs`` prompts of
 the same lengths drawn from the model's vocabulary so that no adjacent
-pair is in its pair table. The coverage stages read the ``store.ttl`` and
+pair is in its pair table, and ``score unique words`` prompts of the same
+lengths made of lowercase words of 4 to 9 letters of which none repeats
+(the tool stops if one does). The coverage stages read the ``store.ttl`` and
 ``links.ttl`` that ``case_audit`` writes, and each run gets a new store
 merged from the two with ``merge_stores``, as the CLI merges them, outside
 the timed call, so that the time includes the indexes the analysis builds
@@ -139,6 +143,7 @@ import pstats
 import random
 import shutil
 import statistics
+import string
 import subprocess
 import sys
 import tempfile
@@ -152,6 +157,7 @@ STORE_SIZES = (12500, 25000, 50000, 100000)
 TRAIN_SIZES = (1000, 2000, 4000)
 PROMPT_SIZES = (12500, 25000, 50000)
 LONG_PROMPT = 3000  # characters, about what a long pasted document gives a prompt
+UNIQUE_WORD = (4, 9)  # characters per word of the unique-word prompts, least and most
 AUDIT_SIZES = (200, 400, 800)  # nodes per argument; 800 is the case-audit workload's
 CHAIN_SIZES = (250, 500, 750)  # supportedBy hops
 DIAMOND_SIZES = (10, 12, 14)  # diamond layers
@@ -345,9 +351,10 @@ def _run_train(inputs: dict, size: int) -> dict:
 def _shapes(prompts: list[str], model) -> dict[str, list[str]]:
     """The model-file score stages' prompts: the workload-like ones; the same text joined
     into prompts of about ``LONG_PROMPT`` characters; each prompt with every
-    character moved outside the model's vocabulary; and prompts of the same
+    character moved outside the model's vocabulary; prompts of the same
     lengths made of vocabulary characters of which no adjacent pair is in the
-    model's pair table."""
+    model's pair table; and prompts of the same lengths (at least
+    ``UNIQUE_WORD[0]`` characters) whose space-separated words never repeat."""
     long: list[str] = [""]
     for prompt in prompts:
         if len(long[-1]) >= LONG_PROMPT:
@@ -366,11 +373,29 @@ def _shapes(prompts: list[str], model) -> dict[str, list[str]]:
         unseen.append("".join(chars))
     if any(char in model.llr for prompt in outside for char in prompt):
         raise RuntimeError("a private-use character is in the model's vocabulary")
+    low, high = UNIQUE_WORD
+    used: set[str] = set()
+    unique = []
+    for prompt in prompts:
+        words, left = [], max(len(prompt), low)
+        while left:
+            size = left if left <= 2 * low else rng.randint(low, min(high, left - low - 1))
+            left -= size + (size < left)
+            word = ""
+            while not word or word in used:
+                word = "".join(rng.choices(string.ascii_lowercase, k=size))
+            used.add(word)
+            words.append(word)
+        unique.append(" ".join(words))
+    words = [word for prompt in unique for word in prompt.split(" ")]
+    if len(set(words)) != len(words):
+        raise RuntimeError("a word repeats in the unique-word prompts")
     return {
         "score model file": prompts,
         "score long": long,
         "score out of vocabulary": outside,
         "score unseen pairs": unseen,
+        "score unique words": unique,
     }
 
 
@@ -380,13 +405,13 @@ def _prepare_prompts(size: int, stack: contextlib.ExitStack) -> dict:
     generate = _generate()
     prompts = _prompts(size)
     model = prompt_filter.train_dynamic(*_corpora(generate.TRAIN_PER_CLASS), bigrams=True)
-    read_back = prompt_filter.load_model(prompt_filter.save_model(model))  # 6 decimals, as the commands read it
+    text = prompt_filter.save_model(model)  # 6 decimals, as the commands read it
     return {
         "prompts": prompts,
         "entries": [*generate.BLOCKLIST, *map(prompt_filter.ScriptClass, generate.BLOCK_SCRIPTS)],
         "model": model,
-        "read_back": read_back,
-        "shapes": _shapes(prompts, read_back),
+        "text": text,
+        "shapes": _shapes(prompts, prompt_filter.load_model(text)),
     }
 
 
@@ -410,8 +435,8 @@ def _run_prompts(inputs: dict, size: int) -> dict:
         raise RuntimeError(f"{size} prompts: {flagged} flagged by the blocklist")
     times = {"classify_static": [size, "prompts", classified]}
     times["score"] = [size, "prompts", _timed(score_all, model, prompts)[0]]
-    for stage, shape in inputs["shapes"].items():
-        times[stage] = [size, "prompts", _timed(score_all, inputs["read_back"], shape)[0]]
+    for stage, shape in inputs["shapes"].items():  # each with a model of its own, read back untimed
+        times[stage] = [size, "prompts", _timed(score_all, prompt_filter.load_model(inputs["text"]), shape)[0]]
     return times
 
 
